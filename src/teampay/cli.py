@@ -280,8 +280,7 @@ def _cmd_sweep(args) -> int:
     problem = _load_problem(args.problem)
     _require_valid(problem)
     network, p = _quadratic_binary_parts(problem)
-    curve = sweep(network, p, args.param, _parse_grid(args.grid), jobs=args.jobs,
-                  options=_options(args))
+    curve = sweep(network, p, args.param, _parse_grid(args.grid), options=_options(args))
     text = sweep_to_csv(curve)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -385,7 +384,6 @@ def _build_parser() -> _Parser:
     p = add("sweep", _cmd_sweep, help="re-optimize along a parameter grid, emit CSV")
     p.add_argument("--param", required=True, help="'beta' or a link like G23")
     p.add_argument("--grid", required=True, help="lo:hi:step")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
     p.add_argument("--tol", type=float, default=None)
 

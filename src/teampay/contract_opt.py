@@ -2,9 +2,10 @@
 
 Four routes: a projected-gradient ascent with the analytic payoff gradient
 (any problem), a closed form for the quadratic-network binary environment
-(active-set enumeration plus a one-dimensional total-share search under the
-balanced-neighborhood-equity structure), and transformed closed forms for
-Cobb-Douglas and CES production.
+(active-set enumeration plus the optimal total share under the
+balanced-neighborhood-equity structure: the share cubic's root under a linear
+success probability, a one-dimensional search otherwise), and transformed
+closed forms for Cobb-Douglas and CES production.
 """
 
 from __future__ import annotations
@@ -548,23 +549,32 @@ def _balanced_performance(s: float, rate: float, p: SuccessProbability) -> float
     share ``s`` and neighborhood equity ``lam = s * rate``.
 
     Solves the scalar fixed point of
-    ``y = s * (P'/(1 - P' lam) + P'^2 lam / (2 (1 - P' lam)^2))``,
-    a strictly decreasing map on the range where ``P'(y) lam < 1``.
+    ``y = s * (P'/(1 - P' lam) + P'^2 lam / (2 (1 - P' lam)^2))``.  Under a
+    linear success probability the right side does not depend on y and is
+    the answer; otherwise the map is strictly decreasing on the range where
+    ``P'(y) lam < 1`` and the fixed point is found by bisection.
     """
     lam = s * rate
-    cap = p.cap if isinstance(p, LinearCappedSuccess) else np.inf
 
-    def rhs(y: float) -> float:
-        slope = float(p.deriv(y))
+    def rhs_at(slope: float) -> float:
         q = slope * lam
         if q >= 1.0:
             return np.inf
         return s * (slope / (1.0 - q) + slope * slope * lam / (2.0 * (1.0 - q) ** 2))
 
+    if isinstance(p, LinearCappedSuccess):
+        if p.slope * lam >= 1.0:
+            raise EquilibriumError(f"no balanced equilibrium: slope * equity = {p.slope * lam:.6g} >= 1")
+        y = rhs_at(float(p.slope))
+        if y > p.cap * (1.0 - 1e-12):
+            raise CapExceededError("balanced performance would reach the probability cap")
+        return y
+
+    def rhs(y: float) -> float:
+        return rhs_at(float(p.deriv(y)))
+
     y_lo = 0.0
     if lam > 0.0 and float(p.deriv(0.0)) * lam >= 1.0:
-        if isinstance(p, LinearCappedSuccess):
-            raise EquilibriumError(f"no balanced equilibrium: slope * equity = {p.slope * lam:.6g} >= 1")
         lo, hi = 0.0, 1.0
         while float(p.deriv(hi)) * lam >= 1.0:
             hi *= 2.0
@@ -580,11 +590,6 @@ def _balanced_performance(s: float, rate: float, p: SuccessProbability) -> float
 
     y_hi = max(1.0, 2.0 * y_lo)
     for _ in range(200):
-        if y_hi >= cap:
-            y_hi = cap * (1.0 - 1e-12)
-            if rhs(y_hi) > y_hi:
-                raise CapExceededError("balanced performance would reach the probability cap")
-            break
         if rhs(y_hi) <= y_hi:
             break
         y_hi *= 2.0
@@ -636,10 +641,12 @@ def optimize_quadratic_binary(
     """Closed-form optimal contract for the quadratic-network environment.
 
     Enumerates candidate active sets, takes the best balance rate, and
-    maximizes the exact principal payoff over the total share via golden
-    section, re-solving the balanced-equity performance fixed point at each
-    candidate share.  Falls back to the gradient optimizer when no usable
-    candidate set exists.
+    maximizes the exact principal payoff over the total share.  Under a
+    linear success probability the optimal share is the root of the share
+    cubic; otherwise, or when that root's performance reaches the cap, a
+    golden-section search re-solves the balanced-equity performance fixed
+    point at each candidate share.  Falls back to the gradient optimizer
+    when no usable candidate set exists.
     """
     options = options or OptimizerOptions()
     try:
@@ -666,7 +673,15 @@ def optimize_quadratic_binary(
             return -np.inf
         return (1.0 - s) * float(p.value(y))
 
-    s_star = _share_search(payoff_of_share, smax, options)
+    s_star = None
+    if isinstance(p, LinearCappedSuccess) and p.slope * rate < 1.0:
+        # The payoff's share derivative has the sign of the share cubic, so its
+        # root is the optimum unless the performance there reaches the cap.
+        root = total_share_root(1.0, p.slope, 1.0 / rate) if rate > 0.0 else 0.5
+        if np.isfinite(payoff_of_share(root)):
+            s_star = root
+    if s_star is None:
+        s_star = _share_search(payoff_of_share, smax, options)
 
     tau = np.zeros(n)
     tau[agents] = s_star * best.direction
@@ -710,18 +725,18 @@ def optimize_quadratic_binary(
 
 
 def _scan_roots(f, lo: float, hi: float, points: int = 257) -> list:
+    """Roots of ``f`` (vectorised over its argument) on a geometric scan,
+    each sign change refined by brentq."""
     xs = np.geomspace(lo, hi, points)
-    vals = np.array([f(x) for x in xs])
-    roots = []
-    for k in range(points - 1):
-        a, b = vals[k], vals[k + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
-            continue
-        if a == 0.0:
-            roots.append(float(xs[k]))
-        elif a * b < 0.0:
-            roots.append(float(brentq(f, xs[k], xs[k + 1], xtol=1e-15, rtol=1e-15)))
-    return roots
+    vals = f(xs)
+    a, b = vals[:-1], vals[1:]
+    with np.errstate(invalid="ignore", over="ignore"):
+        hits = np.isfinite(a) & np.isfinite(b) & ((a == 0.0) | (a * b < 0.0))
+    return [
+        float(xs[k]) if a[k] == 0.0
+        else float(brentq(f, xs[k], xs[k + 1], xtol=1e-15, rtol=1e-15))
+        for k in np.flatnonzero(hits)
+    ]
 
 
 def _second_order_ok(production, p: SuccessProbability, y: float, tau: np.ndarray, actions: np.ndarray) -> bool:
@@ -756,10 +771,10 @@ def _separable_equilibrium(production, p: SuccessProbability, tau: np.ndarray):
         log_k = float(np.sum(0.5 * shares * np.log(tau * shares)))
 
         def f(y):
-            dp = float(p.deriv(y))
-            if dp <= 0.0:
-                return np.inf
-            return (1.0 - 0.5 * total) * np.log(y) - log_k - 0.5 * total * np.log(dp)
+            dp = p.deriv(y)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                val = (1.0 - 0.5 * total) * np.log(y) - log_k - 0.5 * total * np.log(dp)
+            return np.where(dp <= 0.0, np.inf, val)
 
         def actions_at(y):
             return np.sqrt(tau * shares * float(p.deriv(y)) * y)
@@ -771,11 +786,11 @@ def _separable_equilibrium(production, p: SuccessProbability, tau: np.ndarray):
         q = float(np.sum(shares * (tau * shares) ** (rho / (2.0 - rho))))
 
         def f(y):
-            dp = float(p.deriv(y))
-            if dp <= 0.0:
-                return np.inf
+            dp = p.deriv(y)
             b = returns * dp * y ** (1.0 - rho / returns)
-            return y - q ** (returns / rho) * b ** (returns / (2.0 - rho))
+            with np.errstate(invalid="ignore"):
+                val = y - q ** (returns / rho) * b ** (returns / (2.0 - rho))
+            return np.where(dp <= 0.0, np.inf, val)
 
         def actions_at(y):
             dp = float(p.deriv(y))
@@ -904,16 +919,9 @@ def total_share_root(beta: float, kappa: float, kstar: float, *, tol: float = 1e
     ``beta * kappa < kstar``."""
     if not beta * kappa < kstar:
         raise ModelError(f"requires beta * kappa < kstar, got {beta * kappa:.6g} >= {kstar:.6g}")
-    lo, hi = 0.5, 1.0
-    flo = share_cubic(lo, beta, kappa, kstar)
-    if flo <= 0.0:
+    args = (beta, kappa, kstar)
+    if share_cubic(0.5, *args) <= 0.0:
         raise ModelError("cubic not positive at s = 1/2; parameters out of range")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if share_cubic(mid, beta, kappa, kstar) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+    if share_cubic(1.0, *args) >= 0.0:
+        raise ModelError("cubic not negative at s = 1; parameters out of range")
+    return float(brentq(share_cubic, 0.5, 1.0, args=args, xtol=tol))

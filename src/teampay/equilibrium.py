@@ -1,10 +1,11 @@
 """Effort-game equilibrium solvers.
 
 Two paths: a specialized solver for the quadratic-network / binary-outcome
-environment (linear money utility, unit quadratic costs), built around the
-fact that the candidate performance map is strictly decreasing on the
-admissible range, and a general damped best-response solver for arbitrary
-production / outcome / utility / cost combinations.
+environment (linear money utility, unit quadratic costs), which is one linear
+solve under a linear success probability and otherwise uses the fact that the
+candidate performance map is strictly decreasing on the admissible range, and
+a general damped best-response solver for arbitrary production / outcome /
+utility / cost combinations.
 """
 
 from __future__ import annotations
@@ -89,56 +90,19 @@ def _candidate_actions(g: np.ndarray, tau: np.ndarray, standalone: np.ndarray, s
         raise EquilibriumError(f"singular best-response system: {exc}") from exc
 
 
-def solve_equilibrium_quadratic_binary(
-    network: Network,
-    tau,
-    p: SuccessProbability,
-    standalone=None,
-    *,
-    tol: float = 1e-13,
-    max_iter: int = 200,
-) -> EquilibriumResult:
-    """Unique equilibrium of the quadratic-network success/failure game.
-
-    ``tau`` holds success payments (failure payments are zero); utilities
-    are linear and costs quadratic ``a^2/2``.  The profile solves
-    ``[I - P'(Y) T G] a = P'(Y) T b`` at the unique performance fixed point
-    inside the range where ``P'(y) rho(TG) < 1``; that map is strictly
-    decreasing in y, so the fixed point is found by bisection.
-    """
-    tau = np.asarray(tau, dtype=float)
-    g = network.matrix
-    n = network.n
-    if tau.shape != (n,):
-        raise DomainError(f"tau must have shape ({n},)")
-    if np.any(tau < 0):
-        raise DomainError("success payments must be nonnegative")
-    if not p.concave_on_nonneg():
-        raise DomainError("success probability must be concave on the working range")
-    b = np.ones(n) if standalone is None else np.asarray(standalone, dtype=float)
-
-    if not np.any(tau > 0):
-        probs = np.array([1.0 - float(p.value(0.0)), float(p.value(0.0))])
-        return EquilibriumResult(
-            actions=np.zeros(n), performance=0.0, probs=probs,
-            iterations=0, residual=0.0, spectral_margin=1.0,
-        )
-
-    rho = spectral_radius(tau[:, None] * g)
-    cap = p.cap if isinstance(p, LinearCappedSuccess) else np.inf
+def _bisect_performance(g, tau, b, p: SuccessProbability, rho: float,
+                        tol: float, max_iter: int) -> tuple[float, int]:
+    """Performance fixed point for a nonlinear success probability, by
+    bisection on the strictly decreasing candidate map; returns the point and
+    the number of bisection steps."""
 
     def perf_of(y: float) -> float:
-        slope = float(p.deriv(y))
-        a = _candidate_actions(g, tau, b, slope)
+        a = _candidate_actions(g, tau, b, float(p.deriv(y)))
         return float(a @ b + 0.5 * a @ g @ a)
 
     # Lower end of the bracket: where the spectral condition starts to hold.
     y_lo = 0.0
     if float(p.deriv(0.0)) * rho >= 1.0:
-        if isinstance(p, LinearCappedSuccess):
-            raise EquilibriumError(
-                f"no equilibrium: slope * spectral radius = {p.slope * rho:.6g} >= 1"
-            )
         lo, hi = 0.0, 1.0
         while float(p.deriv(hi)) * rho >= 1.0:
             hi *= 2.0
@@ -155,13 +119,6 @@ def solve_equilibrium_quadratic_binary(
     # Upper end: grow until the candidate map falls below the diagonal.
     y_hi = max(2.0 * y_lo, 1.0)
     for _ in range(200):
-        if y_hi >= cap:
-            y_hi = cap * (1.0 - 1e-12)
-            if perf_of(y_hi) > y_hi:
-                raise CapExceededError(
-                    "equilibrium performance would reach the success-probability cap"
-                )
-            break
         if perf_of(y_hi) <= y_hi:
             break
         y_hi *= 2.0
@@ -183,13 +140,63 @@ def solve_equilibrium_quadratic_binary(
             hi = mid
         if hi - lo <= tol * max(1.0, hi):
             break
+    return 0.5 * (lo + hi), it + 1
 
-    y_star = 0.5 * (lo + hi)
-    slope = float(p.deriv(y_star))
+
+def solve_equilibrium_quadratic_binary(
+    network: Network,
+    tau,
+    p: SuccessProbability,
+    standalone=None,
+    *,
+    tol: float = 1e-13,
+    max_iter: int = 200,
+) -> EquilibriumResult:
+    """Unique equilibrium of the quadratic-network success/failure game.
+
+    ``tau`` holds success payments (failure payments are zero); utilities
+    are linear and costs quadratic ``a^2/2``.  The profile solves
+    ``[I - P'(Y) T G] a = P'(Y) T b`` at the unique performance fixed point
+    inside the range where ``P'(y) rho(TG) < 1``.  Under a linear success
+    probability ``P'`` is the constant slope, so this is one linear solve
+    (``iterations`` is 1); otherwise the map is strictly decreasing in y and
+    the fixed point is found by bisection.
+    """
+    tau = np.asarray(tau, dtype=float)
+    g = network.matrix
+    n = network.n
+    if tau.shape != (n,):
+        raise DomainError(f"tau must have shape ({n},)")
+    if np.any(tau < 0):
+        raise DomainError("success payments must be nonnegative")
+    if not p.concave_on_nonneg():
+        raise DomainError("success probability must be concave on the working range")
+    b = np.ones(n) if standalone is None else np.asarray(standalone, dtype=float)
+
+    if not np.any(tau > 0):
+        probs = np.array([1.0 - float(p.value(0.0)), float(p.value(0.0))])
+        return EquilibriumResult(
+            actions=np.zeros(n), performance=0.0, probs=probs,
+            iterations=0, residual=0.0, spectral_margin=1.0,
+        )
+
+    rho = spectral_radius(tau[:, None] * g)
+    linear = isinstance(p, LinearCappedSuccess)
+    if linear:
+        # P' is constant below the cap, so the candidate map does not depend
+        # on y: one solve at the slope is the equilibrium.
+        if p.slope * rho >= 1.0:
+            raise EquilibriumError(
+                f"no equilibrium: slope * spectral radius = {p.slope * rho:.6g} >= 1"
+            )
+        slope, iterations = float(p.slope), 1
+    else:
+        y_fixed, iterations = _bisect_performance(g, tau, b, p, rho, tol, max_iter)
+        slope = float(p.deriv(y_fixed))
     a = _candidate_actions(g, tau, b, slope)
     y_star = float(a @ b + 0.5 * a @ g @ a)
-    if y_star >= cap:
-        raise CapExceededError("equilibrium performance landed past the probability cap")
+    if linear and y_star > p.cap * (1.0 - 1e-12):
+        raise CapExceededError("equilibrium performance would reach the success-probability cap")
     slope = float(p.deriv(y_star))
     residual = float(np.max(np.abs(a - slope * tau * (b + g @ a))))
     success = float(p.value(y_star))
@@ -200,7 +207,7 @@ def solve_equilibrium_quadratic_binary(
         actions=a,
         performance=y_star,
         probs=np.array([1.0 - success, success]),
-        iterations=it + 1,
+        iterations=iterations,
         residual=residual,
         spectral_margin=margin,
     )

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import io
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -194,7 +193,6 @@ def sweep(
     grid,
     *,
     options: OptimizerOptions | None = None,
-    jobs: int = 1,
 ) -> SweepCurve:
     """Re-optimize the contract at each grid value of the parameter."""
     grid = np.asarray(grid, dtype=float)
@@ -212,11 +210,7 @@ def sweep(
             return None, str(exc)
         return opt, None
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(run, grid))
-    else:
-        results = [run(v) for v in grid]
+    results = [run(v) for v in grid]
 
     m = grid.size
     payments = np.full((m, n), np.nan)

@@ -198,15 +198,6 @@ def test_verify_command(files, capsys):
     }
 
 
-def test_sweep_jobs_deterministic(files, capsys):
-    _, _, figure, _ = files
-    run(["sweep", str(figure), "--param", "G23", "--grid", "0:1:0.25"])
-    serial = capsys.readouterr().out
-    run(["sweep", str(figure), "--param", "G23", "--grid", "0:1:0.25", "--jobs", "3"])
-    parallel = capsys.readouterr().out
-    assert serial == parallel
-
-
 def test_statics_grid(files, capsys):
     _, _, figure, _ = files
     assert run(["statics", str(figure), "--param", "G23", "--grid", "0.2:0.6:0.2"]) == 0

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 import teampay as tp
-from teampay.contract_opt import share_cubic
+from teampay.contract_opt import _scan_roots, share_cubic
 
 from helpers import (
     KAPPA_HALF,
     clique,
     quadratic_problem,
+    random_symmetric_network,
     softmax_instance,
     two_stage_oracle,
 )
@@ -137,6 +141,40 @@ def test_payoff_weakly_increasing_in_edge_weights():
         assert after >= base - 1e-9
 
 
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(2, 6), kappa=st.floats(0.1, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_linear_success_total_share_is_the_cubic_root(n, kappa, seed):
+    # Weights in [0, 1] give a balance rate below 1, and with kappa <= 1/2 the
+    # root's performance stays below the cap, so the root is the optimum.
+    net = random_symmetric_network(np.random.default_rng(seed), n)
+    p = tp.LinearCappedSuccess(kappa)
+    result = tp.optimize_quadratic_binary(net, p)
+    rate = tp.optimal_active_set(net, p)[0].share_rate
+    root = tp.total_share_root(1.0, kappa, 1.0 / rate) if rate > 0.0 else 0.5
+    assert result.contract.payments[:, 1].sum() == pytest.approx(root, abs=1e-12)
+    assert result.method == "quadratic_closed_form"
+
+
+def test_cap_reaching_share_root_falls_back_to_the_share_search():
+    # The root of the share cubic would put performance past 1/kappa here, so
+    # the optimum sits at the cap's kink and comes from the share search.
+    p = tp.LinearCappedSuccess(0.9)
+    result = tp.optimize_quadratic_binary(clique(2, 1.5), p)
+    assert np.isfinite(result.principal_payoff)
+    assert result.principal_payoff > 0.0
+    assert result.equilibrium.performance < p.cap
+    rate = tp.optimal_active_set(clique(2, 1.5), p)[0].share_rate
+    root = tp.total_share_root(1.0, 0.9, 1.0 / rate)
+    assert result.contract.payments[:, 1].sum() < root
+
+
+def test_logistic_success_keeps_the_share_search():
+    net = tp.Network([[0.0, 1.0, 0.8], [1.0, 0.0, 0.6], [0.8, 0.6, 0.0]])
+    result = tp.optimize_quadratic_binary(net, tp.LogisticSuccess(0.7, -0.3))
+    assert result.method == "quadratic_closed_form"
+    assert result.principal_payoff == pytest.approx(0.5978654385825628, abs=1e-10)
+
+
 # ---------------------------------------------------------------------------
 # active sets
 # ---------------------------------------------------------------------------
@@ -255,6 +293,30 @@ def test_ces_rejects_rho_at_least_one():
         tp.closed_form_ces([1.0, 2.0], 1.5, 1.0, CES_P)
 
 
+def test_scan_roots_matches_pointwise_scan():
+    # Reference: the scalar loop the vectorised scan replaced.
+    def f(y):
+        y = np.asarray(y, dtype=float)
+        with np.errstate(divide="ignore"):
+            return np.where(y > 50.0, np.inf, (y - 0.3) * (y - 2.0) * (y - 7.0) / np.log1p(y))
+
+    lo, hi, points = 1e-3, 100.0, 257
+    xs = np.geomspace(lo, hi, points)
+    vals = [float(f(x)) for x in xs]
+    expected = []
+    for k in range(points - 1):
+        a, b = vals[k], vals[k + 1]
+        if not (np.isfinite(a) and np.isfinite(b)):
+            continue
+        if a == 0.0:
+            expected.append(float(xs[k]))
+        elif a * b < 0.0:
+            expected.append(float(brentq(f, xs[k], xs[k + 1], xtol=1e-15, rtol=1e-15)))
+    roots = _scan_roots(f, lo, hi, points)
+    assert roots == expected
+    assert roots == pytest.approx([0.3, 2.0, 7.0], abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # total share cubic
 # ---------------------------------------------------------------------------
@@ -314,3 +376,4 @@ def test_inada_activity_pattern():
                 assert result.contract.payments[i, s] > 0.0
             else:
                 assert result.contract.payments[i, s] == 0.0
+

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import teampay as tp
+from teampay import contract_opt, equilibrium
 
 from helpers import (
     KAPPA_HALF,
     clique,
     quadratic_problem,
     random_quadratic_binary,
+    random_symmetric_network,
     solver_oracle_agreement,
     success_contract,
 )
@@ -201,3 +205,57 @@ def test_polynomial_production_matches_equivalent_quadratic():
     eq_poly = tp.solve_equilibrium_general(problem_poly, contract, tol=1e-11)
     eq_net = tp.solve_equilibrium_quadratic_binary(clique(2), np.array([0.25, 0.25]), KAPPA_HALF)
     assert np.max(np.abs(eq_poly.actions - eq_net.actions)) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# linear success probability: one solve per equilibrium
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(3, 50), kappa=st.floats(0.05, 0.5), seed=st.integers(0, 2**32 - 1))
+def test_linear_success_equilibrium_is_one_exact_solve(n, kappa, seed):
+    # Weights in [0, 1] and tau <= 1/n keep kappa * rho(TG) < 1/2 and the
+    # performance below 3/2 < 1/kappa, so every draw has an interior equilibrium.
+    rng = np.random.default_rng(seed)
+    net = random_symmetric_network(rng, n)
+    tau = rng.uniform(0.05, 1.0, size=n) / n
+    eq = tp.solve_equilibrium_quadratic_binary(net, tau, tp.LinearCappedSuccess(kappa))
+    g = net.matrix
+    expected = np.linalg.solve(np.eye(n) - kappa * (tau[:, None] * g), kappa * tau * np.ones(n))
+    assert np.array_equal(eq.actions, expected)
+    assert eq.iterations == 1
+
+
+def test_linear_success_spectral_failure_is_an_equilibrium_error():
+    with pytest.raises(tp.EquilibriumError) as info:
+        tp.solve_equilibrium_quadratic_binary(clique(2), [3.0, 3.0], KAPPA_HALF)
+    assert not isinstance(info.value, tp.CapExceededError)
+
+
+@pytest.mark.parametrize("tau, slope", [([0.9, 0.9], 0.5), ([0.9, 0.9], 0.95), ([0.6, 0.6], 0.9)])
+def test_linear_success_cap_reaching_contract_raises_cap_error(tau, slope):
+    with pytest.raises(tp.CapExceededError):
+        tp.solve_equilibrium_quadratic_binary(clique(2), tau, tp.LinearCappedSuccess(slope))
+
+
+def test_linear_success_sweep_solves_each_equilibrium_once(monkeypatch):
+    counts = {"solves": 0, "equilibria": 0}
+    solve = equilibrium._candidate_actions
+    solve_eq = contract_opt.solve_equilibrium_quadratic_binary
+
+    def counted_solve(*args, **kwargs):
+        counts["solves"] += 1
+        return solve(*args, **kwargs)
+
+    def counted_eq(*args, **kwargs):
+        counts["equilibria"] += 1
+        return solve_eq(*args, **kwargs)
+
+    monkeypatch.setattr(equilibrium, "_candidate_actions", counted_solve)
+    monkeypatch.setattr(contract_opt, "solve_equilibrium_quadratic_binary", counted_eq)
+    net = tp.Network([[0.0, 1.0, 0.8], [1.0, 0.0, 0.0], [0.8, 0.0, 0.0]])
+    curve = tp.sweep(net, KAPPA_HALF, "G23", np.linspace(0.0, 1.0, 5))
+    assert all(err is None for err in curve.errors)
+    assert counts["equilibria"] == 5
+    assert counts["solves"] == counts["equilibria"]
