@@ -33,6 +33,7 @@ from .equilibrium import EquilibriumError, solve_equilibrium_general
 from .equity import optimize_equity
 from .model import (
     BinaryOutcomeModel,
+    CapExceededError,
     CESProduction,
     CobbDouglasProduction,
     ModelError,
@@ -418,13 +419,15 @@ def run(argv=None) -> int:
     except _CliError as exc:
         print(_error_json("input", str(exc)), file=sys.stderr)
         return exc.code
+    except (CapExceededError, EquilibriumError, OptimizationError, DiagnosticsError,
+            StaticsError, ActiveSetError, OracleError, np.linalg.LinAlgError) as exc:
+        # A cap overrun is a ModelError, but like a failed spectral condition it
+        # means no interior equilibrium: a solver failure, not bad input.
+        print(_error_json("solver", str(exc)), file=sys.stderr)
+        return 2
     except (SchemaError, ModelError) as exc:
         print(_error_json("validation", str(exc)), file=sys.stderr)
         return 1
-    except (EquilibriumError, OptimizationError, DiagnosticsError, StaticsError,
-            ActiveSetError, OracleError, np.linalg.LinAlgError) as exc:
-        print(_error_json("solver", str(exc)), file=sys.stderr)
-        return 2
 
 
 def main() -> None:

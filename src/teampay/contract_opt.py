@@ -20,6 +20,8 @@ from scipy.optimize import brentq
 from .diagnostics import ACTIVITY_TOL, DiagnosticsError, _FirstOrderObjects, compute_balance_report
 from .equilibrium import (
     EquilibriumError,
+    _performance_fixed_point,
+    _performance_map,
     solve_equilibrium_general,
     solve_equilibrium_quadratic_binary,
 )
@@ -548,64 +550,21 @@ def _balanced_performance(s: float, rate: float, p: SuccessProbability) -> float
     """Equilibrium performance under a balanced-equity contract with total
     share ``s`` and neighborhood equity ``lam = s * rate``.
 
-    Solves the scalar fixed point of
+    This is the one-mode case of the quadratic equilibrium's performance map
+    (eigenvalue ``lam``, squared loading ``s``):
     ``y = s * (P'/(1 - P' lam) + P'^2 lam / (2 (1 - P' lam)^2))``.  Under a
     linear success probability the right side does not depend on y and is
-    the answer; otherwise the map is strictly decreasing on the range where
-    ``P'(y) lam < 1`` and the fixed point is found by bisection.
+    the answer; otherwise the fixed point is found by brentq.
     """
     lam = s * rate
-
-    def rhs_at(slope: float) -> float:
-        q = slope * lam
-        if q >= 1.0:
-            return np.inf
-        return s * (slope / (1.0 - q) + slope * slope * lam / (2.0 * (1.0 - q) ** 2))
-
-    if isinstance(p, LinearCappedSuccess):
-        if p.slope * lam >= 1.0:
-            raise EquilibriumError(f"no balanced equilibrium: slope * equity = {p.slope * lam:.6g} >= 1")
-        y = rhs_at(float(p.slope))
-        if y > p.cap * (1.0 - 1e-12):
-            raise CapExceededError("balanced performance would reach the probability cap")
-        return y
-
-    def rhs(y: float) -> float:
-        return rhs_at(float(p.deriv(y)))
-
-    y_lo = 0.0
-    if lam > 0.0 and float(p.deriv(0.0)) * lam >= 1.0:
-        lo, hi = 0.0, 1.0
-        while float(p.deriv(hi)) * lam >= 1.0:
-            hi *= 2.0
-            if hi > 1e12:
-                raise EquilibriumError("spectral condition never satisfied")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(p.deriv(mid)) * lam >= 1.0:
-                lo = mid
-            else:
-                hi = mid
-        y_lo = hi * (1.0 + 1e-12)
-
-    y_hi = max(1.0, 2.0 * y_lo)
-    for _ in range(200):
-        if rhs(y_hi) <= y_hi:
-            break
-        y_hi *= 2.0
-    else:
-        raise EquilibriumError("balanced performance map stays above the diagonal")
-
-    lo, hi = y_lo, y_hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if rhs(mid) > mid:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
+    if not isinstance(p, LinearCappedSuccess):
+        return _performance_fixed_point(s, lam, p)[0]
+    if p.slope * lam >= 1.0:
+        raise EquilibriumError(f"no balanced equilibrium: slope * equity = {p.slope * lam:.6g} >= 1")
+    y = _performance_map(float(p.slope), s, lam)
+    if y > p.cap * (1.0 - 1e-12):
+        raise CapExceededError("balanced performance would reach the probability cap")
+    return y
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -703,7 +662,13 @@ def optimize_quadratic_binary(
     payoff = _principal_payoff(quadratic_binary_problem(network, p), contract, eq.probs)
 
     h = max(1e-7, 1e-7 * s_star)
-    kkt = abs(payoff_of_share(min(s_star + h, smax)) - payoff_of_share(max(s_star - h, 1e-12))) / (2 * h)
+    up, down = payoff_of_share(min(s_star + h, smax)), payoff_of_share(max(s_star - h, 1e-12))
+    if np.isfinite(up):
+        kkt = abs(up - down) / (2 * h)
+    else:
+        # Past the cap kink: s* is an upper-bound optimum, so only a payoff
+        # falling towards it from the left violates optimality.
+        kkt = max(0.0, -(payoff_of_share(s_star) - down) / h)
 
     problem = quadratic_binary_problem(network, p)
     return OptimalContractResult(

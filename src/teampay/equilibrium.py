@@ -2,15 +2,16 @@
 
 Two paths: a specialized solver for the quadratic-network / binary-outcome
 environment (linear money utility, unit quadratic costs), which is one linear
-solve under a linear success probability and otherwise uses the fact that the
-candidate performance map is strictly decreasing on the admissible range, and
-a general damped best-response solver for arbitrary production / outcome /
+solve under a linear success probability and otherwise one scalar root of the
+performance fixed point in the eigenbasis of ``T^{1/2} G T^{1/2}``, and a
+general damped best-response solver for arbitrary production / outcome /
 utility / cost combinations.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .model import (
     CapExceededError,
@@ -39,38 +40,15 @@ class EquilibriumError(RuntimeError):
         self.best = best
 
 
-def spectral_radius(m, tol: float = 1e-12, max_iter: int = 500) -> float:
-    """Largest eigenvalue modulus of a square matrix.
-
-    Power iteration from a deterministic start (ones plus a tiny
-    index-dependent perturbation so eigenvector orthogonality cannot stall
-    it); falls back to a dense eigensolve when the iteration stagnates,
-    e.g. for rotations with complex dominant eigenvalues.
-    """
+def spectral_radius(m) -> float:
+    """Largest eigenvalue modulus of a square matrix, from a dense eigensolve."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    n = m.shape[0]
-    if n == 0:
+    if m.shape[0] == 0:
         return 0.0
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
-
-    x = np.ones(n) + 1e-6 * np.arange(1, n + 1)
-    x /= np.linalg.norm(x)
-    lam = 0.0
-    for _ in range(max_iter):
-        y = m @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        x_new = y / norm
-        lam_new = norm
-        if abs(lam_new - lam) <= tol * max(1.0, lam_new):
-            resid = np.linalg.norm(m @ x_new - np.sign(x_new @ (m @ x_new)) * lam_new * x_new)
-            if resid <= 1e4 * tol * max(1.0, lam_new):
-                return float(lam_new)
-        x, lam = x_new, lam_new
     return float(np.max(np.abs(np.linalg.eigvals(m))))
 
 
@@ -90,57 +68,42 @@ def _candidate_actions(g: np.ndarray, tau: np.ndarray, standalone: np.ndarray, s
         raise EquilibriumError(f"singular best-response system: {exc}") from exc
 
 
-def _bisect_performance(g, tau, b, p: SuccessProbability, rho: float,
-                        tol: float, max_iter: int) -> tuple[float, int]:
-    """Performance fixed point for a nonlinear success probability, by
-    bisection on the strictly decreasing candidate map; returns the point and
-    the number of bisection steps."""
+def _performance_map(c, weights, modes) -> float:
+    """Equilibrium performance at the slope ``c = P'(Y)``, from the modes of
+    ``S = T^{1/2} G T^{1/2}``: eigenvalues ``modes`` and squared loadings
+    ``weights`` of ``T^{1/2} b``; valid while ``c * max(modes) < 1``."""
+    q = 1.0 - c * modes
+    return float(np.sum(weights * (c / q + c * c * modes / (2.0 * q ** 2))))
 
-    def perf_of(y: float) -> float:
-        a = _candidate_actions(g, tau, b, float(p.deriv(y)))
-        return float(a @ b + 0.5 * a @ g @ a)
 
-    # Lower end of the bracket: where the spectral condition starts to hold.
-    y_lo = 0.0
-    if float(p.deriv(0.0)) * rho >= 1.0:
-        lo, hi = 0.0, 1.0
-        while float(p.deriv(hi)) * rho >= 1.0:
-            hi *= 2.0
-            if hi > 1e12:
-                raise EquilibriumError("could not find range with spectral condition satisfied")
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if float(p.deriv(mid)) * rho >= 1.0:
-                lo = mid
-            else:
-                hi = mid
-        y_lo = hi * (1.0 + 1e-12) + 1e-300
+def _performance_fixed_point(weights, modes, p: SuccessProbability,
+                             tol: float = 1e-15, max_iter: int = 200) -> tuple[float, int]:
+    """Root of ``y = Y(P'(y))`` (``Y`` as in ``_performance_map``) on the range
+    where ``P'(y) * max(modes) < 1``, by brentq; returns the root and the
+    number of map evaluations brentq made.
 
-    # Upper end: grow until the candidate map falls below the diagonal.
-    y_hi = max(2.0 * y_lo, 1.0)
+    ``Y`` increases in the slope and a concave ``P`` has a decreasing ``P'``,
+    so ``Y(P'(y)) - y`` is strictly decreasing on that range.  Below it, where
+    the spectral condition fails, the map counts as ``+inf``, which keeps the
+    bracket's lower end at 0.
+    """
+    lam_max = float(np.max(modes))
+
+    def excess(y: float) -> float:
+        c = float(p.deriv(y))
+        return (np.inf if c * lam_max >= 1.0 else _performance_map(c, weights, modes)) - y
+
+    y_hi = 1.0
     for _ in range(200):
-        if perf_of(y_hi) <= y_hi:
+        if excess(y_hi) <= 0.0:
             break
         y_hi *= 2.0
     else:
         raise EquilibriumError("candidate performance exceeds the diagonal everywhere")
-
-    if perf_of(y_lo) < y_lo:
-        # Decreasing map already below the diagonal: root is below y_lo, which
-        # only happens when y_lo = 0; the zero-contract case returned earlier.
-        y_hi = y_lo
-
-    lo, hi = y_lo, y_hi
-    it = 0
-    for it in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if perf_of(mid) > mid:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi), it + 1
+    y, info = brentq(excess, 0.0, y_hi, xtol=tol, maxiter=max_iter, full_output=True, disp=False)
+    if not info.converged:
+        raise EquilibriumError(f"performance fixed point not found in {max_iter} steps")
+    return y, info.function_calls
 
 
 def solve_equilibrium_quadratic_binary(
@@ -157,10 +120,13 @@ def solve_equilibrium_quadratic_binary(
     ``tau`` holds success payments (failure payments are zero); utilities
     are linear and costs quadratic ``a^2/2``.  The profile solves
     ``[I - P'(Y) T G] a = P'(Y) T b`` at the unique performance fixed point
-    inside the range where ``P'(y) rho(TG) < 1``.  Under a linear success
-    probability ``P'`` is the constant slope, so this is one linear solve
-    (``iterations`` is 1); otherwise the map is strictly decreasing in y and
-    the fixed point is found by bisection.
+    inside the range where ``P'(y) rho(TG) < 1``.  ``TG`` has the spectrum
+    of the symmetric ``S = T^{1/2} G T^{1/2}``, so ``rho`` is ``S``'s largest
+    eigenvalue.  Under a linear success probability ``P'`` is the constant
+    slope, so this is one linear solve (``iterations`` is 1); otherwise the
+    fixed point is a root of an O(n) map in ``S``'s eigenbasis, found by
+    brentq (``iterations`` counts its map evaluations), and the profile is
+    one solve at the fixed point's slope.
     """
     tau = np.asarray(tau, dtype=float)
     g = network.matrix
@@ -169,6 +135,8 @@ def solve_equilibrium_quadratic_binary(
         raise DomainError(f"tau must have shape ({n},)")
     if np.any(tau < 0):
         raise DomainError("success payments must be nonnegative")
+    if np.any(g < 0) or not np.array_equal(g, g.T):
+        raise DomainError("network matrix must be symmetric and nonnegative")
     if not p.concave_on_nonneg():
         raise DomainError("success probability must be concave on the working range")
     b = np.ones(n) if standalone is None else np.asarray(standalone, dtype=float)
@@ -180,18 +148,23 @@ def solve_equilibrium_quadratic_binary(
             iterations=0, residual=0.0, spectral_margin=1.0,
         )
 
-    rho = spectral_radius(tau[:, None] * g)
+    root_tau = np.sqrt(tau)
+    s = root_tau[:, None] * g * root_tau
     linear = isinstance(p, LinearCappedSuccess)
     if linear:
         # P' is constant below the cap, so the candidate map does not depend
         # on y: one solve at the slope is the equilibrium.
+        rho = float(np.linalg.eigvalsh(s)[-1])
         if p.slope * rho >= 1.0:
             raise EquilibriumError(
                 f"no equilibrium: slope * spectral radius = {p.slope * rho:.6g} >= 1"
             )
         slope, iterations = float(p.slope), 1
     else:
-        y_fixed, iterations = _bisect_performance(g, tau, b, p, rho, tol, max_iter)
+        modes, vecs = np.linalg.eigh(s)
+        rho = float(modes[-1])
+        loadings = vecs.T @ (root_tau * b)
+        y_fixed, iterations = _performance_fixed_point(loadings ** 2, modes, p, tol, max_iter)
         slope = float(p.deriv(y_fixed))
     a = _candidate_actions(g, tau, b, slope)
     y_star = float(a @ b + 0.5 * a @ g @ a)
@@ -270,8 +243,8 @@ def _marginal_gain_slope(problem: Problem, u_levels: np.ndarray, i: int, a: np.n
 
 
 def _refine_root(problem, u_levels, i, a, lo, hi) -> float:
-    """Safeguarded Newton (bisection fallback) for the first-order condition
-    inside a bracket with g(lo) > 0 >= g(hi)."""
+    """Safeguarded Newton for the first-order condition inside a bracket with
+    g(lo) > 0 >= g(hi): a step that leaves the bracket takes its midpoint."""
     x = 0.5 * (lo + hi)
     for _ in range(100):
         gx = _marginal_gain(problem, u_levels, i, a, x)
@@ -297,7 +270,7 @@ def _refine_root(problem, u_levels, i, a, lo, hi) -> float:
 def _best_response(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray,
                    a_max: float, hint: float | None = None) -> float:
     """Agent i's best response: probe for sign changes of the first-order
-    condition, then safeguarded Newton (bisection fallback) in each bracket;
+    condition, then safeguarded Newton in each bracket;
     multiple roots are resolved by comparing payoffs.  A ``hint`` near the
     previous response tries a cheap local bracket before the full probe grid.
     """

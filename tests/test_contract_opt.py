@@ -168,6 +168,14 @@ def test_cap_reaching_share_root_falls_back_to_the_share_search():
     assert result.contract.payments[:, 1].sum() < root
 
 
+def test_cap_kink_optimum_has_a_finite_kkt_residual():
+    # s* + h lies past the cap, where the payoff is -inf; s* is an upper-bound
+    # optimum and the backward difference rises into it.
+    result = tp.optimize_quadratic_binary(clique(2, 1.5), tp.LinearCappedSuccess(0.9))
+    assert np.isfinite(result.kkt_residual)
+    assert result.kkt_residual <= 1e-6
+
+
 def test_logistic_success_keeps_the_share_search():
     net = tp.Network([[0.0, 1.0, 0.8], [1.0, 0.0, 0.6], [0.8, 0.6, 0.0]])
     result = tp.optimize_quadratic_binary(net, tp.LogisticSuccess(0.7, -0.3))

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import teampay as tp
 from teampay import contract_opt, equilibrium
+from teampay.contract_opt import _balanced_performance
 
 from helpers import (
     KAPPA_HALF,
@@ -84,6 +85,12 @@ def test_cap_guard_trips_when_performance_would_cross():
         tp.solve_equilibrium_quadratic_binary(clique(2), [0.9, 0.9], steep)
 
 
+def test_asymmetric_network_rejected():
+    # The eigensolve reads one triangle of T^{1/2} G T^{1/2}, so G must be symmetric.
+    with pytest.raises(tp.DomainError):
+        tp.solve_equilibrium_quadratic_binary(tp.Network([[0.0, 1.0], [0.5, 0.0]]), [0.2, 0.2], KAPPA_HALF)
+
+
 def test_specialized_solver_with_concave_smooth_families():
     net = clique(3, 0.6)
     tau = np.array([0.2, 0.15, 0.1])
@@ -149,6 +156,46 @@ def test_spectral_guard_strict_at_returned_equilibria():
         rho = tp.spectral_radius(tau[:, None] * net.matrix)
         assert float(p.deriv(eq.performance)) * rho < 1.0
         assert eq.spectral_margin > 0.0
+
+
+def star(n: int) -> tp.Network:
+    w = np.zeros((n, n))
+    w[0, 1:] = w[1:, 0] = 1.0
+    return tp.Network(w)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(["two_clique", "star", "random"]),
+    n=st.integers(2, 7),
+    p=st.sampled_from([KAPPA_HALF, tp.LogisticSuccess(0.7, -0.3), tp.PowerSuccess(2.0)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_margin_matches_dense_spectral_radius(kind, n, p, seed):
+    # The 2-clique and stars are bipartite, so -rho is an eigenvalue too;
+    # zero payments make T^{1/2} singular.
+    rng = np.random.default_rng(seed)
+    net = clique(2) if kind == "two_clique" else star(n) if kind == "star" else random_symmetric_network(rng, n)
+    tau = rng.uniform(0.0, 0.4, size=net.n)
+    tau[rng.uniform(size=net.n) < 0.3] = 0.0
+    try:
+        eq = tp.solve_equilibrium_quadratic_binary(net, tau, p)
+    except (tp.EquilibriumError, tp.CapExceededError):
+        assume(False)
+    rho = tp.spectral_radius(tau[:, None] * net.matrix)
+    assert abs(eq.spectral_margin - (1.0 - float(p.deriv(eq.performance)) * rho)) <= 1e-12
+
+
+@pytest.mark.parametrize("p", [tp.LogisticSuccess(0.7, -0.3), tp.LogisticSuccess(0.15), tp.PowerSuccess(3.0)],
+                         ids=["logistic", "steep_logistic", "power"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_balanced_clique_equilibrium_matches_balanced_performance(k, p):
+    # A k-clique paid s/k each is the balanced contract with rate (k-1)/k; the
+    # steep curves put P'(0) * s * rate >= 1 at the larger shares.
+    for s in (0.2, 0.5, 0.9):
+        eq = tp.solve_equilibrium_quadratic_binary(clique(k), np.full(k, s / k), p)
+        assert eq.performance == pytest.approx(_balanced_performance(s, (k - 1) / k, p), abs=1e-12)
+        assert eq.residual <= 1e-11
 
 
 # ---------------------------------------------------------------------------
