@@ -171,6 +171,18 @@ def _solve_eq(problem: Problem, contract: Contract, warm=None, *, tol: float = 1
     return solve_equilibrium_general(problem, contract, init=warm, tol=max(tol, 1e-12))
 
 
+_CHECK_FAILED = "equilibrium failed the global best-response check"
+
+
+def _solve_eq_checked(problem: Problem, contract: Contract, warm, *, tol: float) -> EquilibriumResult:
+    """``_solve_eq`` for optimizer trials: an equilibrium that fails the
+    general solver's global best-response check counts as a failed solve."""
+    eq = _solve_eq(problem, contract, warm=warm, tol=tol)
+    if eq.global_check_passed is False:
+        raise EquilibriumError(_CHECK_FAILED)
+    return eq
+
+
 def _principal_payoff(problem: Problem, contract: Contract, probs: np.ndarray) -> float:
     return float((problem.outcomes.revenues - contract.payments.sum(axis=0)) @ probs)
 
@@ -190,6 +202,9 @@ def _solve_eq_selected(problem: Problem, contract: Contract, *, tol: float = 1e-
             eq = solve_equilibrium_general(problem, contract, init=init, tol=max(tol, 1e-12))
         except EquilibriumError as exc:
             last_error = exc
+            continue
+        if eq.global_check_passed is False:
+            last_error = EquilibriumError(_CHECK_FAILED)
             continue
         payoff = _principal_payoff(problem, contract, eq.probs)
         if best is None or payoff > best[0]:
@@ -296,7 +311,7 @@ def _polish_support(problem: Problem, tau: np.ndarray, eq: EquilibriumResult, op
             xp = x.copy()
             xp[b] += h[col]
             try:
-                eq_p = _solve_eq(problem, Contract(xp.reshape(shape)), warm=eq.actions, tol=options.eq_tol)
+                eq_p = _solve_eq_checked(problem, Contract(xp.reshape(shape)), eq.actions, tol=options.eq_tol)
             except (EquilibriumError, CapExceededError):
                 return x.reshape(shape), eq
             gp = _payoff_gradient(problem, Contract(xp.reshape(shape)), eq_p).ravel()
@@ -310,7 +325,7 @@ def _polish_support(problem: Problem, tau: np.ndarray, eq: EquilibriumResult, op
         x_new = x.copy()
         x_new[support] = np.maximum(0.0, x[support] + scale * delta)
         try:
-            eq_new = _solve_eq(problem, Contract(x_new.reshape(shape)), warm=eq.actions, tol=options.eq_tol)
+            eq_new = _solve_eq_checked(problem, Contract(x_new.reshape(shape)), eq.actions, tol=options.eq_tol)
         except (EquilibriumError, CapExceededError):
             break
         x, eq = x_new, eq_new
@@ -367,7 +382,7 @@ def _ascend(problem: Problem, tau0: np.ndarray, options: OptimizerOptions, known
             if not np.any(delta):
                 break
             try:
-                eq_t = _solve_eq(problem, Contract(trial), warm=eq.actions, tol=options.eq_tol)
+                eq_t = _solve_eq_checked(problem, Contract(trial), eq.actions, tol=options.eq_tol)
             except (EquilibriumError, CapExceededError):
                 step *= 0.5
                 continue
@@ -585,11 +600,12 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
 
 
 def _share_search(payoff, smax: float, options: OptimizerOptions) -> float:
-    """Coarse prescan then golden-section refinement of a 1-D share payoff."""
+    """Coarse prescan then golden-section refinement of a 1-D share payoff;
+    a maximum at the first grid point is refined down to share 0."""
     grid = np.linspace(smax / options.prescan, smax, options.prescan)
     vals = np.array([payoff(s) for s in grid])
     k = int(np.argmax(vals))
-    lo = grid[max(0, k - 1)]
+    lo = grid[k - 1] if k > 0 else 0.0
     hi = grid[min(options.prescan - 1, k + 1)]
     return _golden_max(payoff, lo, hi, options.golden_tol)
 
@@ -641,6 +657,9 @@ def optimize_quadratic_binary(
             s_star = root
     if s_star is None:
         s_star = _share_search(payoff_of_share, smax, options)
+    # The search starts at smax / prescan, so compare with paying nothing.
+    if float(p.value(0.0)) > payoff_of_share(s_star):
+        s_star = 0.0
 
     tau = np.zeros(n)
     tau[agents] = s_star * best.direction
@@ -663,7 +682,11 @@ def optimize_quadratic_binary(
 
     h = max(1e-7, 1e-7 * s_star)
     up, down = payoff_of_share(min(s_star + h, smax)), payoff_of_share(max(s_star - h, 1e-12))
-    if np.isfinite(up):
+    if s_star == 0.0:
+        # Zero share sits on the bound: only a payoff rising away from it
+        # violates optimality.
+        kkt = max(0.0, (up - payoff) / h)
+    elif np.isfinite(up):
         kkt = abs(up - down) / (2 * h)
     else:
         # Past the cap kink: s* is an upper-bound optimum, so only a payoff
@@ -675,7 +698,7 @@ def optimize_quadratic_binary(
         contract=contract,
         equilibrium=eq,
         principal_payoff=payoff,
-        active_set=tuple(int(i) for i in agents),
+        active_set=tuple(int(i) for i in agents) if s_star > 0.0 else (),
         kkt_residual=float(kkt),
         method="quadratic_closed_form",
         balance_constant=float(s_star * rate),

@@ -22,6 +22,7 @@ from .model import (
     Network,
     Problem,
     SuccessProbability,
+    _dot_last,
 )
 
 __all__ = [
@@ -196,70 +197,79 @@ def default_action_bound(contract: Contract) -> float:
     return 10.0 * (float(np.max(contract.payments, axis=1).sum()) + 1.0)
 
 
+def _profiles(a: np.ndarray, i: int, ai: np.ndarray) -> np.ndarray:
+    """Copies of the profile ``a`` with agent i's action set to each entry of
+    ``ai``: shape ``ai.shape + a.shape``."""
+    pts = np.empty(ai.shape + a.shape)
+    pts[...] = a
+    pts[..., i] = ai
+    return pts
+
+
 def _agent_payoff(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, ai) -> np.ndarray:
     """Expected utility of agent i along a batch of own actions ``ai``."""
     ai = np.asarray(ai, dtype=float)
-    pts = np.broadcast_to(a, ai.shape + a.shape).copy()
-    pts[..., i] = ai
+    pts = _profiles(a, i, ai)
     y = problem.production.value(pts)
     probs = problem.outcomes.probs(y)
     return probs @ u_levels[i] - problem.costs[i].value(ai)
 
 
-def _probs_derivs_guarded(outcomes, y: float):
-    """Outcome derivatives for search interiors: past a probability cap the
-    curve is flat, so slopes are zero there (the kink itself carries no
-    equilibrium; converged solutions are re-checked against the true range)."""
-    try:
-        return outcomes.probs_derivs(y)
-    except CapExceededError:
-        p = np.asarray(outcomes.probs(y), dtype=float)
-        zero = np.zeros_like(p)
-        return p, zero, zero
+def _past_cap(outcomes, y, rel: float = 0.0) -> np.ndarray:
+    """Mask of the performances at or past a capped success probability's
+    kink, or within ``rel`` (relative) below it."""
+    success = getattr(outcomes, "success", None)
+    if isinstance(success, LinearCappedSuccess):
+        return np.asarray(y) * success.slope >= 1.0 - rel
+    return np.zeros(np.shape(y), dtype=bool)
 
 
-def _marginal_gain(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, ai: float) -> float:
-    """First-order condition value g(ai) = (sum_s P_s' u_is) dY/da_i - C'(ai)."""
-    pt = a.copy()
-    pt[i] = ai
-    y = float(problem.production.value(pt))
-    _, dp, _ = _probs_derivs_guarded(problem.outcomes, y)
-    benefit = float(dp @ u_levels[i]) * problem.production.partial(pt, i)
-    return benefit - float(problem.costs[i].marginal(ai))
-
-
-def _marginal_gain_slope(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, ai: float) -> float:
-    pt = a.copy()
-    pt[i] = ai
-    y = float(problem.production.value(pt))
-    _, dp, d2p = _probs_derivs_guarded(problem.outcomes, y)
-    dy = problem.production.partial(pt, i)
-    d2y = problem.production.partial2(pt, i)
+def _foc(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, ai):
+    """First-order condition of agent i along a batch of own actions ``ai``:
+    ``g = (sum_s P_s' u_is) dY/da_i - C_i'`` and its slope ``g'``, each of
+    ``ai``'s shape.  Past a probability cap the curve is flat, so the outcome
+    slopes are zero there (the kink itself carries no equilibrium; converged
+    solutions are re-checked against the true range)."""
+    ai = np.asarray(ai, dtype=float)
+    pts = _profiles(a, i, ai)
+    y = problem.production.value(pts)
+    past = _past_cap(problem.outcomes, y)
+    _, dp, d2p = problem.outcomes.probs_derivs(np.where(past, 0.0, y))
+    sens = np.where(past, 0.0, _dot_last(dp, u_levels[i]))
+    curve = np.where(past, 0.0, _dot_last(d2p, u_levels[i]))
+    dy = problem.production.partial(pts, i)
+    d2y = problem.production.partial2(pts, i)
+    cost = problem.costs[i]
     return (
-        float(d2p @ u_levels[i]) * dy * dy
-        + float(dp @ u_levels[i]) * d2y
-        - float(problem.costs[i].curvature(ai))
+        sens * dy - cost.marginal(ai),
+        curve * dy * dy + sens * d2y - cost.curvature(ai),
     )
+
+
+_NEWTON_STOP = 4.0 * np.finfo(float).eps  # relative step at which Newton has converged
 
 
 def _refine_root(problem, u_levels, i, a, lo, hi) -> float:
     """Safeguarded Newton for the first-order condition inside a bracket with
-    g(lo) > 0 >= g(hi): a step that leaves the bracket takes its midpoint."""
+    g(lo) > 0 >= g(hi): a step that leaves the bracket takes its midpoint.
+    Stops at an exact zero of g, or once the step is within four ulps of the
+    iterate, which is as close as double precision resolves a root."""
     x = 0.5 * (lo + hi)
     for _ in range(100):
-        gx = _marginal_gain(problem, u_levels, i, a, x)
+        gx, slope = (float(v) for v in _foc(problem, u_levels, i, a, x))
+        if gx == 0.0:
+            return x
         if gx > 0.0:
             lo = x
         else:
             hi = x
-        slope = _marginal_gain_slope(problem, u_levels, i, a, x)
         if slope < 0.0:
             x_new = x - gx / slope
             if not (lo < x_new < hi):
                 x_new = 0.5 * (lo + hi)
         else:
             x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= 1e-16 * max(1.0, x):
+        if abs(x_new - x) <= _NEWTON_STOP * max(1.0, abs(x)):
             return x_new
         x = x_new
         if hi - lo <= 1e-16 * max(1.0, hi):
@@ -276,15 +286,14 @@ def _best_response(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray
     """
     if hint is not None and hint > 1e-9:
         lo, hi = 0.7 * hint, 1.45 * hint
-        g_lo = _marginal_gain(problem, u_levels, i, a, lo)
-        g_hi = _marginal_gain(problem, u_levels, i, a, hi)
+        (g_lo, g_hi), _ = _foc(problem, u_levels, i, a, [lo, hi])
         if g_lo > 0.0 >= g_hi:
             return float(_refine_root(problem, u_levels, i, a, lo, hi))
     probes = np.unique(np.concatenate([
         np.geomspace(1e-11, a_max, 24),
         np.linspace(a_max / 12.0, a_max, 12),
     ]))
-    gains = np.array([_marginal_gain(problem, u_levels, i, a, x) for x in probes])
+    gains, _ = _foc(problem, u_levels, i, a, probes)
 
     brackets = []
     for k in range(len(probes) - 1):
@@ -310,11 +319,10 @@ def _best_response(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray
 def _foc_residual(problem: Problem, u_levels: np.ndarray, a: np.ndarray) -> float:
     res = 0.0
     for i in range(problem.n):
-        if a[i] > 0.0:
-            res = max(res, abs(_marginal_gain(problem, u_levels, i, a, a[i])))
-        else:
-            # At a corner only upward deviations matter.
-            res = max(res, max(0.0, _marginal_gain(problem, u_levels, i, a, 1e-9)))
+        interior = a[i] > 0.0
+        g, _ = _foc(problem, u_levels, i, a, a[i] if interior else 1e-9)
+        # At a corner only upward deviations matter.
+        res = max(res, abs(float(g)) if interior else max(0.0, float(g)))
     return res
 
 
@@ -332,7 +340,10 @@ def _newton_snap(problem: Problem, u_levels: np.ndarray, a: np.ndarray, steps: i
             _, dp, d2p = problem.outcomes.probs_derivs(y)
         except DomainError:
             return None
-        grad = np.array([problem.production.partial(x, i) for i in support])
+        try:
+            grad = problem.production.gradient(x)[support]
+        except DomainError:
+            return None
         sens = np.array([float(dp @ u_levels[i]) for i in support])
         curve = np.array([float(d2p @ u_levels[i]) for i in support])
         f = np.array([
@@ -374,11 +385,18 @@ def solve_equilibrium_general(
 ) -> EquilibriumResult:
     """Damped simultaneous best-response iteration for arbitrary problems.
 
+    Each best response evaluates the first-order condition on 36 probes in
+    one batched call (or, warm, on a bracket around the previous response)
+    and refines each sign change by safeguarded Newton to machine precision.
     Converges when both the sweep-to-sweep change and the per-agent
     first-order-condition residual fall below ``tol``; afterwards each
     agent's action is compared against a coarse payoff grid (``check_grid``
     points on [0, a_max]) and the outcome recorded in
-    ``global_check_passed``.
+    ``global_check_passed``.  Raises :class:`EquilibriumError` after
+    ``max_sweeps`` sweeps, or as soon as the best-response profile's
+    performance reaches a linear success probability's cap (within 1e-9
+    relative) on two consecutive sweeps: at the kink efforts form a
+    continuum and no interior equilibrium exists.
     """
     n = problem.n
     if contract.payments.shape != (n, problem.n_outcomes):
@@ -397,11 +415,22 @@ def solve_equilibrium_general(
     converged = False
     snap_gate = max(1e-4, 10.0 * tol)
     hints = [None] * n
+    at_cap = 0
     for sweeps in range(1, max_sweeps + 1):
         br = np.array([
             _best_response(problem, u_levels, i, a, a_max, hint=hints[i]) for i in range(n)
         ])
         hints = list(br)
+        y_br = problem.production.value(br)
+        at_cap = at_cap + 1 if _past_cap(problem.outcomes, y_br, rel=1e-9) else 0
+        if at_cap == 2:
+            # Best responses pile up at the kink, where each agent's effort
+            # lies in a continuum: there is no interior equilibrium to find.
+            raise EquilibriumError(
+                f"best responses reach the success-probability cap {problem.outcomes.success.cap:.6g} "
+                f"on consecutive sweeps (performance {y_br:.17g}): no interior equilibrium",
+                best=a,
+            )
         gap = float(np.max(np.abs(br - a)))
 
         def _accept(candidate: np.ndarray) -> bool:

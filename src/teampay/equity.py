@@ -17,7 +17,7 @@ from .contract_opt import (
     OptimizerOptions,
     _payoff_gradient,
     _principal_payoff,
-    _solve_eq,
+    _solve_eq_checked,
     _solve_eq_selected,
     optimize_general,
 )
@@ -195,8 +195,8 @@ def _ascend_shares(problem: Problem, sigma0: np.ndarray, options: OptimizerOptio
             if not np.any(delta):
                 break
             try:
-                eq_t = _solve_eq(problem, induced_contract(problem, EquityContract(trial)),
-                                 warm=eq.actions, tol=options.eq_tol)
+                eq_t = _solve_eq_checked(problem, induced_contract(problem, EquityContract(trial)),
+                                         eq.actions, tol=options.eq_tol)
             except EquilibriumError:
                 step *= 0.5
                 continue

@@ -12,7 +12,6 @@ structural problems (asymmetric networks, bad parameters) are reported by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -89,6 +88,12 @@ def _matrix(x, name: str) -> np.ndarray:
     return arr
 
 
+def _dot_last(x, y):
+    """Dot products over the last axis, batched; each one rounds exactly as
+    the 1-D ``x @ y`` does, so a batch agrees bit for bit with a loop."""
+    return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
+
+
 # ---------------------------------------------------------------------------
 # network
 # ---------------------------------------------------------------------------
@@ -110,6 +115,9 @@ class Network:
     def __post_init__(self):
         object.__setattr__(self, "weights", _matrix(self.weights, "weights"))
         object.__setattr__(self, "scale", float(self.scale))
+        effective = self.scale * self.weights
+        effective.setflags(write=False)
+        object.__setattr__(self, "_effective", effective)
 
     @property
     def n(self) -> int:
@@ -117,8 +125,9 @@ class Network:
 
     @property
     def matrix(self) -> np.ndarray:
-        """Effective complementarity matrix ``scale * weights``."""
-        return self.scale * self.weights
+        """Effective complementarity matrix ``scale * weights`` (read-only,
+        computed once at construction)."""
+        return self._effective
 
     def with_scale(self, scale: float) -> "Network":
         return Network(self.weights, scale)
@@ -148,6 +157,9 @@ class ProductionFunction:
     where derivatives are singular (Cobb-Douglas / CES at a zero action).
     ``partial``/``partial2`` are the single-coordinate versions used by
     best-response solvers; they tolerate zeros in the *other* coordinates.
+    The concrete families' ``partial``/``partial2`` also accept a batch of
+    points ``(..., n)`` and return shape ``(...)`` (a float for one point);
+    their domain checks apply to every point of the batch.
     """
 
     n: int
@@ -203,10 +215,12 @@ class QuadraticNetworkProduction(ProductionFunction):
         return self.network.matrix.copy()
 
     def partial(self, a, i):
-        return float(self.standalone[i] + self.network.matrix[i] @ a)
+        out = self.standalone[i] + _dot_last(np.asarray(a, dtype=float), self.network.matrix[i])
+        return out if np.ndim(out) else float(out)
 
     def partial2(self, a, i):
-        return 0.0
+        shape = np.shape(a)[:-1]
+        return np.zeros(shape) if shape else 0.0
 
 
 @dataclass(frozen=True)
@@ -245,22 +259,29 @@ class CobbDouglasProduction(ProductionFunction):
         return h
 
     def partial(self, a, i):
-        g = self.shares
-        rest = np.prod(np.delete(a, i) ** np.delete(g, i))
-        if rest == 0.0:
-            return 0.0
-        if a[i] <= 0:
-            raise DomainError("cobb_douglas partial requires a positive own action")
-        return float(g[i] * a[i] ** (g[i] - 1.0) * rest)
+        return _cobb_douglas_own(self.shares, a, i, 1)
 
     def partial2(self, a, i):
-        g = self.shares
-        rest = np.prod(np.delete(a, i) ** np.delete(g, i))
-        if rest == 0.0:
-            return 0.0
-        if a[i] <= 0:
-            raise DomainError("cobb_douglas partial requires a positive own action")
-        return float(g[i] * (g[i] - 1.0) * a[i] ** (g[i] - 2.0) * rest)
+        return _cobb_douglas_own(self.shares, a, i, 2)
+
+
+def _cobb_douglas_own(g, a, i, order: int):
+    """Own derivative of order 1 or 2 at a point or a batch of points:
+    ``c * a_i**(g_i - order) * prod_{j != i} a_j**g_j`` with ``c = g_i`` or
+    ``g_i (g_i - 1)``; zero wherever another coordinate is zero."""
+    a = np.asarray(a, dtype=float)
+    others = np.arange(g.size) != i
+    rest = np.prod(a[..., others] ** g[others], axis=-1)
+    own = a[..., i]
+    live = rest != 0.0
+    if (live & (own <= 0)).any():
+        raise DomainError("cobb_douglas partial requires a positive own action")
+    coef = g[i] if order == 1 else g[i] * (g[i] - 1.0)
+    # An array power also for one point, so a point and a batch round alike.
+    own_power = np.zeros(np.shape(rest))
+    np.power(own, g[i] - order, out=own_power, where=live)
+    out = coef * own_power * rest
+    return out if np.ndim(out) else float(out)
 
 
 @dataclass(frozen=True)
@@ -314,25 +335,35 @@ class CESProduction(ProductionFunction):
         return h
 
     def partial(self, a, i):
-        if a[i] <= 0:
-            raise DomainError("ces partial requires a positive own action")
-        s = float(self._basis(np.asarray(a, dtype=float)))
+        own, s = _ces_own_and_basis(self, a, i)
         k, r = self.returns, self.rho
-        if math.isinf(s):
-            return 0.0
-        return float(k * self.shares[i] * a[i] ** (r - 1.0) * s ** (k / r - 1.0))
+        out = k * self.shares[i] * own ** (r - 1.0) * s ** (k / r - 1.0)
+        return out if np.ndim(out) else float(out)
 
     def partial2(self, a, i):
-        if a[i] <= 0:
-            raise DomainError("ces partial requires a positive own action")
-        s = float(self._basis(np.asarray(a, dtype=float)))
+        own, s = _ces_own_and_basis(self, a, i)
         k, r = self.returns, self.rho
-        if math.isinf(s):
-            return 0.0
         gi = self.shares[i]
-        term1 = (r - 1.0) * a[i] ** (r - 2.0) * s ** (k / r - 1.0)
-        term2 = (k - r) * gi * a[i] ** (2.0 * r - 2.0) * s ** (k / r - 2.0)
-        return float(k * gi * (term1 + term2))
+        # With rho well below 0, tiny own actions overflow own ** (2 rho - 2)
+        # and the value is nan.  Best-response probe scans evaluate such
+        # points but use only the first derivative there, so this stays quiet.
+        with np.errstate(over="ignore", invalid="ignore"):
+            term1 = (r - 1.0) * own ** (r - 2.0) * s ** (k / r - 1.0)
+            term2 = (k - r) * gi * own ** (2.0 * r - 2.0) * s ** (k / r - 2.0)
+        out = k * gi * (term1 + term2)
+        return out if np.ndim(out) else float(out)
+
+
+def _ces_own_and_basis(production: CESProduction, a, i):
+    """Own actions and the basis sum, as arrays also for one point, so that a
+    point and a batch round alike in the array powers.  The basis is
+    infinite only where another action is zero and ``rho < 0``; there the
+    powers ``s ** (returns / rho - m)`` in the partials are exactly 0."""
+    a = np.asarray(a, dtype=float)
+    own = np.asarray(a[..., i])
+    if (own <= 0).any():
+        raise DomainError("ces partial requires a positive own action")
+    return own, np.asarray(production._basis(a))
 
 
 @dataclass(frozen=True)
@@ -399,27 +430,29 @@ class PolynomialProduction(ProductionFunction):
 
     @staticmethod
     def _mono(a, powers):
-        return float(np.prod(np.power(a, powers)))
+        return np.prod(np.power(a, powers), axis=-1)
 
     def partial(self, a, i):
-        total = 0.0
-        for coef, powers in self.terms:
-            if powers[i] == 0:
-                continue
-            mono = powers.copy()
-            mono[i] -= 1
-            total += coef * powers[i] * self._mono(a, mono)
-        return float(total)
+        return _polynomial_own(self.terms, a, i, 1)
 
     def partial2(self, a, i):
-        total = 0.0
-        for coef, powers in self.terms:
-            if powers[i] < 2:
-                continue
-            mono = powers.copy()
-            mono[i] -= 2
-            total += coef * powers[i] * (powers[i] - 1) * self._mono(a, mono)
-        return float(total)
+        return _polynomial_own(self.terms, a, i, 2)
+
+
+def _polynomial_own(terms, a, i, order: int):
+    """Own derivative of order 1 or 2 at a point or a batch of points."""
+    a = np.asarray(a, dtype=float)
+    total = np.zeros(a.shape[:-1])
+    for coef, powers in terms:
+        if powers[i] < order:
+            continue
+        mono = powers.copy()
+        mono[i] -= order
+        scale = coef * powers[i]
+        if order == 2:
+            scale = scale * (powers[i] - 1)
+        total = total + scale * PolynomialProduction._mono(a, mono)
+    return total if np.ndim(total) else float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -557,17 +590,18 @@ class BinaryOutcomeModel:
         return np.stack([1.0 - p, p], axis=-1)
 
     def probs_derivs(self, y):
-        """(P_s, P_s', P_s'') stacked per outcome for a scalar performance."""
-        y = float(y)
-        if y < 0:
+        """(P_s, P_s', P_s''), each of shape ``y.shape + (2,)``: for a scalar
+        performance three 2-vectors, for an array of performances three stacks."""
+        y = np.asarray(y, dtype=float)
+        if (y < 0).any():
             raise DomainError("performance must be nonnegative")
-        p = float(self.success.value(y))
-        d = float(self.success.deriv(y))
-        d2 = float(self.success.second(y))
+        p = np.asarray(self.success.value(y), dtype=float)
+        d = np.asarray(self.success.deriv(y), dtype=float)
+        d2 = np.asarray(self.success.second(y), dtype=float)
         return (
-            np.array([1.0 - p, p]),
-            np.array([-d, d]),
-            np.array([-d2, d2]),
+            np.stack([1.0 - p, p], axis=-1),
+            np.stack([-d, d], axis=-1),
+            np.stack([-d2, d2], axis=-1),
         )
 
 
@@ -600,13 +634,14 @@ class SoftmaxOutcomeModel:
         return e / e.sum(axis=-1, keepdims=True)
 
     def probs_derivs(self, y):
-        y = float(y)
-        if y < 0:
+        """(P_s, P_s', P_s''), each of shape ``y.shape + (S,)``."""
+        y = np.asarray(y, dtype=float)
+        if (y < 0).any():
             raise DomainError("performance must be nonnegative")
         p = self.probs(y)
-        mean = float(p @ self.theta)
-        centered = self.theta - mean
-        var = float(p @ centered**2)
+        mean = _dot_last(p, self.theta)
+        centered = self.theta - mean[..., None]
+        var = _dot_last(p, centered**2)[..., None]
         dp = p * centered
         d2p = p * (centered**2 - var)
         return p, dp, d2p

@@ -21,6 +21,23 @@ def random_symmetric_network(rng: np.random.Generator, n: int, high: float = 1.0
     return tp.Network(w)
 
 
+def random_production(family: str, n: int, rng: np.random.Generator):
+    """A member of each production family, with random parameters."""
+    if family == "quadratic":
+        return tp.QuadraticNetworkProduction(random_symmetric_network(rng, n), rng.uniform(0.5, 1.5, size=n))
+    if family == "cobb_douglas":
+        return tp.CobbDouglasProduction(rng.uniform(0.2, 1.2, size=n))
+    if family == "ces":
+        return tp.CESProduction(rng.uniform(0.3, 2.0, size=n), rho=float(rng.choice([-1.5, -0.5, 0.3, 0.7])),
+                                returns=float(rng.uniform(0.5, 1.5)))
+    terms = tuple((float(rng.uniform(0.2, 1.0)), tuple(int(k) for k in rng.integers(0, 3, size=n)))
+                  for _ in range(3))
+    return tp.PolynomialProduction(n, terms)
+
+
+PRODUCTION_FAMILIES = ["quadratic", "cobb_douglas", "ces", "polynomial"]
+
+
 def quadratic_problem(network: tp.Network, p=None, standalone=None) -> tp.Problem:
     p = p or KAPPA_HALF
     n = network.n

@@ -107,19 +107,27 @@ def test_solver_failure_exits_two(files, capsys):
     assert err["error"]["type"] == "solver"
 
 
-@pytest.mark.parametrize("pay", [0.9, 3.0])
-def test_cap_regime_exits_two(tmp_path, capsys, pay):
+@pytest.mark.parametrize("pay, method", [
+    pytest.param(0.9, "auto", id="0.9"),
+    pytest.param(3.0, "auto", id="3.0"),
+    pytest.param(0.9, "general", id="general-0.9"),
+    pytest.param(3.0, "general", id="general-3.0"),
+])
+def test_cap_regime_exits_two(tmp_path, capsys, pay, method):
     # On the unit 2-clique at slope 0.5, paying 0.9 each puts performance past
     # the cap and 3.0 each breaks the spectral condition: both mean no interior
-    # equilibrium, so both are solver failures.
+    # equilibrium, so both are solver failures.  The general solver sees both
+    # as best responses piling up at the cap.
     problem = tmp_path / "two.json"
     problem.write_text(json.dumps({**FIGURE, "n": 2, "production": {
         "type": "quadratic_network", "weights": [[0, 1], [1, 0]]}}))
     contract = tmp_path / "pay.json"
     contract.write_text(json.dumps({"payments": [[0, pay]] * 2}))
-    assert run(["equilibrium", str(problem), "--contract", str(contract)]) == 2
+    assert run(["equilibrium", str(problem), "--contract", str(contract), "--method", method]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "solver"
+    if method == "general":
+        assert "cap 2 " in err["error"]["message"]
 
 
 def test_optimize_quadratic_triangle_pendant(files, capsys):

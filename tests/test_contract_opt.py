@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import teampay as tp
+from teampay import contract_opt
 from teampay.contract_opt import _scan_roots, share_cubic
 
 from helpers import (
@@ -177,10 +180,23 @@ def test_cap_kink_optimum_has_a_finite_kkt_residual():
 
 
 def test_logistic_success_keeps_the_share_search():
+    # Every positive share earns less than paying nothing, P(0).
     net = tp.Network([[0.0, 1.0, 0.8], [1.0, 0.0, 0.6], [0.8, 0.6, 0.0]])
     result = tp.optimize_quadratic_binary(net, tp.LogisticSuccess(0.7, -0.3))
     assert result.method == "quadratic_closed_form"
-    assert result.principal_payoff == pytest.approx(0.5978654385825628, abs=1e-10)
+    assert result.principal_payoff == pytest.approx(0.6055324872205857, abs=1e-10)
+    assert not np.any(result.contract.payments)
+    assert result.active_set == ()
+    assert result.kkt_residual == 0.0
+
+
+def test_share_search_reaches_below_its_first_grid_point():
+    # The optimal total, about 0.007, lies below the prescan's first point
+    # (1/64); the search refines down towards 0 instead of stopping there.
+    result = tp.closed_form_ces([1.0, 4.0], 0.5, 1.0, tp.LogisticSuccess(0.3, -1.0))
+    assert result.contract.payments[:, 1].sum() < 1.0 / 64.0
+    assert result.principal_payoff > 0.9714
+    assert result.kkt_residual <= 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -385,3 +401,75 @@ def test_inada_activity_pattern():
             else:
                 assert result.contract.payments[i, s] == 0.0
 
+
+
+def test_softmax_general_optimize_bounds_outcome_derivative_calls(monkeypatch):
+    # Batched first-order conditions: one derivative call per probe scan and
+    # per Newton step.  The scalar solver made about 102,000 calls here.
+    calls = [0]
+    probs_derivs = tp.SoftmaxOutcomeModel.probs_derivs
+
+    def counted(self, y):
+        calls[0] += 1
+        return probs_derivs(self, y)
+
+    monkeypatch.setattr(tp.SoftmaxOutcomeModel, "probs_derivs", counted)
+    problem = softmax_instance([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0],
+                               clique(2), tp.SqrtUtility())
+    tp.optimize_general(problem)
+    assert 0 < calls[0] <= 25_000
+
+
+# ---------------------------------------------------------------------------
+# equilibria that fail the general solver's global check
+# ---------------------------------------------------------------------------
+
+
+def _failing_check_when(monkeypatch, condition):
+    """Make the general solver report a failed global check whenever
+    ``condition(contract)`` holds; returns the list of equilibria so marked."""
+    solve = contract_opt.solve_equilibrium_general
+    marked = []
+
+    def solve_marked(problem, contract, *args, **kwargs):
+        eq = solve(problem, contract, *args, **kwargs)
+        if condition(contract):
+            eq = dataclasses.replace(eq, global_check_passed=False)
+            marked.append(eq)
+        return eq
+
+    monkeypatch.setattr(contract_opt, "solve_equilibrium_general", solve_marked)
+    return marked
+
+
+def _softmax_linear():
+    return softmax_instance([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0], clique(2), tp.LinearUtility())
+
+
+def test_selected_equilibrium_skips_a_failing_global_check(monkeypatch):
+    problem = _softmax_linear()
+    contract = tp.Contract(np.tile([0.0, 0.1, 0.2], (2, 1)))
+    marked = _failing_check_when(monkeypatch, lambda c: len(marked) == 0)
+    eq = contract_opt._solve_eq_selected(problem, contract)
+    assert len(marked) == 1
+    assert eq is not marked[0] and eq.global_check_passed
+    _failing_check_when(monkeypatch, lambda c: True)
+    with pytest.raises(tp.EquilibriumError, match="global"):
+        contract_opt._solve_eq_selected(problem, contract)
+
+
+def test_line_search_rejects_trials_that_fail_the_global_check(monkeypatch):
+    problem = _softmax_linear()
+    tau0 = np.tile([0.0, 0.02, 0.03], (2, 1))
+    limit = float(tau0.sum())
+    marked = _failing_check_when(monkeypatch, lambda c: float(c.payments.sum()) > limit)
+    tau, eq, _, _, _ = contract_opt._ascend(problem, tau0, tp.OptimizerOptions(max_iters=20))
+    assert marked  # the ascent tried to pay more, and those trials failed the check
+    assert float(tau.sum()) <= limit
+    assert eq.global_check_passed
+
+
+def test_optimizer_accepts_no_equilibrium_that_fails_the_global_check(monkeypatch):
+    _failing_check_when(monkeypatch, lambda c: True)
+    with pytest.raises(tp.OptimizationError):
+        tp.optimize_general(_softmax_linear(), starts=2)

@@ -6,11 +6,14 @@ from hypothesis import strategies as st
 import teampay as tp
 from teampay import contract_opt, equilibrium
 from teampay.contract_opt import _balanced_performance
+from teampay.equilibrium import _foc
 
 from helpers import (
     KAPPA_HALF,
+    PRODUCTION_FAMILIES,
     clique,
     quadratic_problem,
+    random_production,
     random_quadratic_binary,
     random_symmetric_network,
     solver_oracle_agreement,
@@ -252,6 +255,56 @@ def test_polynomial_production_matches_equivalent_quadratic():
     eq_poly = tp.solve_equilibrium_general(problem_poly, contract, tol=1e-11)
     eq_net = tp.solve_equilibrium_quadratic_binary(clique(2), np.array([0.25, 0.25]), KAPPA_HALF)
     assert np.max(np.abs(eq_poly.actions - eq_net.actions)) < 1e-9
+
+
+FOC_OUTCOMES = ["linear_capped", "logistic", "power", "softmax"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(PRODUCTION_FAMILIES), outcome=st.sampled_from(FOC_OUTCOMES),
+       n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_batched_foc_matches_a_loop_of_single_actions(family, outcome, n, seed):
+    rng = np.random.default_rng(seed)
+    production = random_production(family, n, rng)
+    i = int(rng.integers(n))
+    a = rng.uniform(0.1, 2.0, size=n)
+    ai = np.sort(rng.uniform(0.01, 3.0, size=12))
+    pts = np.repeat(a[None, :], ai.size, axis=0)
+    pts[:, i] = ai
+    y = production.value(pts)
+    if outcome == "linear_capped":
+        # Put the cap mid-range, so about half the points sit at or past it.
+        success = tp.LinearCappedSuccess(1.0 / float(np.median(y)))
+        outcomes = tp.BinaryOutcomeModel(success)
+    elif outcome == "softmax":
+        outcomes = tp.SoftmaxOutcomeModel([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0])
+    else:
+        success = tp.LogisticSuccess(0.7, -0.3) if outcome == "logistic" else tp.PowerSuccess(2.0)
+        outcomes = tp.BinaryOutcomeModel(success)
+    utility = tp.SqrtUtility() if rng.uniform() < 0.5 else tp.LinearUtility()
+    cost = tp.PowerCost(float(rng.uniform(0.5, 2.0)), float(rng.choice([2.0, 2.5])))
+    problem = tp.Problem(n=n, production=production, outcomes=outcomes,
+                         utilities=(utility,) * n, costs=(cost,) * n)
+    payments = rng.uniform(0.05, 1.0, size=(n, outcomes.n_outcomes))
+    u_levels = np.array([utility.value(row) for row in payments])
+
+    g, slope = _foc(problem, u_levels, i, a, ai)
+    assert g.shape == slope.shape == ai.shape
+    for k, x in enumerate(ai):
+        g_x, slope_x = (float(v) for v in _foc(problem, u_levels, i, a, x))
+        marginal, curvature = float(cost.marginal(x)), float(cost.curvature(x))
+        if outcome == "linear_capped" and y[k] * success.slope >= 1.0:
+            # At or past the cap the outcome curve is flat: zero slopes.
+            assert (g[k], slope[k], g_x, slope_x) == (-marginal, -curvature, -marginal, -curvature)
+            continue
+        # The batch may differ from one point in the last bit of Y, so the
+        # tolerance is relative to the size of the terms each value sums.
+        _, dp, d2p = outcomes.probs_derivs(float(y[k]))
+        sens, curve = float(dp @ u_levels[i]), float(d2p @ u_levels[i])
+        dy, d2y = production.partial(pts[k], i), production.partial2(pts[k], i)
+        assert abs(g[k] - g_x) <= 1e-14 * (abs(sens * dy) + abs(marginal))
+        assert abs(slope[k] - slope_x) <= 1e-14 * (abs(curve * dy * dy) + abs(sens * d2y) + abs(curvature))
+        assert abs(g_x - (sens * dy - marginal)) <= 1e-14 * (abs(sens * dy) + abs(marginal))
 
 
 # ---------------------------------------------------------------------------

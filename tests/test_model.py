@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import teampay as tp
 from teampay.model import SchemaError, problem_from_dict, problem_to_dict
 
-from helpers import clique, quadratic_problem
+from helpers import PRODUCTION_FAMILIES, clique, quadratic_problem, random_production
 
 
 def fd_gradient(fun, a, h=1e-6):
@@ -62,6 +64,14 @@ def test_validate_flags_ces_rho_zero():
 # ---------------------------------------------------------------------------
 # production evaluation
 # ---------------------------------------------------------------------------
+
+
+def test_network_matrix_is_computed_once_and_read_only():
+    net = tp.Network([[0.0, 1.0], [1.0, 0.0]], scale=0.5)
+    assert net.matrix is net.matrix
+    assert np.array_equal(net.matrix, 0.5 * net.weights)
+    with pytest.raises(ValueError):
+        net.matrix[0, 1] = 2.0
 
 
 def test_quadratic_production_known_point():
@@ -146,6 +156,37 @@ def test_partials_match_gradient():
             assert prod.partial2(a, i) == pytest.approx(hess[i, i], rel=1e-10, abs=1e-12)
 
 
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(PRODUCTION_FAMILIES), n=st.integers(1, 5), k=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_partials_match_a_loop_of_single_points(family, n, k, seed):
+    rng = np.random.default_rng(seed)
+    prod = random_production(family, n, rng)
+    i = int(rng.integers(n))
+    pts = rng.uniform(0.05, 3.0, size=(2, k, n))
+    others = rng.uniform(size=pts.shape) < 0.2
+    others[..., i] = False
+    pts[others] = 0.0  # zeros in the other coordinates are admissible
+    for method in (prod.partial, prod.partial2):
+        batch = method(pts, i)
+        assert batch.shape == (2, k)
+        assert isinstance(method(pts[0, 0], i), float)
+        loop = np.array([[method(x, i) for x in row] for row in pts])
+        np.testing.assert_allclose(batch, loop, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("prod", [tp.CobbDouglasProduction([0.5, 0.8]), tp.CESProduction([1.0, 2.0], rho=-0.5)])
+def test_batched_partials_keep_the_domain_guard(prod):
+    pts = np.full((3, 2), 0.5)
+    pts[1, 0] = 0.0  # own action zero, other coordinate positive
+    for method in (prod.partial, prod.partial2):
+        with pytest.raises(tp.DomainError):
+            method(pts, 0)
+        with pytest.raises(tp.DomainError):
+            method(pts[1], 0)
+        assert method(pts[[0, 2]], 0).shape == (2,)
+
+
 # ---------------------------------------------------------------------------
 # outcome models
 # ---------------------------------------------------------------------------
@@ -195,6 +236,36 @@ def test_probabilities_sum_to_one_and_slopes_to_zero(model):
         assert abs(p.sum() - 1.0) < 1e-12
         assert abs(dp.sum()) < 1e-12
         assert np.all(p > 0.0)
+
+
+OUTCOME_MODELS = [
+    tp.BinaryOutcomeModel(tp.LinearCappedSuccess(0.4)),
+    tp.BinaryOutcomeModel(tp.LogisticSuccess(0.6, -0.1)),
+    tp.BinaryOutcomeModel(tp.PowerSuccess(2.0)),
+    tp.SoftmaxOutcomeModel([0.0, 0.7, 2.1], [0.5, 0.0, -0.5], [0.0, 1.0, 2.0]),
+    tp.SoftmaxOutcomeModel([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0]),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(model=st.sampled_from(OUTCOME_MODELS), shape=st.sampled_from([(1,), (5,), (3, 4)]),
+       seed=st.integers(0, 2**32 - 1))
+def test_batched_probs_derivs_match_a_loop_of_scalar_calls(model, shape, seed):
+    # Linear success stays below its cap (2.5), where derivatives exist.
+    ys = np.random.default_rng(seed).uniform(0.0, 2.49, size=shape)
+    batch = model.probs_derivs(ys)
+    for part, stack in enumerate(batch):
+        assert stack.shape == shape + (model.n_outcomes,)
+        loop = np.array([model.probs_derivs(float(y))[part] for y in ys.ravel()]).reshape(stack.shape)
+        np.testing.assert_allclose(stack, loop, rtol=1e-14, atol=0.0)
+
+
+def test_batched_probs_derivs_raise_when_any_point_is_past_the_cap():
+    model = tp.BinaryOutcomeModel(tp.LinearCappedSuccess(0.5))
+    with pytest.raises(tp.CapExceededError):
+        model.probs_derivs(np.array([0.5, 2.0, 1.0]))
+    with pytest.raises(tp.DomainError):
+        model.probs_derivs(np.array([0.5, -0.1]))
 
 
 # ---------------------------------------------------------------------------
