@@ -206,14 +206,14 @@ def _cmd_optimize(args) -> int:
             problem.outcomes, BinaryOutcomeModel
         ):
             raise _CliError("cobb-douglas method needs cobb_douglas production and binary outcomes", 1)
-        result = closed_form_cobb_douglas(problem.production.shares, problem.outcomes.success, options)
+        result = closed_form_cobb_douglas(problem.production.shares, problem.outcomes.success)
     elif args.method == "ces":
         if not isinstance(problem.production, CESProduction) or not isinstance(
             problem.outcomes, BinaryOutcomeModel
         ):
             raise _CliError("ces method needs ces production and binary outcomes", 1)
         prod = problem.production
-        result = closed_form_ces(prod.shares, prod.rho, prod.returns, problem.outcomes.success, options)
+        result = closed_form_ces(prod.shares, prod.rho, prod.returns, problem.outcomes.success)
     else:
         result = optimize_general(problem, options=options)
     print(dump_json(result.to_dict()))

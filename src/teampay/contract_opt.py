@@ -1,7 +1,8 @@
 """Optimal contract search.
 
 Four routes: a projected-gradient ascent with the analytic payoff gradient
-(any problem), a closed form for the quadratic-network binary environment
+(any problem; ``teampay.equity`` runs the same ascent in equity shares), a
+closed form for the quadratic-network binary environment
 (active-set enumeration plus the optimal total share under the
 balanced-neighborhood-equity structure: the share cubic's root under a linear
 success probability, a one-dimensional search otherwise), and transformed
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +60,11 @@ __all__ = [
 ]
 
 _BIG_GRADIENT = 1e6  # stand-in for unbounded marginal utility at a zero payment
+_STEP_INIT = 0.5       # first projected-ascent step length
+_ARMIJO = 1e-4         # sufficient-increase fraction of the line search
+_MAX_BACKTRACKS = 60   # step halvings per line search
+_PRESCAN = 64          # grid points of the 1-D share search
+_GOLDEN_TOL = 1e-11    # bracket width at which the share search stops
 
 
 class OptimizationError(RuntimeError):
@@ -75,13 +82,6 @@ class OptimizerOptions:
     tol: float = 1e-8            # projected-gradient KKT residual
     max_iters: int = 4000
     starts: int = 8
-    step_init: float = 0.5
-    armijo: float = 1e-4
-    max_backtracks: int = 60
-    active_set_cap: int = 16
-    golden_tol: float = 1e-11
-    prescan: int = 64
-    eq_tol: float = 1e-11
 
 
 @dataclass(frozen=True)
@@ -174,10 +174,10 @@ def _solve_eq(problem: Problem, contract: Contract, warm=None, *, tol: float = 1
 _CHECK_FAILED = "equilibrium failed the global best-response check"
 
 
-def _solve_eq_checked(problem: Problem, contract: Contract, warm, *, tol: float) -> EquilibriumResult:
+def _solve_eq_checked(problem: Problem, contract: Contract, warm) -> EquilibriumResult:
     """``_solve_eq`` for optimizer trials: an equilibrium that fails the
     general solver's global best-response check counts as a failed solve."""
-    eq = _solve_eq(problem, contract, warm=warm, tol=tol)
+    eq = _solve_eq(problem, contract, warm=warm)
     if eq.global_check_passed is False:
         raise EquilibriumError(_CHECK_FAILED)
     return eq
@@ -287,7 +287,29 @@ def _seed_contracts(problem: Problem, starts: int) -> list:
     return seeds[:starts]
 
 
-def _polish_support(problem: Problem, tau: np.ndarray, eq: EquilibriumResult, options: OptimizerOptions):
+@dataclass(frozen=True)
+class _Parametrization:
+    """The variable a projected ascent climbs in: ``contract`` maps it to a
+    payment contract, ``pull_back`` maps the payoff's payment gradient to its
+    gradient, and ``project`` is the Euclidean projection onto its feasible
+    set."""
+
+    contract: Callable[[np.ndarray], Contract]
+    pull_back: Callable[[np.ndarray], np.ndarray]
+    project: Callable[[np.ndarray], np.ndarray]
+
+    def payoff(self, problem: Problem, x: np.ndarray, eq: EquilibriumResult) -> float:
+        return _principal_payoff(problem, self.contract(x), eq.probs)
+
+    def gradient(self, problem: Problem, x: np.ndarray, eq: EquilibriumResult) -> np.ndarray:
+        return self.pull_back(_payoff_gradient(problem, self.contract(x), eq))
+
+
+_PAYMENTS = _Parametrization(Contract, lambda grad: grad, lambda tau: np.maximum(0.0, tau))
+
+
+def _polish_support(problem: Problem, x: np.ndarray, eq: EquilibriumResult, options: OptimizerOptions,
+                    var: _Parametrization):
     """Newton refinement of the stationarity system on the positive support.
 
     Projected gradient stalls once line-search gains sink below the payoff's
@@ -295,14 +317,13 @@ def _polish_support(problem: Problem, tau: np.ndarray, eq: EquilibriumResult, op
     finite-difference Jacobian of the analytic gradient pushes the KKT
     residual a few more orders down.
     """
-    shape = tau.shape
-    support = np.flatnonzero(tau.ravel() > 1e-7)
+    shape = x.shape
+    support = np.flatnonzero(x.ravel() > 1e-7)
     if support.size == 0:
-        return tau, eq
-    x = tau.ravel().copy()
+        return x, eq
+    x = x.ravel().copy()
     for _ in range(12):
-        g_full = _payoff_gradient(problem, Contract(x.reshape(shape)), eq).ravel()
-        g = g_full[support]
+        g = var.gradient(problem, x.reshape(shape), eq).ravel()[support]
         if np.max(np.abs(g)) <= 0.25 * options.tol:
             break
         h = 1e-6 * np.maximum(1.0, np.abs(x[support]))
@@ -311,10 +332,10 @@ def _polish_support(problem: Problem, tau: np.ndarray, eq: EquilibriumResult, op
             xp = x.copy()
             xp[b] += h[col]
             try:
-                eq_p = _solve_eq_checked(problem, Contract(xp.reshape(shape)), eq.actions, tol=options.eq_tol)
+                eq_p = _solve_eq_checked(problem, var.contract(xp.reshape(shape)), eq.actions)
             except (EquilibriumError, CapExceededError):
                 return x.reshape(shape), eq
-            gp = _payoff_gradient(problem, Contract(xp.reshape(shape)), eq_p).ravel()
+            gp = var.gradient(problem, xp.reshape(shape), eq_p).ravel()
             jac[:, col] = (gp[support] - g) / h[col]
         try:
             delta = np.linalg.solve(jac, -g)
@@ -323,22 +344,27 @@ def _polish_support(problem: Problem, tau: np.ndarray, eq: EquilibriumResult, op
         limit = 0.2 * max(1.0, float(np.max(np.abs(x[support]))))
         scale = min(1.0, limit / max(float(np.max(np.abs(delta))), 1e-300))
         x_new = x.copy()
-        x_new[support] = np.maximum(0.0, x[support] + scale * delta)
+        x_new[support] += scale * delta
+        x_new = var.project(x_new)
         try:
-            eq_new = _solve_eq_checked(problem, Contract(x_new.reshape(shape)), eq.actions, tol=options.eq_tol)
+            eq_new = _solve_eq_checked(problem, var.contract(x_new.reshape(shape)), eq.actions)
         except (EquilibriumError, CapExceededError):
             break
         x, eq = x_new, eq_new
     return x.reshape(shape), eq
 
 
-def _ascend(problem: Problem, tau0: np.ndarray, options: OptimizerOptions, known=None):
-    tau = tau0.copy()
-    eq = _solve_eq_selected(problem, Contract(tau), tol=options.eq_tol)
-    payoff = _principal_payoff(problem, Contract(tau), eq.probs)
-    step = options.step_init
+def _ascend(problem: Problem, x0: np.ndarray, options: OptimizerOptions, var: _Parametrization,
+            known=None):
+    """Projected Armijo ascent with Barzilai-Borwein steps from ``x0``, with
+    a Newton polish once the KKT residual is small.  Returns ``(x, eq,
+    payoff, kkt, converged)``."""
+    x = x0.copy()
+    eq = _solve_eq_selected(problem, var.contract(x))
+    payoff = var.payoff(problem, x, eq)
+    step = _STEP_INIT
     kkt = np.inf
-    prev = None  # (tau, grad) for the Barzilai-Borwein step length
+    prev = None  # (x, grad) for the Barzilai-Borwein step length
     polish_gate = 1e-3
     for _ in range(options.max_iters):
         # A start homing in on an optimum another start already certified
@@ -346,94 +372,83 @@ def _ascend(problem: Problem, tau0: np.ndarray, options: OptimizerOptions, known
         if known:
             for run in known:
                 if (
-                    float(np.max(np.abs(tau - run[0]))) < 1e-2 * (1.0 + float(np.max(run[0])))
+                    float(np.max(np.abs(x - run[0]))) < 1e-2 * (1.0 + float(np.max(run[0])))
                     and payoff >= run[2] - 1e-7 * (1.0 + abs(run[2]))
                 ):
                     return run
-        grad = _payoff_gradient(problem, Contract(tau), eq)
-        kkt = _kkt_residual(tau, grad)
+        grad = var.gradient(problem, x, eq)
+        kkt = _kkt_residual(x, grad)
         if kkt <= options.tol:
-            return tau, eq, payoff, kkt, True
+            return x, eq, payoff, kkt, True
         if kkt <= polish_gate:
-            tau_p, eq_p = _polish_support(problem, tau, eq, options)
-            grad_p = _payoff_gradient(problem, Contract(tau_p), eq_p)
-            kkt_p = _kkt_residual(tau_p, grad_p)
+            x_p, eq_p = _polish_support(problem, x, eq, options, var)
+            kkt_p = _kkt_residual(x_p, var.gradient(problem, x_p, eq_p))
             if kkt_p <= options.tol:
-                payoff_p = _principal_payoff(problem, Contract(tau_p), eq_p.probs)
-                return tau_p, eq_p, payoff_p, kkt_p, True
+                return x_p, eq_p, var.payoff(problem, x_p, eq_p), kkt_p, True
             polish_gate = min(polish_gate / 30.0, kkt / 30.0)
         if prev is not None:
             # Barzilai-Borwein step over the free coordinates only; entries
             # pinned at the zero bound carry capped gradients whose jitter
             # would poison the quotient.
-            free = ~((tau.ravel() == 0.0) & (grad.ravel() <= 0.0))
-            d_tau = (tau - prev[0]).ravel()[free]
+            free = ~((x.ravel() == 0.0) & (grad.ravel() <= 0.0))
+            d_x = (x - prev[0]).ravel()[free]
             d_grad = (grad - prev[1]).ravel()[free]
             denom = float(d_grad @ d_grad)
             if denom > 0.0:
-                bb = abs(float(d_tau @ d_grad)) / denom
+                bb = abs(float(d_x @ d_grad)) / denom
                 if np.isfinite(bb) and bb > 0.0:
                     step = min(max(bb, 1e-12), 1e3)
-        prev = (tau.copy(), grad.copy())
+        prev = (x.copy(), grad.copy())
         accepted = False
-        for _ in range(options.max_backtracks):
-            trial = np.maximum(0.0, tau + step * grad)
-            delta = trial - tau
+        for _ in range(_MAX_BACKTRACKS):
+            trial = var.project(x + step * grad)
+            delta = trial - x
             if not np.any(delta):
                 break
             try:
-                eq_t = _solve_eq_checked(problem, Contract(trial), eq.actions, tol=options.eq_tol)
+                eq_t = _solve_eq_checked(problem, var.contract(trial), eq.actions)
             except (EquilibriumError, CapExceededError):
                 step *= 0.5
                 continue
-            pay_t = _principal_payoff(problem, Contract(trial), eq_t.probs)
-            if pay_t >= payoff + options.armijo * float(np.sum(grad * delta)):
-                tau, eq, payoff = trial, eq_t, pay_t
+            pay_t = var.payoff(problem, trial, eq_t)
+            if pay_t >= payoff + _ARMIJO * float(np.sum(grad * delta)):
+                x, eq, payoff = trial, eq_t, pay_t
                 step = min(step * 1.3, 1e3)
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
             break
-    grad = _payoff_gradient(problem, Contract(tau), eq)
-    kkt = _kkt_residual(tau, grad)
+    kkt = _kkt_residual(x, var.gradient(problem, x, eq))
     if kkt > options.tol:
-        tau, eq = _polish_support(problem, tau, eq, options)
-        payoff = _principal_payoff(problem, Contract(tau), eq.probs)
-        grad = _payoff_gradient(problem, Contract(tau), eq)
-        kkt = _kkt_residual(tau, grad)
-    return tau, eq, payoff, kkt, kkt <= options.tol
+        x, eq = _polish_support(problem, x, eq, options, var)
+        payoff = var.payoff(problem, x, eq)
+        kkt = _kkt_residual(x, var.gradient(problem, x, eq))
+    return x, eq, payoff, kkt, kkt <= options.tol
 
 
-def optimize_general(problem: Problem, starts: int | None = None, options: OptimizerOptions | None = None) -> OptimalContractResult:
-    """Multi-start projected gradient ascent on the principal payoff.
-
-    Deterministic seeds (uniform contracts at three scales plus per-agent
-    concentrated ones); Armijo backtracking line search; the best converged
-    local optimum wins, with payoff ties broken toward the lexicographically
-    smallest contract.
-    """
-    options = options or OptimizerOptions()
-    if starts is None:
-        starts = options.starts
-
+def _best_ascent(problem: Problem, seeds, options: OptimizerOptions, var: _Parametrization):
+    """Projected ascent from every distinct seed.  The best converged local
+    optimum wins, with payoff ties broken toward the lexicographically
+    smallest variable; returns ``(x, eq, payoff, kkt)``.  When no start
+    converges, ``OptimizationError`` carries the best unconverged run."""
     runs = []
     failures = []
     best_effort = None
     seen_seeds = []
-    for tau0 in _seed_contracts(problem, starts):
-        if any(np.array_equal(tau0, s) for s in seen_seeds):
+    for x0 in seeds:
+        if any(np.array_equal(x0, s) for s in seen_seeds):
             continue
-        seen_seeds.append(tau0)
+        seen_seeds.append(x0)
         try:
-            tau, eq, payoff, kkt, converged = _ascend(problem, tau0, options, known=runs)
+            x, eq, payoff, kkt, converged = _ascend(problem, x0, options, var, known=runs)
         except (EquilibriumError, DiagnosticsError, ModelError) as exc:
             failures.append(str(exc))
             continue
         if best_effort is None or payoff > best_effort[2]:
-            best_effort = (tau, eq, payoff, kkt)
+            best_effort = (x, eq, payoff, kkt)
         if converged:
-            runs.append((tau, eq, payoff, kkt, True))
+            runs.append((x, eq, payoff, kkt, True))
 
     if not runs:
         raise OptimizationError(
@@ -444,7 +459,21 @@ def optimize_general(problem: Problem, starts: int | None = None, options: Optim
     best_pay = max(r[2] for r in runs)
     ties = [r for r in runs if r[2] >= best_pay - 1e-12]
     ties.sort(key=lambda r: tuple(r[0].ravel()))
-    tau, eq, payoff, kkt = ties[0][:4]
+    return ties[0][:4]
+
+
+def optimize_general(problem: Problem, starts: int | None = None, options: OptimizerOptions | None = None) -> OptimalContractResult:
+    """Multi-start projected gradient ascent on the principal payoff.
+
+    Deterministic seeds (revenue-proportional contracts at four scales,
+    productivity-weighted ones at two, then per-agent concentrated ones);
+    Armijo backtracking line search; the best converged local optimum wins,
+    with payoff ties broken toward the lexicographically smallest contract.
+    """
+    options = options or OptimizerOptions()
+    if starts is None:
+        starts = options.starts
+    tau, eq, payoff, kkt = _best_ascent(problem, _seed_contracts(problem, starts), options, _PAYMENTS)
 
     contract = Contract(tau)
     return OptimalContractResult(
@@ -599,15 +628,34 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _share_search(payoff, smax: float, options: OptimizerOptions) -> float:
+def _share_search(payoff, smax: float, zero_payoff: float) -> float:
     """Coarse prescan then golden-section refinement of a 1-D share payoff;
-    a maximum at the first grid point is refined down to share 0."""
-    grid = np.linspace(smax / options.prescan, smax, options.prescan)
+    a maximum at the first grid point is refined down to share 0.  Paying
+    nothing earns ``zero_payoff``, and share 0 wins when that is more."""
+    grid = np.linspace(smax / _PRESCAN, smax, _PRESCAN)
     vals = np.array([payoff(s) for s in grid])
     k = int(np.argmax(vals))
     lo = grid[k - 1] if k > 0 else 0.0
-    hi = grid[min(options.prescan - 1, k + 1)]
-    return _golden_max(payoff, lo, hi, options.golden_tol)
+    hi = grid[min(_PRESCAN - 1, k + 1)]
+    s = _golden_max(payoff, lo, hi, _GOLDEN_TOL)
+    return 0.0 if zero_payoff > payoff(s) else s
+
+
+def _share_kkt(payoff, s: float, smax: float, value: float) -> float:
+    """Finite-difference optimality residual of a 1-D share payoff at ``s``,
+    where the payoff is ``value``."""
+    h = max(1e-7, 1e-7 * s)
+    up = payoff(min(s + h, smax))
+    if s == 0.0:
+        # Zero share sits on the bound: only a payoff rising away from it
+        # violates optimality.
+        return max(0.0, (up - value) / h)
+    down = payoff(max(s - h, 1e-12))
+    if np.isfinite(up):
+        return abs(up - down) / (2 * h)
+    # Past the cap kink: s is an upper-bound optimum, so only a payoff
+    # falling towards it from the left violates optimality.
+    return max(0.0, -(value - down) / h)
 
 
 def optimize_quadratic_binary(
@@ -623,9 +671,8 @@ def optimize_quadratic_binary(
     point at each candidate share.  Falls back to the gradient optimizer
     when no usable candidate set exists.
     """
-    options = options or OptimizerOptions()
     try:
-        candidates = optimal_active_set(network, p, cap=options.active_set_cap)
+        candidates = optimal_active_set(network, p)
     except ActiveSetError:
         candidates = []
     if not candidates:
@@ -656,10 +703,7 @@ def optimize_quadratic_binary(
         if np.isfinite(payoff_of_share(root)):
             s_star = root
     if s_star is None:
-        s_star = _share_search(payoff_of_share, smax, options)
-    # The search starts at smax / prescan, so compare with paying nothing.
-    if float(p.value(0.0)) > payoff_of_share(s_star):
-        s_star = 0.0
+        s_star = _share_search(payoff_of_share, smax, float(p.value(0.0)))
 
     tau = np.zeros(n)
     tau[agents] = s_star * best.direction
@@ -678,28 +722,14 @@ def optimize_quadratic_binary(
     payments = np.zeros((n, 2))
     payments[:, 1] = tau
     contract = Contract(payments)
-    payoff = _principal_payoff(quadratic_binary_problem(network, p), contract, eq.probs)
-
-    h = max(1e-7, 1e-7 * s_star)
-    up, down = payoff_of_share(min(s_star + h, smax)), payoff_of_share(max(s_star - h, 1e-12))
-    if s_star == 0.0:
-        # Zero share sits on the bound: only a payoff rising away from it
-        # violates optimality.
-        kkt = max(0.0, (up - payoff) / h)
-    elif np.isfinite(up):
-        kkt = abs(up - down) / (2 * h)
-    else:
-        # Past the cap kink: s* is an upper-bound optimum, so only a payoff
-        # falling towards it from the left violates optimality.
-        kkt = max(0.0, -(payoff_of_share(s_star) - down) / h)
-
     problem = quadratic_binary_problem(network, p)
+    payoff = _principal_payoff(problem, contract, eq.probs)
     return OptimalContractResult(
         contract=contract,
         equilibrium=eq,
         principal_payoff=payoff,
         active_set=tuple(int(i) for i in agents) if s_star > 0.0 else (),
-        kkt_residual=float(kkt),
+        kkt_residual=float(_share_kkt(payoff_of_share, s_star, smax, payoff)),
         method="quadratic_closed_form",
         balance_constant=float(s_star * rate),
         neighborhood_action_constant=float(np.mean(action_levels)) if agents.size > 1 else 0.0,
@@ -802,10 +832,10 @@ def _separable_equilibrium(production, p: SuccessProbability, tau: np.ndarray):
     return best
 
 
-def _separable_closed_form(production, p, direction: np.ndarray, method: str,
-                           options: OptimizerOptions) -> OptimalContractResult:
+def _separable_closed_form(production, p, direction: np.ndarray, method: str) -> OptimalContractResult:
     n = direction.size
     d_hat = direction / float(np.sum(direction))
+    tmax = 1.0 - 1e-9
 
     def payoff_of_total(t: float) -> float:
         got = _separable_equilibrium(production, p, t * d_hat)
@@ -813,12 +843,16 @@ def _separable_closed_form(production, p, direction: np.ndarray, method: str,
             return -np.inf
         return (1.0 - t) * float(p.value(got[0]))
 
-    t_star = _share_search(payoff_of_total, 1.0 - 1e-9, options)
+    t_star = _share_search(payoff_of_total, tmax, float(p.value(0.0)))
     tau = t_star * d_hat
-    got = _separable_equilibrium(production, p, tau)
-    if got is None:
-        raise OptimizationError(f"{method}: no stable equilibrium at the optimal scale")
-    y_star, actions = got
+    if t_star == 0.0:
+        # Paying nothing leaves every agent at the dormant corner.
+        y_star, actions = 0.0, np.zeros(n)
+    else:
+        got = _separable_equilibrium(production, p, tau)
+        if got is None:
+            raise OptimizationError(f"{method}: no stable equilibrium at the optimal scale")
+        y_star, actions = got
 
     problem = Problem(
         n=n,
@@ -837,44 +871,35 @@ def _separable_closed_form(production, p, direction: np.ndarray, method: str,
             f"({y_star:.9g} vs {eq.performance:.9g})"
         )
     payoff = _principal_payoff(problem, contract, eq.probs)
-
-    h = 1e-7
-    kkt = abs(payoff_of_total(min(t_star + h, 1.0 - 1e-9)) - payoff_of_total(t_star - h)) / (2 * h)
-
     return OptimalContractResult(
         contract=contract,
         equilibrium=eq,
         principal_payoff=payoff,
-        active_set=tuple(range(n)),
-        kkt_residual=float(kkt),
+        active_set=tuple(range(n)) if t_star > 0.0 else (),
+        kkt_residual=float(_share_kkt(payoff_of_total, t_star, tmax, payoff)),
         method=method,
-        max_balance_residual=_balance_residual_or_none(problem, contract, eq),
+        # With no one paid there is no balance to report, and the separable
+        # gradients are undefined at zero actions.
+        max_balance_residual=_balance_residual_or_none(problem, contract, eq) if t_star > 0.0 else None,
     )
 
 
-def closed_form_cobb_douglas(
-    gamma, p: SuccessProbability, options: OptimizerOptions | None = None
-) -> OptimalContractResult:
+def closed_form_cobb_douglas(gamma, p: SuccessProbability) -> OptimalContractResult:
     """Optimal contract for Cobb-Douglas production in the binary
     environment: payments proportional to factor shares, scaled by a 1-D
     payoff search with an equilibrium re-solve per candidate scale."""
-    options = options or OptimizerOptions()
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma <= 0.0):
         raise ModelError("factor shares must be strictly positive")
     if abs(float(np.sum(gamma)) - 2.0) < 1e-12:
         raise ModelError("total factor share of exactly 2 makes the scalar equilibrium degenerate")
     production = CobbDouglasProduction(gamma)
-    return _separable_closed_form(production, p, gamma, "cobb_douglas_closed_form", options)
+    return _separable_closed_form(production, p, gamma, "cobb_douglas_closed_form")
 
 
-def closed_form_ces(
-    gamma, rho: float, kappa: float, p: SuccessProbability,
-    options: OptimizerOptions | None = None,
-) -> OptimalContractResult:
+def closed_form_ces(gamma, rho: float, kappa: float, p: SuccessProbability) -> OptimalContractResult:
     """Optimal contract for CES production (``rho < 1``): payments
     proportional to ``gamma ** (1 / (1 - rho))``."""
-    options = options or OptimizerOptions()
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma <= 0.0):
         raise ModelError("factor shares must be strictly positive")
@@ -886,7 +911,7 @@ def closed_form_ces(
         raise ModelError("returns-to-scale of exactly 2 makes the scalar equilibrium degenerate")
     production = CESProduction(gamma, rho, kappa)
     direction = gamma ** (1.0 / (1.0 - rho))
-    return _separable_closed_form(production, p, direction, "ces_closed_form", options)
+    return _separable_closed_form(production, p, direction, "ces_closed_form")
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,12 @@
 """Equity contracts: fixed revenue shares across outcomes.
 
 An equity contract pays agent i the amount ``shares[i] * revenue_s`` at
-outcome s.  Equilibria and the share optimizer reuse the unrestricted
-machinery through the linear map from shares to payments, so there is a
-single gradient implementation to validate.
+outcome s.  Equity pay is a linear reparametrization of payments,
+``tau = sigma ⊗ v``, so equilibria go through the general solver and the
+share optimizer is the unrestricted optimizer's projected ascent, run in
+shares: the shares map to payments, the payment gradient maps back to
+shares by the chain rule, and the projection keeps the shares nonnegative
+with a sum of at most 1.
 """
 
 from __future__ import annotations
@@ -12,17 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contract_opt import (
-    OptimizationError,
-    OptimizerOptions,
-    _payoff_gradient,
-    _principal_payoff,
-    _solve_eq_checked,
-    _solve_eq_selected,
-    optimize_general,
-)
-from .diagnostics import ACTIVITY_TOL, DiagnosticsError, _FirstOrderObjects
-from .equilibrium import EquilibriumError, solve_equilibrium_general
+from .contract_opt import OptimizerOptions, _best_ascent, _Parametrization, optimize_general
+from .diagnostics import ACTIVITY_TOL, _FirstOrderObjects
+from .equilibrium import solve_equilibrium_general
 from .model import Contract, EquilibriumResult, EquityContract, ModelError, Problem
 
 __all__ = [
@@ -85,12 +80,16 @@ def _project_shares(sigma: np.ndarray) -> np.ndarray:
     return np.maximum(sigma - theta, 0.0)
 
 
-def _share_gradient(problem: Problem, sigma: np.ndarray, eq: EquilibriumResult) -> np.ndarray:
-    contract = induced_contract(problem, EquityContract(sigma))
-    grad_tau = _payoff_gradient(problem, contract, eq)
-    # Chain rule through tau[i, s] = sigma_i v_s; zero-revenue outcomes have
-    # structurally pinned payments and drop out.
-    return grad_tau @ problem.outcomes.revenues
+def _shares(problem: Problem) -> _Parametrization:
+    """Equity shares as the projected ascent's variable."""
+    v = problem.outcomes.revenues
+    return _Parametrization(
+        contract=lambda sigma: induced_contract(problem, EquityContract(sigma)),
+        # Chain rule through tau[i, s] = sigma_i v_s; zero-revenue outcomes
+        # have structurally pinned payments and drop out.
+        pull_back=lambda grad: grad @ v,
+        project=_project_shares,
+    )
 
 
 def _balance_values(problem: Problem, sigma: np.ndarray, eq: EquilibriumResult) -> np.ndarray:
@@ -113,8 +112,9 @@ def optimize_equity(
     *,
     compare_unrestricted: bool = True,
 ) -> EquityResult:
-    """Projected gradient ascent on the equity payoff
-    ``(1 - sum(sigma)) * sum_s v_s P_s(Y*)``.
+    """Multi-start projected gradient ascent on the equity payoff
+    ``(1 - sum(sigma)) * sum_s v_s P_s(Y*)``: the unrestricted optimizer's
+    ascent, Newton polish and multi-start driver, run in shares.
 
     Reports the per-agent balance values (whose spread across positive-share
     agents is the optimality diagnostic) and, by default, the unrestricted
@@ -130,23 +130,7 @@ def optimize_equity(
         seeds.append(s)
     seeds = seeds[: options.starts]
 
-    runs = []
-    failures = []
-    for sigma0 in seeds:
-        try:
-            run = _ascend_shares(problem, sigma0, options)
-        except (EquilibriumError, DiagnosticsError, ModelError) as exc:
-            failures.append(str(exc))
-            continue
-        if run is not None:
-            runs.append(run)
-    if not runs:
-        raise OptimizationError(f"no equity start converged (failures: {failures[:3]})")
-
-    best_pay = max(r[2] for r in runs)
-    ties = [r for r in runs if r[2] >= best_pay - 1e-12]
-    ties.sort(key=lambda r: tuple(r[0]))
-    sigma, eq, payoff, kkt = ties[0]
+    sigma, eq, payoff, kkt = _best_ascent(problem, seeds, options, _shares(problem))
 
     vals = _balance_values(problem, sigma, eq)
     positive = np.flatnonzero(sigma > ACTIVITY_TOL)
@@ -170,48 +154,3 @@ def optimize_equity(
         kkt_residual=kkt,
         unrestricted_payoff=unrestricted,
     )
-
-
-def _equity_payoff(problem: Problem, sigma: np.ndarray, probs: np.ndarray) -> float:
-    contract = induced_contract(problem, EquityContract(sigma))
-    return _principal_payoff(problem, contract, probs)
-
-
-def _ascend_shares(problem: Problem, sigma0: np.ndarray, options: OptimizerOptions):
-    sigma = _project_shares(sigma0.copy())
-    eq = _solve_eq_selected(problem, induced_contract(problem, EquityContract(sigma)), tol=options.eq_tol)
-    payoff = _equity_payoff(problem, sigma, eq.probs)
-    step = options.step_init
-    for _ in range(options.max_iters):
-        grad = _share_gradient(problem, sigma, eq)
-        viol = np.where(grad > 0.0, grad, np.minimum(sigma, -grad))
-        kkt = float(np.max(viol))
-        if kkt <= options.tol:
-            return sigma, eq, payoff, kkt
-        accepted = False
-        for _ in range(options.max_backtracks):
-            trial = _project_shares(sigma + step * grad)
-            delta = trial - sigma
-            if not np.any(delta):
-                break
-            try:
-                eq_t = _solve_eq_checked(problem, induced_contract(problem, EquityContract(trial)),
-                                         eq.actions, tol=options.eq_tol)
-            except EquilibriumError:
-                step *= 0.5
-                continue
-            pay_t = _equity_payoff(problem, trial, eq_t.probs)
-            if pay_t >= payoff + options.armijo * float(grad @ delta):
-                sigma, eq, payoff = trial, eq_t, pay_t
-                step = min(step * 1.3, 1e3)
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-    grad = _share_gradient(problem, sigma, eq)
-    viol = np.where(grad > 0.0, grad, np.minimum(sigma, -grad))
-    kkt = float(np.max(viol))
-    if kkt <= options.tol:
-        return sigma, eq, payoff, kkt
-    return None

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import teampay as tp
-from teampay import contract_opt
+from teampay import contract_opt, equity
 from teampay.contract_opt import _scan_roots, share_cubic
 
 from helpers import (
@@ -288,6 +288,18 @@ def test_cobb_douglas_cross_check_against_general_optimizer():
     assert abs(closed.principal_payoff - general.principal_payoff) < 1e-5
 
 
+def test_cobb_douglas_pays_nothing_when_no_positive_share_beats_it():
+    # No positive total share has a stable interior equilibrium here; paying
+    # nothing leaves the dormant profile, worth P(0).
+    result = tp.closed_form_cobb_douglas([1.0, 2.0], tp.LogisticSuccess(0.7, -0.3))
+    assert result.principal_payoff == pytest.approx(0.6055324872205857, abs=1e-12)
+    assert not np.any(result.contract.payments)
+    assert np.all(result.equilibrium.actions == 0.0)
+    assert result.active_set == ()
+    assert result.kkt_residual == 0.0
+    assert result.max_balance_residual is None
+
+
 def test_cobb_douglas_guard_rejects_degenerate_total_share():
     with pytest.raises(tp.ModelError):
         tp.closed_form_cobb_douglas([1.0, 1.0], CD_P)
@@ -458,14 +470,18 @@ def test_selected_equilibrium_skips_a_failing_global_check(monkeypatch):
         contract_opt._solve_eq_selected(problem, contract)
 
 
-def test_line_search_rejects_trials_that_fail_the_global_check(monkeypatch):
+@pytest.mark.parametrize("parametrization", ["payments", "shares"])
+def test_line_search_rejects_trials_that_fail_the_global_check(monkeypatch, parametrization):
     problem = _softmax_linear()
-    tau0 = np.tile([0.0, 0.02, 0.03], (2, 1))
-    limit = float(tau0.sum())
+    if parametrization == "payments":
+        x0, var = np.tile([0.0, 0.02, 0.03], (2, 1)), contract_opt._PAYMENTS
+    else:
+        x0, var = np.array([0.01, 0.01]), equity._shares(problem)
+    limit = float(var.contract(x0).payments.sum())
     marked = _failing_check_when(monkeypatch, lambda c: float(c.payments.sum()) > limit)
-    tau, eq, _, _, _ = contract_opt._ascend(problem, tau0, tp.OptimizerOptions(max_iters=20))
+    x, eq, _, _, _ = contract_opt._ascend(problem, x0, tp.OptimizerOptions(max_iters=20), var)
     assert marked  # the ascent tried to pay more, and those trials failed the check
-    assert float(tau.sum()) <= limit
+    assert float(var.contract(x).payments.sum()) <= limit
     assert eq.global_check_passed
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import teampay as tp
+from teampay import contract_opt, equity
 
 from helpers import clique, quadratic_problem, softmax_instance
 
@@ -70,3 +71,16 @@ def test_dominance_across_instances():
         problem = softmax_instance(**THREE_OUTCOME, network=network, utility=utility)
         res = tp.optimize_equity(problem)
         assert res.unrestricted_payoff >= res.principal_payoff - 1e-8
+
+
+def test_equity_ascent_halves_steps_whose_trial_reaches_the_cap():
+    # From shares (0.15, 0.15) early line-search trials push performance past
+    # the cap 1/0.9; such a trial must halve the step, not end the start.
+    problem = quadratic_problem(clique(2), tp.LinearCappedSuccess(0.9))
+    sigma, _, payoff, kkt, converged = contract_opt._ascend(
+        problem, np.array([0.15, 0.15]), tp.OptimizerOptions(), equity._shares(problem)
+    )
+    assert converged
+    assert kkt <= 1e-8
+    assert payoff == pytest.approx(0.3159117539121128, abs=1e-12)
+    assert sigma[0] == pytest.approx(sigma[1], abs=1e-9)
