@@ -33,6 +33,7 @@ from .model import (
     CESProduction,
     CobbDouglasProduction,
     Contract,
+    DomainError,
     EquilibriumResult,
     LinearCappedSuccess,
     LinearUtility,
@@ -223,8 +224,11 @@ def _payoff_gradient(problem: Problem, contract: Contract, eq: EquilibriumResult
         dy = obj.performance_gradient()
     else:
         # Dormant team: every agent sits at the degenerate corner, so the
-        # first incentive round has no spillover feedback.
-        grad0 = problem.production.gradient(np.zeros(problem.n))
+        # first incentive round has no spillover feedback.  Each agent's
+        # marginal product there is the own partial, which stays defined
+        # where the full gradient is singular (Cobb-Douglas at zero).
+        zeros = np.zeros(problem.n)
+        grad0 = np.array([problem.production.partial(zeros, i) for i in range(problem.n)])
         curv0 = np.array([float(problem.costs[i].curvature(0.0)) for i in range(problem.n)])
         marg = np.array([problem.utilities[i].marginal(contract.payments[i]) for i in range(problem.n)])
         with np.errstate(invalid="ignore"):
@@ -249,7 +253,9 @@ def _kkt_residual(tau: np.ndarray, grad: np.ndarray) -> float:
 def _balance_residual_or_none(problem, contract, eq) -> float | None:
     try:
         return compute_balance_report(problem, contract, eq).max_relative_residual()
-    except DiagnosticsError:
+    except (DiagnosticsError, DomainError):
+        # No balance report where the production gradient is singular
+        # (Cobb-Douglas at the dormant profile).
         return None
 
 

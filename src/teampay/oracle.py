@@ -5,6 +5,12 @@ best responses (not first-order conditions), optima from exhaustive payoff
 grids, derivatives from finite differences.  The module shares no solver
 code with the analytic paths; it imports the domain types only, so a bug in
 the main solvers cannot leak in.
+
+The best-response iteration runs a batch of contracts at once: every array
+carries a leading contract axis, each row keeps its own tolerances, window,
+sweep count and convergence, and a single contract is a batch of one.  The
+exhaustive search feeds the contract grid through it in fixed-size batches,
+each contract started from zero effort.
 """
 
 from __future__ import annotations
@@ -24,158 +30,281 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Points of one windowed scan or zoom.
+_SCAN = 64
+_SCAN_K = np.arange(_SCAN, dtype=float)
+# Contracts per batched iteration in the exhaustive search.
+_BATCH = 64
+# Grid points per block of the streamed full-grid scan, which bounds its
+# memory: 64 columns of a full batch, more columns for fewer rows.
+_BLOCK = 64 * _BATCH
+# Defaults of the iteration: damping, sweep budget and full-grid points.
+_DAMPING = 0.5
+_MAX_SWEEPS = 5000
+_GRID_POINTS = 1024
+# Value comparisons cannot rank actions closer than ~sqrt(machine eps)
+# around a flat payoff maximum, so requested tolerances are clamped at
+# this resolution floor; the returned residual stays honest.
+_FLOOR = 5e-9
 
 
 class OracleError(RuntimeError):
     pass
 
 
-def _payoff_batch(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, ai: np.ndarray) -> np.ndarray:
-    pts = np.broadcast_to(a, ai.shape + a.shape).copy()
-    pts[..., i] = ai
-    y = problem.production.value(pts)
-    probs = problem.outcomes.probs(y)
-    return probs @ u_levels[i] - problem.costs[i].value(ai)
+def _linspace_at(lo, hi, num: int, k):
+    """Points ``k`` of ``np.linspace(lo, hi, num)`` for rows of bounds,
+    each rounded exactly as the scalar ``np.linspace`` rounds it.
+
+    numpy's zero-step branch serves denormal widths, far below any bracket
+    here (zooms stop near ``xtol``, which the resolution floor keeps above
+    1e-9), and at a zero width both branches give ``lo``.
+    """
+    y = k * ((hi - lo) / (num - 1)) + lo
+    return np.where(k == num - 1, hi, y)
 
 
-def _payoff_scalar(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, ai: float) -> float:
-    return float(_payoff_batch(problem, u_levels, i, a, np.asarray(ai, dtype=float)))
+def _payoffs(problem: Problem, u: np.ndarray, i: int, a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Agent i's payoff at actions ``x`` (rows, points) with the others at
+    the rows of ``a``; ``u`` holds agent i's outcome utilities per row."""
+    pts = np.repeat(a[:, None, :], x.shape[1], axis=1)
+    pts[..., i] = x
+    probs = problem.outcomes.probs(problem.production.value(pts))
+    return (probs @ u[:, :, None])[..., 0] - problem.costs[i].value(x)
 
 
-def _golden_refine(problem, u_levels, i, a, lo, hi, xtol):
-    f = lambda x: _payoff_scalar(problem, u_levels, i, a, x)
+def _bracket(x: np.ndarray, k: np.ndarray):
+    """The points either side of each row's argmax ``k`` on its grid ``x``."""
+    rows, last = np.arange(x.shape[0]), x.shape[1] - 1
+    return x[rows, np.maximum(0, k - 1)], x[rows, np.minimum(last, k + 1)]
+
+
+def _full_scan(problem, u, i, a, a_max, grid_points):
+    """First argmax and corner value of agent i's payoff on the full grid
+    ``linspace(0, a_max, grid_points)`` of each row, streamed in blocks of
+    ``_BLOCK // rows`` columns (at least one) with a running first maximum."""
+    rows = np.arange(a.shape[0])
+    top = a_max[:, None]
+    best = np.full(rows.size, -np.inf)
+    arg = np.zeros(rows.size, dtype=int)
+    columns = max(1, _BLOCK // rows.size)
+    for start in range(0, grid_points, columns):
+        k = np.arange(start, min(start + columns, grid_points), dtype=float)
+        vals = _payoffs(problem, u, i, a, _linspace_at(0.0, top, grid_points, k))
+        if start == 0:
+            corner = vals[:, 0]
+        j = np.argmax(vals, axis=1)
+        v = vals[rows, j]
+        better = v > best
+        best[better] = v[better]
+        arg[better] = start + j[better]
+    return arg, corner
+
+
+def _golden(problem, u, i, a, lo, hi, xtol):
+    """Golden-section pass that moves each row until its own bracket is
+    at most its ``xtol``; moves ``lo`` and ``hi`` in place and returns the
+    bracket midpoints."""
     x1 = hi - _GOLDEN * (hi - lo)
     x2 = lo + _GOLDEN * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    while hi - lo > xtol:
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - _GOLDEN * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + _GOLDEN * (hi - lo)
-            f2 = f(x2)
+    f = _payoffs(problem, u, i, a, np.stack([x1, x2], axis=1))
+    f1, f2 = f[:, 0], f[:, 1]
+    live = np.flatnonzero(hi - lo > xtol)
+    while live.size:
+        left = f1[live] >= f2[live]
+        lt, rt = live[left], live[~left]
+        hi[lt], x2[lt], f2[lt] = x2[lt], x1[lt], f1[lt]
+        x1[lt] = hi[lt] - _GOLDEN * (hi[lt] - lo[lt])
+        lo[rt], x1[rt], f1[rt] = x1[rt], x2[rt], f2[rt]
+        x2[rt] = lo[rt] + _GOLDEN * (hi[rt] - lo[rt])
+        new = np.where(left, x1[live], x2[live])
+        fn = _payoffs(problem, u[live], i, a[live], new[:, None])[:, 0]
+        f1[lt], f2[rt] = fn[left], fn[~left]
+        live = live[hi[live] - lo[live] > xtol[live]]
     return 0.5 * (lo + hi)
 
 
-def _grid_best_response(problem, u_levels, i, a, a_max, grid_points, xtol, window=None):
-    """Argmax of agent i's payoff over a grid, zoomed by nested batched grids
-    down to ``xtol`` and finished by a short golden-section pass.
+def _window_scan(problem, u, i, a, a_max, half, lo, hi, corner):
+    """Windowed 64-point scans around each row's action, widened sixfold
+    while the argmax sits on an inner window edge.  Fills ``lo``, ``hi``
+    and the payoff at zero ``corner`` of the rows it brackets and returns
+    the rows whose window outgrew the range, for the full grid."""
+    r = np.arange(a.shape[0])
+    full = [r[:0]]
+    while r.size:
+        ai, top = a[r, i], a_max[r]
+        wlo = np.maximum(0.0, ai - half[r])
+        whi = np.minimum(top, ai + half[r])
+        # Column 0 is the corner at zero, scanned along with the window.
+        sub = _linspace_at(wlo[:, None], whi[:, None], _SCAN, _SCAN_K)
+        vals = _payoffs(problem, u[r], i, a[r], np.concatenate([np.zeros((r.size, 1)), sub], axis=1))
+        k = np.argmax(vals[:, 1:], axis=1)
+        done = ((k > 0) | (wlo == 0.0)) & ((k < _SCAN - 1) | (whi == top))
+        d = r[done]
+        corner[d] = vals[done, 0]
+        lo[d], hi[d] = _bracket(sub[done], k[done])
+        r = r[~done]
+        half[r] *= 6.0
+        over = half[r] > a_max[r]
+        full.append(r[over])
+        r = r[~over]
+    return np.concatenate(full)
 
-    ``window`` restricts the initial scan to a local bracket around the
-    current action (used mid-iteration for speed); an argmax on the bracket
-    edge reopens the full range, and the caller's final sweep always runs
-    the full grid.
+
+def _best_responses(problem, u, i, a, a_max, grid_points, xtol, window=None):
+    """Agent i's grid-argmax best response in every row, zoomed by nested
+    64-point grids down to the row's ``xtol`` and finished by a golden pass.
+
+    ``window`` (per row) restricts the initial scan to a local bracket around
+    the current action (used mid-iteration for speed); an argmax on the
+    bracket edge widens it, a bracket wider than the range reopens the full
+    grid, and the caller's accepting sweep always runs the full grid.
     """
-    if window is not None:
-        half = window
-        while True:
-            lo = max(0.0, a[i] - half)
-            hi = min(a_max, a[i] + half)
-            sub = np.linspace(lo, hi, 64)
-            vals = _payoff_batch(problem, u_levels, i, a, sub)
-            k = int(np.argmax(vals))
-            if (k > 0 or lo == 0.0) and (k < 63 or hi == a_max):
-                break
-            half *= 6.0
-            if half > a_max:
-                return _grid_best_response(problem, u_levels, i, a, a_max, grid_points, xtol)
-        corner = float(_payoff_scalar(problem, u_levels, i, a, 0.0)) if lo > 0.0 else float(vals[0])
-        lo, hi = sub[max(0, k - 1)], sub[min(63, k + 1)]
+    rows = a.shape[0]
+    lo, hi, corner = np.empty(rows), np.empty(rows), np.empty(rows)
+    out = np.empty(rows)
+    zoom = np.ones(rows, dtype=bool)
+    if window is None:
+        f = np.arange(rows)
     else:
-        grid = np.linspace(0.0, a_max, grid_points)
-        vals = _payoff_batch(problem, u_levels, i, a, grid)
-        k = int(np.argmax(vals))
-        corner = float(vals[0])
-        lo = grid[max(0, k - 1)]
-        hi = grid[min(grid_points - 1, k + 1)]
-        if hi - lo <= xtol:
-            return float(grid[k])
+        f = _window_scan(problem, u, i, a, a_max, window.copy(), lo, hi, corner)
+    if f.size:
+        k, corner[f] = _full_scan(problem, u[f], i, a[f], a_max[f], grid_points)
+        picks = np.stack([k - 1.0, k, k + 1.0], axis=1).clip(0, grid_points - 1)
+        grid = _linspace_at(0.0, a_max[f, None], grid_points, picks)
+        lo[f], hi[f] = grid[:, 0], grid[:, 2]
+        fine = hi[f] - lo[f] <= xtol[f]
+        out[f[fine]] = grid[fine, 1]
+        zoom[f[fine]] = False
+
+    z = np.flatnonzero(zoom)
+    if not z.size:
+        return out
+    live = z
     for _ in range(8):
-        sub = np.linspace(lo, hi, 64)
-        vals = _payoff_batch(problem, u_levels, i, a, sub)
-        k = int(np.argmax(vals))
-        lo = sub[max(0, k - 1)]
-        hi = sub[min(63, k + 1)]
-        if hi - lo <= xtol:
+        sub = _linspace_at(lo[live, None], hi[live, None], _SCAN, _SCAN_K)
+        k = np.argmax(_payoffs(problem, u[live], i, a[live], sub), axis=1)
+        lo[live], hi[live] = _bracket(sub, k)
+        live = live[hi[live] - lo[live] > xtol[live]]
+        if not live.size:
             break
-    x = _golden_refine(problem, u_levels, i, a, lo, hi, xtol) if hi - lo > xtol else 0.5 * (lo + hi)
+    x = 0.5 * (lo + hi)
+    if live.size:
+        x[live] = _golden(problem, u[live], i, a[live], lo[live], hi[live], xtol[live])
     # The corner can beat the interior refinement when the payoff is
     # decreasing from the start.
-    if corner >= _payoff_scalar(problem, u_levels, i, a, x):
-        return 0.0
-    return float(x)
+    at_x = _payoffs(problem, u[z], i, a[z], x[z, None])[:, 0]
+    out[z] = np.where(corner[z] >= at_x, 0.0, x[z])
+    return out
+
+
+def _default_a_max(payments: np.ndarray) -> np.ndarray:
+    return 10.0 * (np.max(payments, axis=2).sum(axis=1) + 1.0)
+
+
+def _iterate(problem, payments, tol, damping, max_sweeps, grid_points, a_max, init, warm):
+    """Damped simultaneous grid-argmax best responses for a batch of
+    contracts ``payments`` (B, n, S) from the starts ``init`` (B, n).
+
+    Every row keeps its own ``a_max``, tolerances, window, Aitken trail,
+    sweep budget ``max_sweeps`` (broadcast to B) and convergence.  Response
+    resolution adapts to the remaining profile movement (no point resolving
+    below the current sweep-to-sweep gap) and tightens to ``tol`` as the
+    fixed point closes in.  Returns the accepted actions, residuals and
+    sweep counts, and the mask of rows that converged (the others hold NaN).
+    """
+    batch, n = payments.shape[0], problem.n
+    u = np.stack([problem.utilities[i].value(payments[:, i]) for i in range(n)], axis=1)
+    budget = np.broadcast_to(np.asarray(max_sweeps), (batch,))
+    a = init.copy()
+    gap = a_max.copy()
+    trail = [a.copy()]
+    actions = np.full((batch, n), np.nan)
+    residual = np.full(batch, np.nan)
+    sweeps = np.zeros(batch, dtype=int)
+    converged = np.zeros(batch, dtype=bool)
+    for sweep in range(1, int(budget.max(initial=0)) + 1):
+        r = np.flatnonzero(~converged & (budget >= sweep))
+        if not r.size:
+            break
+        ar, ur, top = a[r], u[r], a_max[r]
+        eff_tol = np.maximum(tol, _FLOOR * np.maximum(1.0, np.max(np.abs(ar), axis=1)))
+        xtol = np.maximum(eff_tol / 4.0, np.minimum(gap[r] / 20.0, top / grid_points))
+        # Mid-iteration sweeps on a warm start search a local window; the
+        # accepting sweep below always re-derives from the full grid.
+        window = None
+        if (warm and sweep > 1) or sweep > 2:
+            window = np.minimum(4.0 * gap[r] + 100.0 * xtol, top)
+        br = np.stack([
+            _best_responses(problem, ur[:, i], i, ar, top, grid_points, xtol, window)
+            for i in range(n)
+        ], axis=1)
+        gap[r] = np.max(np.abs(br - ar), axis=1)
+        accept = np.zeros(r.size, dtype=bool)
+        near = np.flatnonzero((gap[r] <= eff_tol) & (xtol <= eff_tol / 2.0))
+        if near.size:
+            full = np.stack([
+                _best_responses(problem, ur[near, i], i, br[near], top[near], grid_points, eff_tol[near] / 4)
+                for i in range(n)
+            ], axis=1)
+            res = np.max(np.abs(full - br[near]), axis=1)
+            ok = res <= eff_tol[near]
+            done = r[near[ok]]
+            actions[done], residual[done], sweeps[done] = full[ok], res[ok], sweep
+            converged[done] = True
+            accept[near[ok]] = True
+        r, br = r[~accept], br[~accept]
+        a[r] = (1.0 - damping) * a[r] + damping * br
+        trail.append(a.copy())
+        if len(trail) == 3:
+            # Aitken extrapolation of the linearly converging damped map;
+            # the next sweep re-measures the gap, so a bad jump self-corrects.
+            x0, x1, x2 = (t[r] for t in trail)
+            d1, d2 = x1 - x0, x2 - x1
+            denom = d2 - d1
+            safe = np.abs(denom) > 1e-14
+            jump = np.where(safe, x2 - np.divide(d2**2, denom, out=np.zeros_like(d2), where=safe), x2)
+            a[r] = np.maximum(0.0, jump)
+            trail = [a.copy()]
+    return actions, residual, sweeps, converged
 
 
 def best_response_iterate(
     problem: Problem,
     contract: Contract,
     tol: float = 1e-10,
-    damping: float = 0.5,
+    damping: float = _DAMPING,
     *,
-    max_sweeps: int = 5000,
-    grid_points: int = 1024,
+    max_sweeps: int = _MAX_SWEEPS,
+    grid_points: int = _GRID_POINTS,
     a_max: float | None = None,
     init=None,
 ) -> EquilibriumResult:
-    """Damped simultaneous grid-argmax best responses.
+    """Damped simultaneous grid-argmax best responses: the batched
+    iteration on a batch of one contract.
 
-    Response resolution adapts to the remaining profile movement (no point
-    resolving below the current sweep-to-sweep gap) and tightens to ``tol``
-    as the fixed point closes in.
+    With ``init`` given, the sweeps after the first search a local window
+    around the current profile; without it (a start from zero effort) the
+    first two sweeps scan the full grid.
     """
-    n = problem.n
-    u_levels = np.array([problem.utilities[i].value(contract.payments[i]) for i in range(n)])
-    if a_max is None:
-        a_max = 10.0 * (float(np.max(contract.payments, axis=1).sum()) + 1.0)
-    a = np.zeros(n) if init is None else np.asarray(init, dtype=float).copy()
-
-    # Value comparisons cannot rank actions closer than ~sqrt(machine eps)
-    # around a flat payoff maximum, so requested tolerances are clamped at
-    # that resolution floor; the returned residual stays honest.
-    floor = 5e-9
-    gap = a_max
-    trail = [a.copy()]
-    warm = init is not None
-    for sweeps in range(1, max_sweeps + 1):
-        eff_tol = max(tol, floor * max(1.0, float(np.max(np.abs(a)))))
-        xtol = max(eff_tol / 4.0, min(gap / 20.0, a_max / grid_points))
-        # Mid-iteration sweeps on a warm start search a local window; the
-        # accepting sweep below always re-derives from the full grid.
-        window = min(4.0 * gap + 100.0 * xtol, a_max) if (warm and sweeps > 1) or sweeps > 2 else None
-        br = np.array([
-            _grid_best_response(problem, u_levels, i, a, a_max, grid_points, xtol, window=window)
-            for i in range(n)
-        ])
-        gap = float(np.max(np.abs(br - a)))
-        if gap <= eff_tol and xtol <= eff_tol / 2.0:
-            full = np.array([
-                _grid_best_response(problem, u_levels, i, br, a_max, grid_points, eff_tol / 4.0)
-                for i in range(n)
-            ])
-            if float(np.max(np.abs(full - br))) <= eff_tol:
-                return EquilibriumResult(
-                    actions=full,
-                    performance=float(problem.production.value(full)),
-                    probs=np.asarray(problem.outcomes.probs(float(problem.production.value(full))), dtype=float),
-                    iterations=sweeps,
-                    residual=float(np.max(np.abs(full - br))),
-                    spectral_margin=None,
-                )
-        a = (1.0 - damping) * a + damping * br
-        trail.append(a.copy())
-        if len(trail) == 3:
-            # Aitken extrapolation of the linearly converging damped map;
-            # the next sweep re-measures the gap, so a bad jump self-corrects.
-            x0, x1, x2 = trail
-            d1, d2 = x1 - x0, x2 - x1
-            denom = d2 - d1
-            safe = np.abs(denom) > 1e-14
-            jump = np.where(safe, x2 - np.divide(d2**2, denom, out=np.zeros_like(d2), where=safe), x2)
-            a = np.maximum(0.0, jump)
-            trail = [a.copy()]
-    raise OracleError(f"grid best-response iteration did not converge in {max_sweeps} sweeps")
+    payments = np.asarray(contract.payments, dtype=float)[None]
+    a_max = _default_a_max(payments) if a_max is None else np.array([float(a_max)])
+    start = np.zeros((1, problem.n)) if init is None else np.array(init, dtype=float).reshape(1, problem.n)
+    actions, residual, sweeps, converged = _iterate(
+        problem, payments, tol, damping, max_sweeps, grid_points, a_max, start, init is not None
+    )
+    if not converged[0]:
+        raise OracleError(f"grid best-response iteration did not converge in {max_sweeps} sweeps")
+    full = actions[0]
+    performance = float(problem.production.value(full))
+    return EquilibriumResult(
+        actions=full,
+        performance=performance,
+        probs=np.asarray(problem.outcomes.probs(performance), dtype=float),
+        iterations=int(sweeps[0]),
+        residual=float(residual[0]),
+        spectral_margin=None,
+    )
 
 
 def principal_payoff(problem: Problem, contract: Contract, performance: float) -> float:
@@ -201,8 +330,10 @@ def brute_force_optimal_contract(
     outcome) cells, with all other payments pinned at ``lo``.  By default, a
     binary problem searches success payments only (paying at failure is
     never optimal there).  Ties break to the lexicographically smallest
-    contract; equilibria come from :func:`best_response_iterate`, warm
-    started along the scan.
+    contract.  The grid runs through the batched best-response iteration
+    ``_BATCH`` contracts at a time, each from zero effort (as
+    ``best_response_iterate(problem, contract, tol, init=np.zeros(n))``);
+    contracts whose iteration does not converge are skipped.
     """
     n, S = problem.n, problem.n_outcomes
     lo = np.broadcast_to(np.asarray(bounds[0], dtype=float), (n, S)).copy()
@@ -227,22 +358,22 @@ def brute_force_optimal_contract(
 
     best_payoff = -np.inf
     best_payments = None
-    warm = np.zeros(n)
-    base = lo.copy()
-    for values in itertools.product(*axes):
-        payments = base.copy()
-        for (coord, v) in zip(free_coords, values):
-            payments[coord] = v
-        contract = Contract(payments)
-        try:
-            eq = best_response_iterate(problem, contract, tol=tol, init=warm)
-        except OracleError:
-            continue
-        warm = eq.actions
-        payoff = principal_payoff(problem, contract, eq.performance)
-        if payoff > best_payoff + 1e-15:
-            best_payoff = payoff
-            best_payments = payments
+    grid = itertools.product(*axes)
+    while chunk := list(itertools.islice(grid, _BATCH)):
+        payments = np.repeat(lo[None], len(chunk), axis=0)
+        for k, (i, s) in enumerate(free_coords):
+            payments[:, i, s] = [values[k] for values in chunk]
+        actions, _, _, converged = _iterate(
+            problem, payments, tol, _DAMPING, _MAX_SWEEPS, _GRID_POINTS,
+            _default_a_max(payments), np.zeros((len(chunk), n)), True,
+        )
+        # Contracts that did not converge are skipped.
+        solved = np.flatnonzero(converged)
+        for b, performance in zip(solved, problem.production.value(actions[solved])):
+            payoff = principal_payoff(problem, Contract(payments[b]), float(performance))
+            if payoff > best_payoff + 1e-15:
+                best_payoff = payoff
+                best_payments = payments[b]
     if best_payments is None:
         raise OracleError("no grid point produced a solvable equilibrium")
     return Contract(best_payments), float(best_payoff)

@@ -300,6 +300,23 @@ def test_cobb_douglas_pays_nothing_when_no_positive_share_beats_it():
     assert result.max_balance_residual is None
 
 
+def test_general_optimizer_pays_nothing_at_a_dormant_cobb_douglas_optimum():
+    # At the dormant profile the Cobb-Douglas gradient is singular, while
+    # each agent's marginal product there is zero.
+    success = tp.LogisticSuccess(0.7, -0.3)
+    problem = tp.Problem(
+        n=2,
+        production=tp.CobbDouglasProduction([1.0, 2.0]),
+        outcomes=tp.BinaryOutcomeModel(success),
+        utilities=(tp.LinearUtility(),) * 2,
+        costs=(tp.PowerCost(),) * 2,
+    )
+    general = tp.optimize_general(problem)
+    closed = tp.closed_form_cobb_douglas([1.0, 2.0], success)
+    assert general.principal_payoff >= 0.6055324872205857 - 1e-12
+    assert general.principal_payoff == pytest.approx(closed.principal_payoff, abs=1e-12)
+
+
 def test_cobb_douglas_guard_rejects_degenerate_total_share():
     with pytest.raises(tp.ModelError):
         tp.closed_form_cobb_douglas([1.0, 1.0], CD_P)

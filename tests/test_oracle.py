@@ -1,13 +1,35 @@
 import ast
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import teampay as tp
+from teampay import oracle
 from teampay.oracle import principal_payoff
 
-from helpers import KAPPA_HALF, clique, quadratic_problem, success_contract
+from helpers import (
+    KAPPA_HALF,
+    clique,
+    quadratic_problem,
+    random_symmetric_network,
+    softmax_instance,
+    success_contract,
+)
+
+SOFTMAX_SQRT = softmax_instance([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0], clique(2), tp.SqrtUtility())
+
+
+def _iterate_from_zero(problem, payments, tol, budget):
+    """The batched iteration as the exhaustive search runs it: every row
+    from zero effort, with its own sweep budget."""
+    return oracle._iterate(
+        problem, payments, tol, oracle._DAMPING, budget, oracle._GRID_POINTS, oracle._default_a_max(payments),
+        np.zeros((len(payments), problem.n)), True,
+    )
 
 
 def test_zero_contract_converges_immediately():
@@ -29,6 +51,70 @@ def test_symmetric_profile_from_asymmetric_init():
         problem, success_contract([0.25, 0.25]), tol=1e-10, init=np.array([0.9, 0.01])
     )
     assert abs(eq.actions[0] - eq.actions[1]) < 1e-8
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.booleans(), st.sampled_from([1e-8, 1e-10]))
+def test_batched_rows_match_one_by_one_iterations(seed, batch, softmax, tol):
+    rng = np.random.default_rng(seed)
+    if softmax:
+        problem = SOFTMAX_SQRT
+        payments = rng.uniform(0.0, 0.5, size=(batch, 2, 3))
+    else:
+        n = int(rng.integers(1, 4))
+        problem = quadratic_problem(random_symmetric_network(rng, n, 0.6))
+        payments = np.zeros((batch, n, 2))
+        payments[:, :, 1] = rng.uniform(0.0, 0.4, size=(batch, n))
+    # A small budget on some rows forces contracts that do not converge.
+    budget = np.where(rng.uniform(size=batch) < 0.3, rng.integers(1, 8, size=batch), 5000)
+    actions, residual, sweeps, converged = _iterate_from_zero(problem, payments, tol, budget)
+    for b in range(batch):
+        args = (problem, tp.Contract(payments[b]), tol)
+        kwargs = {"max_sweeps": int(budget[b]), "init": np.zeros(problem.n)}
+        if not converged[b]:
+            with pytest.raises(tp.OracleError):
+                tp.best_response_iterate(*args, **kwargs)
+            continue
+        eq = tp.best_response_iterate(*args, **kwargs)
+        assert np.max(np.abs(eq.actions - actions[b])) <= 1e-12
+        assert eq.iterations == sweeps[b]
+        assert abs(eq.residual - residual[b]) <= 1e-12
+
+
+def test_unconverged_row_leaves_its_neighbours_converged():
+    problem = quadratic_problem(clique(2))
+    payments = np.zeros((3, 2, 2))
+    payments[:, :, 1] = [[0.25, 0.25], [0.3, 0.1], [0.2, 0.2]]
+    budget = np.array([5000, 3, 5000])
+    actions, _, sweeps, converged = _iterate_from_zero(problem, payments, 1e-8, budget)
+    assert converged.tolist() == [True, False, True]
+    assert np.all(np.isnan(actions[1]))
+    assert sweeps[0] > 3 and sweeps[2] > 3
+    with pytest.raises(tp.OracleError):
+        tp.best_response_iterate(problem, tp.Contract(payments[1]), 1e-8, max_sweeps=3, init=np.zeros(2))
+
+
+def test_brute_force_scan_evaluation_count_and_memory(monkeypatch):
+    """One batched scan of the 961-contract verify grid stays within a
+    production-evaluation count and a traced-memory peak."""
+    calls = 0
+    value = tp.QuadraticNetworkProduction.value
+
+    def counted(self, a):
+        nonlocal calls
+        calls += 1
+        return value(self, a)
+
+    monkeypatch.setattr(tp.QuadraticNetworkProduction, "value", counted)
+    tracemalloc.start()
+    try:
+        contract, _ = tp.brute_force_optimal_contract(quadratic_problem(clique(2)), 0.02, (0.0, 0.6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert contract.payments[:, 1] == pytest.approx([0.28, 0.28], abs=1e-12)
+    assert calls <= 15_000
+    assert peak <= 1_000_000
 
 
 def test_brute_force_single_agent_closed_form():
