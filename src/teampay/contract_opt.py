@@ -217,26 +217,8 @@ def _solve_eq_selected(problem: Problem, contract: Contract, *, tol: float = 1e-
 
 def _payoff_gradient(problem: Problem, contract: Contract, eq: EquilibriumResult) -> np.ndarray:
     """Analytic gradient of the principal payoff in every payment cell."""
-    probs, dprobs, _ = problem.outcomes.probs_derivs(eq.performance)
-    d_term = float((problem.outcomes.revenues - contract.payments.sum(axis=0)) @ dprobs)
-    if np.any(eq.actions > ACTIVITY_TOL):
-        obj = _FirstOrderObjects(problem, contract, eq)
-        dy = obj.performance_gradient()
-    else:
-        # Dormant team: every agent sits at the degenerate corner, so the
-        # first incentive round has no spillover feedback.  Each agent's
-        # marginal product there is the own partial, which stays defined
-        # where the full gradient is singular (Cobb-Douglas at zero).
-        zeros = np.zeros(problem.n)
-        grad0 = np.array([problem.production.partial(zeros, i) for i in range(problem.n)])
-        curv0 = np.array([float(problem.costs[i].curvature(0.0)) for i in range(problem.n)])
-        marg = np.array([problem.utilities[i].marginal(contract.payments[i]) for i in range(problem.n)])
-        with np.errstate(invalid="ignore"):
-            dy = np.where(
-                dprobs[None, :] > 0.0, (grad0**2 / curv0)[:, None] * dprobs[None, :] * marg, 0.0
-            )
-        dy = np.nan_to_num(dy, nan=0.0, posinf=np.inf, neginf=-np.inf)
-    grad = d_term * dy - probs[None, :]
+    obj = _FirstOrderObjects(problem, contract, eq)
+    grad = obj.D_term * obj.performance_gradient() - eq.probs[None, :]
     # Unbounded entries (marginal utility at a zero payment) keep their sign
     # but are capped near the finite entries' scale, so one runaway
     # coordinate cannot starve the line search.
@@ -254,8 +236,8 @@ def _balance_residual_or_none(problem, contract, eq) -> float | None:
     try:
         return compute_balance_report(problem, contract, eq).max_relative_residual()
     except (DiagnosticsError, DomainError):
-        # No balance report where the production gradient is singular
-        # (Cobb-Douglas at the dormant profile).
+        # No balance report without active agents, or where the production
+        # gradient is singular (Cobb-Douglas with an idle agent).
         return None
 
 

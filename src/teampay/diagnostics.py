@@ -5,6 +5,13 @@ objects, agent centralities, the analytic performance-derivative matrix
 dY/dtau, fitted per-outcome balance constants with residuals, and the
 cross-agent / cross-outcome ratio identities that hold at optimal
 contracts.
+
+Every first-order object comes from one Jacobian ``J`` of the agents'
+first-order conditions on the active agents (assembled by the general
+solver's evaluator, ``equilibrium._first_order``) and one solve
+``J' v = -grad``: the centralities are ``v`` rescaled, and the l factor is
+``1 + d.v``.  dY/dtau is defined at the dormant profile as well, where no
+agent is active and every row is an idle agent's one-sided response.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .equilibrium import _first_order
 from .model import (
     Contract,
     EquilibriumResult,
@@ -45,13 +53,15 @@ class DiagnosticsError(RuntimeError):
 
 @dataclass(frozen=True)
 class BalanceReport:
-    """All first-order objects at one (contract, equilibrium) pair.
+    """All first-order objects at one (contract, equilibrium) pair, from one
+    solve with the first-order Jacobian on the active agents.
 
     Matrix-valued fields are restricted to active agents except
     ``centrality_all`` and ``dY_dtau``, which cover every agent (inactive
     agents get the extended construction).  ``lambda_by_outcome`` holds NaN
     where no active agent is paid or where ``D_term`` is too close to zero
-    to be meaningful.
+    to be meaningful.  A report needs an active agent; ``dY_dtau`` alone
+    (:func:`marginal_performance`) is defined at the dormant profile too.
     """
 
     active_agents: tuple
@@ -112,108 +122,74 @@ def _marginal_utilities(problem: Problem, payments: np.ndarray) -> np.ndarray:
 
 
 class _FirstOrderObjects:
-    """Shared assembly for the balance report and the dY/dtau matrix."""
+    """The balance objects and the dY/dtau matrix, from the agents'
+    first-order Jacobian ``J`` on the active agents and one solve of
+    ``J' v = -grad``."""
 
     def __init__(self, problem: Problem, contract: Contract, eq: EquilibriumResult):
         n = problem.n
         a = eq.actions
-        y = eq.performance
         payments = contract.payments
 
         self.problem = problem
         self.contract = contract
-        self.eq = eq
-        self.active = np.flatnonzero(a > ACTIVITY_TOL)
-        self.inactive = np.flatnonzero(a <= ACTIVITY_TOL)
+        self.active = act = np.flatnonzero(a > ACTIVITY_TOL)
+        self.inactive = inact = np.flatnonzero(a <= ACTIVITY_TOL)
 
-        self.probs, self.dprobs, self.d2probs = outcome_probs(problem.outcomes, y)
         u_levels = np.array([problem.utilities[i].value(payments[i]) for i in range(n)])
-        self.u_levels = u_levels
         self.u_marginals = _marginal_utilities(problem, payments)
+        system = _first_order(problem, u_levels, a, act)
+        self.probs, self.dprobs = system.probs, system.dprobs
+        grad, curv = system.grad, system.curv
+        hess = system.hess if act.size else np.zeros((n, n))
 
-        self.grad = problem.production.gradient(a)
-        self.hess_all = problem.production.hessian(a)
-        self.curv_all = np.array([float(problem.costs[i].curvature(a[i])) for i in range(n)])
-        # Payment sensitivity: marginal change in expected payment utility as
-        # performance rises, holding the contract fixed.
-        self.payment_util_all = u_levels @ self.dprobs
-
-        act = self.active
-        if act.size == 0:
-            raise DiagnosticsError("no active agents; balance objects are undefined")
-        if np.any(self.curv_all[act] <= 0.0):
+        h_act = curv[act]
+        if np.any(h_act <= 0.0):
             raise DiagnosticsError("cost curvature must be positive at active actions")
-
-        # Response system on active agents: rows of [H - U G].
-        h_act = self.curv_all[act]
-        u_act = self.payment_util_all[act]
-        g_act = self.hess_all[np.ix_(act, act)]
-        m_act = np.diag(h_act) - u_act[:, None] * g_act
-        grad_act = self.grad[act]
         try:
-            # w' = grad' [H - U G]^{-1}; w_i * grad_i is the
-            # productivity-times-centrality product for agent i.
-            self.w_act = np.linalg.solve(m_act.T, grad_act)
+            v = np.linalg.solve(system.jac.T, -grad[act])
         except np.linalg.LinAlgError as exc:
-            spill = np.diag(1.0 / np.sqrt(h_act)) @ (u_act[:, None] * g_act) @ np.diag(1.0 / np.sqrt(h_act))
-            radius = float(np.max(np.abs(np.linalg.eigvals(spill))))
-            raise DiagnosticsError(
-                f"singular response system (spillover spectral radius {radius:.6g})"
-            ) from exc
-
-        # Symmetrized objects for the report.
-        self.curvature = h_act
-        self.alpha = grad_act / np.sqrt(h_act)
-        self.hessian = g_act
-        self.payment_utility = u_act
-        spill = (u_act / np.sqrt(h_act))[:, None] * g_act / np.sqrt(h_act)[None, :]
-        self.centrality = np.linalg.solve((np.eye(act.size) - spill).T, self.alpha)
-
-        # Dampening factor from the probability curvature feedback.
-        d_act = grad_act * (u_levels[act] @ self.d2probs)
-        self.d_vector = d_act
-        denom = 1.0 - float(self.w_act @ d_act)
-        if abs(denom) < 1e-14:
+            raise DiagnosticsError("singular first-order Jacobian on the active agents") from exc
+        # J = d grad' - [H - U G] with the probability-curvature vector d, so
+        # v = l w with w' = grad' [H - U G]^{-1} and l = 1 + d.v; w_i * grad_i
+        # is the productivity-times-centrality product for agent i.
+        self.d_vector = grad[act] * system.bend[act]
+        self.l_factor = 1.0 + float(self.d_vector @ v)
+        if abs(self.l_factor) >= 1e14:
             raise DiagnosticsError("probability-curvature feedback is singular (l factor blows up)")
-        self.l_factor = 1.0 / denom
+        w = np.zeros(n)
+        w[act] = v / self.l_factor
 
-        # Extended products for inactive agents, block-solved so that a
-        # vanishing curvature at zero action stays finite where possible.
-        self.w_all = np.zeros(n)
-        self.w_all[act] = self.w_act
-        strict_corner = np.zeros(n, dtype=bool)
-        if self.inactive.size:
-            for j in self.inactive:
-                if self.payment_util_all[j] < -1e-15:
-                    strict_corner[j] = True  # paid only at unfavorable outcomes
-            cross = self.grad[self.inactive] + (
-                (self.w_act * u_act) @ self.hess_all[np.ix_(act, self.inactive)]
-            )
-            with np.errstate(divide="ignore", invalid="ignore"):
-                unbounded = np.where(cross == 0.0, 0.0, np.inf * np.sign(cross))
-                w_in = np.where(
-                    self.curv_all[self.inactive] > 0.0,
-                    cross / np.maximum(self.curv_all[self.inactive], 1e-300),
-                    unbounded,
-                )
-            self.w_all[self.inactive] = w_in
-        self.strict_corner = strict_corner
+        # Symmetrized objects for the report.  The payment sensitivity is the
+        # marginal change in expected payment utility as performance rises,
+        # holding the contract fixed.
+        self.curvature = h_act
+        self.alpha = grad[act] / np.sqrt(h_act)
+        self.hessian = hess[np.ix_(act, act)]
+        self.payment_utility = system.sens[act]
+        self.centrality = np.sqrt(h_act) * w[act]
 
-        self.products_all = self.w_all * self.grad  # alpha_i * c_i for every agent
+        # Extended products for inactive agents, which do not respond to the
+        # others: a vanishing curvature at zero action stays finite where
+        # possible.
+        cross = grad[inact] + (w[act] * self.payment_utility) @ hess[np.ix_(act, inact)]
+        curv_in = curv[inact]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            unbounded = np.where(cross == 0.0, 0.0, np.inf * np.sign(cross))
+            w[inact] = np.where(curv_in > 0.0, cross / np.maximum(curv_in, 1e-300), unbounded)
+        self.products_all = w * grad  # alpha_i * c_i for every agent
+        # An inactive agent responds only at outcomes with a positive
+        # probability slope, and not at all at a strict corner: paid only at
+        # unfavorable outcomes.
+        strict_corner = system.sens[inact] < -1e-15
+        self.responds = np.ones(self.u_marginals.shape, dtype=bool)
+        self.responds[inact] = (self.dprobs > 0.0) & ~strict_corner[:, None]
 
         # Full centrality vector in the symmetrized convention, where defined.
         self.centrality_all = np.full(n, np.nan)
         self.centrality_all[act] = self.centrality
-        if self.inactive.size and np.all(self.curv_all[self.inactive] > 0.0):
-            sq = np.sqrt(self.curv_all)
-            alpha_all = self.grad / sq
-            u_ext = self.payment_util_all.copy()
-            u_ext[self.inactive] = 0.0
-            spill_all = (u_ext / sq)[:, None] * self.hess_all / sq[None, :]
-            try:
-                self.centrality_all = np.linalg.solve((np.eye(n) - spill_all).T, alpha_all)
-            except np.linalg.LinAlgError:
-                pass
+        if np.all(curv_in > 0.0):
+            self.centrality_all = np.sqrt(curv) * w
 
         self.D_term = float(
             (problem.outcomes.revenues - payments.sum(axis=0)) @ self.dprobs
@@ -227,24 +203,12 @@ class _FirstOrderObjects:
         outcome with positive probability slope moves them (one-sided
         derivative given by the same formula), while other perturbations
         leave them pinned.  Inactive agents paid only at unfavorable
-        outcomes are at a strict corner and do not respond at all.
+        outcomes are at a strict corner and do not respond at all.  At the
+        dormant profile every agent is inactive and ``l_factor`` is 1.
         """
-        n = self.problem.n
-        S = self.probs.size
-        out = np.zeros((n, S))
-        for i in range(n):
-            if i in self.inactive and self.strict_corner[i]:
-                continue
-            for s in range(S):
-                if i in self.inactive and self.dprobs[s] <= 0.0:
-                    continue
-                out[i, s] = (
-                    self.l_factor
-                    * self.dprobs[s]
-                    * self.products_all[i]
-                    * self.u_marginals[i, s]
-                )
-        return out
+        with np.errstate(invalid="ignore"):
+            out = self.l_factor * self.dprobs * self.products_all[:, None] * self.u_marginals
+        return np.where(self.responds, out, 0.0)
 
     def fit_lambdas(self):
         payments = self.contract.payments
@@ -268,6 +232,8 @@ class _FirstOrderObjects:
 def compute_balance_report(problem: Problem, contract: Contract, eq: EquilibriumResult) -> BalanceReport:
     """Assemble every balance object at the given equilibrium."""
     obj = _FirstOrderObjects(problem, contract, eq)
+    if obj.active.size == 0:
+        raise DiagnosticsError("no active agents; balance objects are undefined")
     lam, resid = obj.fit_lambdas()
     return BalanceReport(
         active_agents=tuple(int(i) for i in obj.active),

@@ -10,6 +10,8 @@ utility / cost combinations.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 from scipy.optimize import brentq
 
@@ -249,12 +251,13 @@ def _foc(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, ai):
 _NEWTON_STOP = 4.0 * np.finfo(float).eps  # relative step at which Newton has converged
 
 
-def _refine_root(problem, u_levels, i, a, lo, hi) -> float:
+def _refine_root(problem, u_levels, i, a, lo, hi, start=None) -> float:
     """Safeguarded Newton for the first-order condition inside a bracket with
-    g(lo) > 0 >= g(hi): a step that leaves the bracket takes its midpoint.
-    Stops at an exact zero of g, or once the step is within four ulps of the
-    iterate, which is as close as double precision resolves a root."""
-    x = 0.5 * (lo + hi)
+    g(lo) > 0 >= g(hi), from ``start`` (the bracket's midpoint when None): a
+    step that leaves the bracket takes its midpoint.  Stops at an exact zero
+    of g, or once the step is within four ulps of the iterate, which is as
+    close as double precision resolves a root."""
+    x = 0.5 * (lo + hi) if start is None else start
     for _ in range(100):
         gx, slope = (float(v) for v in _foc(problem, u_levels, i, a, x))
         if gx == 0.0:
@@ -282,13 +285,14 @@ def _best_response(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray
     """Agent i's best response: probe for sign changes of the first-order
     condition, then safeguarded Newton in each bracket;
     multiple roots are resolved by comparing payoffs.  A ``hint`` near the
-    previous response tries a cheap local bracket before the full probe grid.
+    previous response tries a cheap local bracket, with Newton started at
+    the hint, before the full probe grid.
     """
     if hint is not None and hint > 1e-9:
         lo, hi = 0.7 * hint, 1.45 * hint
         (g_lo, g_hi), _ = _foc(problem, u_levels, i, a, [lo, hi])
         if g_lo > 0.0 >= g_hi:
-            return float(_refine_root(problem, u_levels, i, a, lo, hi))
+            return float(_refine_root(problem, u_levels, i, a, lo, hi, start=hint))
     probes = np.unique(np.concatenate([
         np.geomspace(1e-11, a_max, 24),
         np.linspace(a_max / 12.0, a_max, 12),
@@ -326,6 +330,51 @@ def _foc_residual(problem: Problem, u_levels: np.ndarray, a: np.ndarray) -> floa
     return res
 
 
+class _FirstOrder(NamedTuple):
+    """The agents' first-order system at one profile ``a``: the outcome
+    curve at ``Y(a)``, each agent's payment sensitivity ``sens = u P'`` and
+    bend ``u P''``, the marginal products ``grad`` and cost curvatures
+    ``curv``, the residual ``foc = sens * grad - C'(a)`` of every agent, and
+    on a support the Jacobian ``jac = d foc / da`` (``hess`` is the
+    production Hessian, None for an empty support)."""
+
+    probs: np.ndarray
+    dprobs: np.ndarray
+    sens: np.ndarray
+    bend: np.ndarray
+    grad: np.ndarray
+    curv: np.ndarray
+    foc: np.ndarray
+    hess: np.ndarray | None
+    jac: np.ndarray
+
+
+def _first_order(problem: Problem, u_levels: np.ndarray, a: np.ndarray, support: np.ndarray) -> _FirstOrder:
+    """Evaluate the first-order system at ``a`` (see :class:`_FirstOrder`);
+    raises :class:`DomainError` where a derivative is undefined."""
+    n = problem.n
+    probs, dp, d2p = problem.outcomes.probs_derivs(float(problem.production.value(a)))
+    sens, bend = _dot_last(u_levels, dp), _dot_last(u_levels, d2p)
+    if np.any(a):
+        grad = problem.production.gradient(a)
+    else:
+        # The dormant profile, where the Cobb-Douglas gradient is singular but
+        # every own partial is defined.
+        grad = np.array([float(problem.production.partial(a, i)) for i in range(n)])
+    marginal = np.array([float(problem.costs[i].marginal(a[i])) for i in range(n)])
+    curv = np.array([float(problem.costs[i].curvature(a[i])) for i in range(n)])
+    hess, jac = None, np.zeros((0, 0))
+    if support.size:
+        hess = problem.production.hessian(a)
+        g = grad[support]
+        jac = (
+            np.outer(bend[support] * g, g)
+            + sens[support][:, None] * hess[np.ix_(support, support)]
+            - np.diag(curv[support])
+        )
+    return _FirstOrder(probs, dp, sens, bend, grad, curv, sens * grad - marginal, hess, jac)
+
+
 def _newton_snap(problem: Problem, u_levels: np.ndarray, a: np.ndarray, steps: int = 6):
     """Full-system Newton on the interior first-order conditions, used as a
     terminal accelerator once damped best responses are close; the caller
@@ -335,34 +384,15 @@ def _newton_snap(problem: Problem, u_levels: np.ndarray, a: np.ndarray, steps: i
         return a
     x = a.copy()
     for _ in range(steps):
-        y = float(problem.production.value(x))
         try:
-            _, dp, d2p = problem.outcomes.probs_derivs(y)
+            system = _first_order(problem, u_levels, x, support)
         except DomainError:
             return None
-        try:
-            grad = problem.production.gradient(x)[support]
-        except DomainError:
-            return None
-        sens = np.array([float(dp @ u_levels[i]) for i in support])
-        curve = np.array([float(d2p @ u_levels[i]) for i in support])
-        f = np.array([
-            sens[k] * grad[k] - float(problem.costs[i].marginal(x[i]))
-            for k, i in enumerate(support)
-        ])
+        f = system.foc[support]
         if np.max(np.abs(f)) < 1e-15:
             return x
         try:
-            hess = problem.production.hessian(x)[np.ix_(support, support)]
-        except DomainError:
-            return None
-        jac = (
-            np.outer(curve * grad, grad)
-            + sens[:, None] * hess
-            - np.diag([float(problem.costs[i].curvature(x[i])) for i in support])
-        )
-        try:
-            delta = np.linalg.solve(jac, -f)
+            delta = np.linalg.solve(system.jac, -f)
         except np.linalg.LinAlgError:
             return None
         x_new = x.copy()

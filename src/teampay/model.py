@@ -139,10 +139,6 @@ class Network:
         w[j, i] = weight
         return Network(w, self.scale)
 
-    def is_unweighted(self) -> bool:
-        vals = np.unique(self.weights)
-        return bool(np.all(np.isin(vals, (0.0, 1.0))))
-
 
 # ---------------------------------------------------------------------------
 # production functions

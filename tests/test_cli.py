@@ -152,6 +152,19 @@ def test_diagnose_outputs_report(files, capsys):
     assert out["l_factor"] == 1
 
 
+def test_diagnose_at_a_dormant_cobb_douglas_equilibrium_is_a_solver_failure(tmp_path, capsys):
+    problem = tmp_path / "cobb_douglas.json"
+    problem.write_text(json.dumps({
+        "n": 2, "production": {"type": "cobb_douglas", "shares": [1, 2]},
+        "outcomes": {"type": "binary_success", "success": {"type": "power", "exponent": 5}},
+        "utilities": {"type": "linear"}, "costs": {"type": "power"},
+    }))
+    contract = tmp_path / "contract.json"
+    contract.write_text(json.dumps({"payments": [[0, 0.1], [0, 0.2]]}))
+    assert run(["diagnose", str(problem), "--contract", str(contract)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "solver"
+
+
 def test_active_set_command(files, capsys):
     _, problem, _, _ = files
     assert run(["active-set", str(problem)]) == 0

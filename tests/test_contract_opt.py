@@ -317,6 +317,28 @@ def test_general_optimizer_pays_nothing_at_a_dormant_cobb_douglas_optimum():
     assert general.principal_payoff == pytest.approx(closed.principal_payoff, abs=1e-12)
 
 
+def test_dormant_payoff_gradient_keeps_a_strict_corner_agent_pinned():
+    # Agent 0 is paid only at failure: a small success payment leaves its
+    # payment sensitivity negative, so it stays idle and the payoff moves
+    # only through the payment itself.
+    problem = quadratic_problem(clique(2))
+    payments = np.array([[0.3, 0.0], [0.0, 0.0]])
+    contract = tp.Contract(payments)
+    eq = tp.solve_equilibrium_general(problem, contract, tol=1e-12)
+    assert not np.any(eq.actions)
+    # Only the unpaid agent responds, and only to a success payment.
+    assert np.array_equal(tp.marginal_performance(problem, contract, eq), [[0.0, 0.0], [0.0, 0.5]])
+    grad = contract_opt._payoff_gradient(problem, contract, eq)
+    base = contract_opt._principal_payoff(problem, contract, eq.probs)
+    h = 1e-6
+    for s in range(2):
+        up = payments.copy()
+        up[0, s] += h
+        eq_up = tp.solve_equilibrium_general(problem, tp.Contract(up), init=eq.actions, tol=1e-12)
+        fd = (contract_opt._principal_payoff(problem, tp.Contract(up), eq_up.probs) - base) / h
+        assert abs(grad[0, s] - fd) <= 1e-5
+
+
 def test_cobb_douglas_guard_rejects_degenerate_total_share():
     with pytest.raises(tp.ModelError):
         tp.closed_form_cobb_douglas([1.0, 1.0], CD_P)

@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import teampay as tp
+from teampay.diagnostics import ACTIVITY_TOL
 
 from helpers import (
     KAPPA_HALF,
     clique,
     gradient_fd_battery,
     quadratic_problem,
+    random_symmetric_network,
     softmax_instance,
     success_contract,
 )
@@ -201,3 +205,102 @@ def test_extended_centralities_positive_with_inada_utilities():
     opt = tp.optimize_general(problem)
     report = tp.compute_balance_report(problem, opt.contract, opt.equilibrium)
     assert np.all(report.centrality_all > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# one solve of the first-order Jacobian against a three-solve assembly
+# ---------------------------------------------------------------------------
+
+
+def _three_solve_assembly(problem, contract, a):
+    """Reference for the balance objects, built from ``M = diag(h) - U G``
+    with three separate solves: ``M' w = grad`` on the active agents, the
+    symmetrized centrality from ``(I - S)' c = alpha``, the extended
+    centrality from the full ``n x n`` system, and the l factor from
+    Sherman-Morrison on the rank-one probability-curvature term."""
+    n = problem.n
+    payments = contract.payments
+    _, dprobs, d2probs = tp.outcome_probs(problem.outcomes, float(problem.production.value(a)))
+    u_levels = np.array([problem.utilities[i].value(payments[i]) for i in range(n)])
+    u_marg = np.array([problem.utilities[i].marginal(payments[i]) for i in range(n)])
+    grad = problem.production.gradient(a)
+    hess = problem.production.hessian(a)
+    curv = np.array([float(problem.costs[i].curvature(a[i])) for i in range(n)])
+    sens = u_levels @ dprobs
+    act, inact = np.flatnonzero(a > ACTIVITY_TOL), np.flatnonzero(a <= ACTIVITY_TOL)
+
+    h, u, g = curv[act], sens[act], hess[np.ix_(act, act)]
+    w_act = np.linalg.solve((np.diag(h) - u[:, None] * g).T, grad[act])
+    spill = (u / np.sqrt(h))[:, None] * g / np.sqrt(h)[None, :]
+    centrality = np.linalg.solve((np.eye(act.size) - spill).T, grad[act] / np.sqrt(h))
+    l_factor = 1.0 / (1.0 - w_act @ (grad[act] * (u_levels[act] @ d2probs)))
+
+    w_all = np.zeros(n)
+    w_all[act] = w_act
+    for j in inact:
+        cross = grad[j] + (w_act * u) @ hess[act, j]
+        w_all[j] = cross / curv[j] if curv[j] > 0.0 else (0.0 if cross == 0.0 else np.inf * np.sign(cross))
+    centrality_all = np.full(n, np.nan)
+    centrality_all[act] = centrality
+    if inact.size and np.all(curv[inact] > 0.0):
+        sq = np.sqrt(curv)
+        u_ext = np.where(a > ACTIVITY_TOL, sens, 0.0)
+        spill_all = (u_ext / sq)[:, None] * hess / sq[None, :]
+        centrality_all = np.linalg.solve((np.eye(n) - spill_all).T, grad / sq)
+
+    dy = np.zeros((n, dprobs.size))
+    for i in range(n):
+        if i in inact and sens[i] < -1e-15:
+            continue
+        for s in range(dprobs.size):
+            if i in inact and dprobs[s] <= 0.0:
+                continue
+            with np.errstate(invalid="ignore"):
+                dy[i, s] = l_factor * dprobs[s] * w_all[i] * grad[i] * u_marg[i, s]
+    return centrality, centrality_all, l_factor, dy
+
+
+def _assert_relatively_close(x, ref, rtol=1e-12):
+    finite = np.isfinite(ref)
+    scale = float(np.max(np.abs(ref[finite]))) if finite.any() else 0.0
+    np.testing.assert_allclose(x, ref, rtol=rtol, atol=rtol * scale)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 6), softmax=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_one_jacobian_solve_matches_the_three_solve_assembly(n, softmax, seed):
+    rng = np.random.default_rng(seed)
+    if softmax:
+        outcomes = tp.SoftmaxOutcomeModel(np.sort(rng.uniform(0.0, 2.5, size=3)),
+                                          rng.uniform(-0.5, 0.5, size=3), rng.uniform(0.0, 2.0, size=3))
+    else:
+        outcomes = tp.BinaryOutcomeModel(
+            tp.LogisticSuccess(float(rng.uniform(0.3, 1.0)), float(rng.uniform(-0.5, 0.0)))
+            if rng.uniform() < 0.5 else tp.PowerSuccess(float(rng.uniform(1.0, 3.0))))
+    utility = [tp.LinearUtility(), tp.SqrtUtility(), tp.Log1pUtility()][int(rng.integers(3))]
+    problem = tp.Problem(
+        n=n,
+        production=tp.QuadraticNetworkProduction(random_symmetric_network(rng, n, high=0.5)),
+        outcomes=outcomes,
+        utilities=(utility,) * n,
+        costs=tuple(tp.PowerCost(float(rng.uniform(0.5, 2.0)), float(rng.choice([2.0, 2.5, 3.0])))
+                    for _ in range(n)),
+    )
+    # Unpaid agents are idle; a few paid agents are idle too.  The identity
+    # is algebraic, so any profile serves, not only an equilibrium.
+    paid = rng.uniform(size=n) < 0.7
+    paid[0] = True
+    payments = np.where(paid[:, None], rng.uniform(0.02, 0.5, size=(n, outcomes.n_outcomes)), 0.0)
+    a = np.where(paid & (rng.uniform(size=n) < 0.85), rng.uniform(0.2, 1.5, size=n), 0.0)
+    a[0] = rng.uniform(0.2, 1.5)
+    contract = tp.Contract(payments)
+    y = float(problem.production.value(a))
+    eq = tp.EquilibriumResult(actions=a, performance=y, probs=problem.outcomes.probs(y),
+                              iterations=0, residual=0.0)
+
+    centrality, centrality_all, l_factor, dy = _three_solve_assembly(problem, contract, a)
+    report = tp.compute_balance_report(problem, contract, eq)
+    _assert_relatively_close(report.centrality, centrality)
+    _assert_relatively_close(report.centrality_all, centrality_all)
+    assert report.l_factor == pytest.approx(l_factor, rel=1e-12)
+    _assert_relatively_close(report.dY_dtau, dy)

@@ -16,6 +16,7 @@ from helpers import (
     random_production,
     random_quadratic_binary,
     random_symmetric_network,
+    softmax_instance,
     solver_oracle_agreement,
     success_contract,
 )
@@ -359,3 +360,64 @@ def test_linear_success_sweep_solves_each_equilibrium_once(monkeypatch):
     assert all(err is None for err in curve.errors)
     assert counts["equilibria"] == 5
     assert counts["solves"] == counts["equilibria"]
+
+
+# ---------------------------------------------------------------------------
+# the first-order system
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(PRODUCTION_FAMILIES), softmax=st.booleans(),
+       n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_first_order_jacobian_matches_central_differences(family, softmax, n, seed):
+    rng = np.random.default_rng(seed)
+    if softmax:
+        outcomes = tp.SoftmaxOutcomeModel([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0])
+    else:
+        outcomes = tp.BinaryOutcomeModel(tp.LogisticSuccess(0.7, -0.3))
+    utility = tp.SqrtUtility() if rng.uniform() < 0.5 else tp.LinearUtility()
+    problem = tp.Problem(
+        n=n, production=random_production(family, n, rng), outcomes=outcomes,
+        utilities=(utility,) * n,
+        costs=tuple(tp.PowerCost(float(rng.uniform(0.5, 2.0)), float(rng.choice([2.0, 2.5, 3.0])))
+                    for _ in range(n)),
+    )
+    payments = rng.uniform(0.05, 1.0, size=(n, outcomes.n_outcomes))
+    u_levels = np.array([utility.value(row) for row in payments])
+    a = rng.uniform(0.2, 2.0, size=n)
+    support = np.flatnonzero(rng.uniform(size=n) < 0.7)
+    assume(support.size)
+
+    jac = equilibrium._first_order(problem, u_levels, a, support).jac
+    fd = np.empty_like(jac)
+    for k, j in enumerate(support):
+        h = 3e-6 * a[j]
+        up, dn = a.copy(), a.copy()
+        up[j] += h
+        dn[j] -= h
+        fd[:, k] = (equilibrium._first_order(problem, u_levels, up, support).foc[support]
+                    - equilibrium._first_order(problem, u_levels, dn, support).foc[support]) / (2.0 * h)
+    assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
+
+
+def test_hinted_best_response_starts_newton_at_the_hint(monkeypatch):
+    problem = softmax_instance([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0], clique(2), tp.SqrtUtility())
+    payments = np.array([[0.05, 0.15, 0.5], [0.05, 0.2, 0.4]])
+    u_levels = np.array([problem.utilities[i].value(payments[i]) for i in range(2)])
+    a = np.array([0.4, 0.3])
+    a_max = equilibrium.default_action_bound(tp.Contract(payments))
+    root = equilibrium._best_response(problem, u_levels, 0, a, a_max)
+    assert root > 0.0
+
+    calls = []
+    foc = equilibrium._foc
+
+    def counted(*args):
+        calls.append(args)
+        return foc(*args)
+
+    monkeypatch.setattr(equilibrium, "_foc", counted)
+    again = equilibrium._best_response(problem, u_levels, 0, a, a_max, hint=root)
+    assert len(calls) <= 3
+    assert abs(again - root) <= 4.0 * np.spacing(root)
