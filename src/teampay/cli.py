@@ -147,7 +147,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise _CliError(f"cannot parse grid {spec!r}; expected lo:hi:step", 1) from exc
     if step <= 0 or hi < lo:
         raise _CliError(f"bad grid bounds {spec!r}", 1)
-    count = int(round((hi - lo) / step)) + 1
+    # The slack keeps a grid whose last step lands on hi up to rounding (0:1:0.02).
+    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
     return lo + step * np.arange(count)
 
 

@@ -7,6 +7,11 @@ closed form for the quadratic-network binary environment
 balanced-neighborhood-equity structure: the share cubic's root under a linear
 success probability, a one-dimensional search otherwise), and transformed
 closed forms for Cobb-Douglas and CES production.
+
+The one-dimensional searches are parametrized by the equilibrium
+performance ``y``: the total share that makes ``y`` an equilibrium is
+explicit in each environment, so no candidate needs an equilibrium solve;
+only the optimum's contract is solved, as a check.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ from scipy.optimize import brentq
 from .diagnostics import ACTIVITY_TOL, DiagnosticsError, _FirstOrderObjects, compute_balance_report
 from .equilibrium import (
     EquilibriumError,
-    _performance_fixed_point,
     _performance_map,
     solve_equilibrium_general,
     solve_equilibrium_quadratic_binary,
@@ -64,8 +68,10 @@ _BIG_GRADIENT = 1e6  # stand-in for unbounded marginal utility at a zero payment
 _STEP_INIT = 0.5       # first projected-ascent step length
 _ARMIJO = 1e-4         # sufficient-increase fraction of the line search
 _MAX_BACKTRACKS = 60   # step halvings per line search
-_PRESCAN = 64          # grid points of the 1-D share search
-_GOLDEN_TOL = 1e-11    # bracket width at which the share search stops
+_PRESCAN = 257         # geometric grid points of the 1-D performance search
+_Y_FLOOR = 1e-10       # first grid point of the performance search
+_Y_CEIL = 1e8          # highest performance searched without a success cap
+_GOLDEN_TOL = 1e-11    # bracket width, relative to its upper end, at which the search stops
 
 
 class OptimizationError(RuntimeError):
@@ -578,25 +584,39 @@ def optimal_active_set(network: Network, p: SuccessProbability, *, cap: int = 16
 # ---------------------------------------------------------------------------
 
 
-def _balanced_performance(s: float, rate: float, p: SuccessProbability) -> float:
-    """Equilibrium performance under a balanced-equity contract with total
-    share ``s`` and neighborhood equity ``lam = s * rate``.
+def _balanced_share(y, rate: float, p: SuccessProbability):
+    """Total share of the balanced-equity contract (neighborhood equity
+    ``lam = s * rate``) whose equilibrium performance is ``y``.
 
-    This is the one-mode case of the quadratic equilibrium's performance map
-    (eigenvalue ``lam``, squared loading ``s``):
-    ``y = s * (P'/(1 - P' lam) + P'^2 lam / (2 (1 - P' lam)^2))``.  Under a
-    linear success probability the right side does not depend on y and is
-    the answer; otherwise the fixed point is found by brentq.
+    This inverts the one-mode case of the quadratic equilibrium's
+    performance map, ``y = s (c/q + c^2 lam / (2 q^2))`` with ``c = P'(y)``
+    and ``q = 1 - c lam``.  In ``x = c lam`` the map reads
+    ``2 rate y = 1/(1 - x)^2 - 1``, so ``x = 1 - 1/r`` with
+    ``r = sqrt(1 + 2 rate y)`` and ``s = x / (rate c) = 2y / (r (1 + r) c)``,
+    which is ``y / c`` at rate 0.  Every ``y >= 0`` has ``x < 1``, so the
+    spectral condition holds all along the curve.
     """
-    lam = s * rate
-    if not isinstance(p, LinearCappedSuccess):
-        return _performance_fixed_point(s, lam, p)[0]
-    if p.slope * lam >= 1.0:
-        raise EquilibriumError(f"no balanced equilibrium: slope * equity = {p.slope * lam:.6g} >= 1")
-    y = _performance_map(float(p.slope), s, lam)
-    if y > p.cap * (1.0 - 1e-12):
-        raise CapExceededError("balanced performance would reach the probability cap")
-    return y
+    r = np.sqrt(1.0 + 2.0 * rate * y)
+    return 2.0 * y / (r * (1.0 + r) * p.deriv(y))
+
+
+def _payoff_along(share, p: SuccessProbability, y_max: float, stable=None):
+    """The principal payoff ``(1 - s(y)) P(y)`` along a share curve ``s``,
+    vectorised over the performance ``y``; ``-inf`` past ``y_max``, where the
+    share reaches 1, or where ``stable(y, s)`` fails."""
+    def payoff(y):
+        y = np.asarray(y, dtype=float)
+        inside = y <= y_max
+        y = np.where(inside, y, y_max)
+        # Off the valid range the curve may overflow or divide by zero; those
+        # points are masked out.
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            s = np.asarray(share(y))
+            ok = inside & (s < 1.0)
+            if stable is not None:
+                ok &= stable(y, s)
+            return np.where(ok, (1.0 - s) * p.value(y), -np.inf)
+    return payoff
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
@@ -616,34 +636,45 @@ def _golden_max(f, lo: float, hi: float, tol: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def _share_search(payoff, smax: float, zero_payoff: float) -> float:
-    """Coarse prescan then golden-section refinement of a 1-D share payoff;
-    a maximum at the first grid point is refined down to share 0.  Paying
-    nothing earns ``zero_payoff``, and share 0 wins when that is more."""
-    grid = np.linspace(smax / _PRESCAN, smax, _PRESCAN)
-    vals = np.array([payoff(s) for s in grid])
-    k = int(np.argmax(vals))
+def _performance_search(payoff, y_max: float, zero_payoff: float) -> float:
+    """Maximizer over the equilibrium performance of a payoff from
+    ``_payoff_along``: a geometric prescan of ``(0, y_max]``, then
+    golden-section refinement around the best grid point; a maximum at the
+    first grid point is refined down to 0.  Paying nothing earns
+    ``zero_payoff``, and performance 0 wins when that is no less."""
+    grid = np.geomspace(_Y_FLOOR, y_max, _PRESCAN)
+    k = int(np.argmax(payoff(grid)))
     lo = grid[k - 1] if k > 0 else 0.0
     hi = grid[min(_PRESCAN - 1, k + 1)]
-    s = _golden_max(payoff, lo, hi, _GOLDEN_TOL)
-    return 0.0 if zero_payoff > payoff(s) else s
+    y = _golden_max(payoff, lo, hi, _GOLDEN_TOL * hi)
+    return 0.0 if zero_payoff >= payoff(y) else float(y)
 
 
-def _share_kkt(payoff, s: float, smax: float, value: float) -> float:
-    """Finite-difference optimality residual of a 1-D share payoff at ``s``,
-    where the payoff is ``value``."""
-    h = max(1e-7, 1e-7 * s)
-    up = payoff(min(s + h, smax))
-    if s == 0.0:
+def _share_kkt(payoff, share, x: float, value: float) -> float:
+    """Finite-difference optimality residual, in the total share, of a 1-D
+    payoff in ``x`` at ``x``, where the payoff is ``value`` and ``share(x)``
+    is the total share, increasing in ``x``: the chain rule
+    ``dpi/ds = (dpi/dx) / (ds/dx)``.  With ``x`` the share itself this is the
+    plain difference quotient of the payoff."""
+    h = max(1e-7, 1e-7 * x)
+    up = payoff(x + h)
+    if x == 0.0:
         # Zero share sits on the bound: only a payoff rising away from it
         # violates optimality.
-        return max(0.0, (up - value) / h)
-    down = payoff(max(s - h, 1e-12))
-    if np.isfinite(up):
-        return abs(up - down) / (2 * h)
-    # Past the cap kink: s is an upper-bound optimum, so only a payoff
-    # falling towards it from the left violates optimality.
-    return max(0.0, -(value - down) / h)
+        lo, hi, slope = 0.0, h, max(0.0, (up - value) / h)
+    else:
+        lo = max(x - h, 1e-12)
+        down = payoff(lo)
+        if np.isfinite(up):
+            hi, slope = x + h, abs(up - down) / (2 * h)
+        else:
+            # Past the cap kink: x is an upper-bound optimum, so only a
+            # payoff falling towards it from the left violates optimality.
+            hi, slope = x, max(0.0, -(value - down) / h)
+    if slope == 0.0:
+        # Nothing to convert; the share's slope may be undefined at 0.
+        return 0.0
+    return float(slope / ((share(hi) - share(lo)) / (hi - lo)))
 
 
 def optimize_quadratic_binary(
@@ -654,10 +685,10 @@ def optimize_quadratic_binary(
     Enumerates candidate active sets, takes the best balance rate, and
     maximizes the exact principal payoff over the total share.  Under a
     linear success probability the optimal share is the root of the share
-    cubic; otherwise, or when that root's performance reaches the cap, a
-    golden-section search re-solves the balanced-equity performance fixed
-    point at each candidate share.  Falls back to the gradient optimizer
-    when no usable candidate set exists.
+    cubic; otherwise, or when that root's performance reaches the cap, the
+    search runs over the equilibrium performance, whose balanced-equity
+    share is explicit (``_balanced_share``).  Falls back to the gradient
+    optimizer when no usable candidate set exists.
     """
     try:
         candidates = optimal_active_set(network, p)
@@ -671,27 +702,30 @@ def optimize_quadratic_binary(
     agents = np.array(best.agents, dtype=int)
     rate = best.share_rate
     n = network.n
+    linear = isinstance(p, LinearCappedSuccess)
+    y_max = p.cap * (1.0 - 1e-12) if linear else _Y_CEIL
 
-    smax = 1.0 - 1e-12
-    if rate > 0.0:
-        smax = min(smax, (1.0 - 1e-9) / (float(p.deriv(0.0)) * rate))
-
-    def payoff_of_share(s: float) -> float:
-        try:
-            y = _balanced_performance(s, rate, p)
-        except (EquilibriumError, CapExceededError):
-            return -np.inf
-        return (1.0 - s) * float(p.value(y))
-
-    s_star = None
-    if isinstance(p, LinearCappedSuccess) and p.slope * rate < 1.0:
+    residual_at = None  # (payoff, share, x) for the optimality residual
+    if linear and p.slope * rate < 1.0:
         # The payoff's share derivative has the sign of the share cubic, so its
         # root is the optimum unless the performance there reaches the cap.
+        # Under a linear success probability the performance is explicit in
+        # the share as well.
+        def payoff_of_share(s: float) -> float:
+            y = _performance_map(float(p.slope), s, s * rate)
+            return (1.0 - s) * float(p.value(y)) if y <= y_max else -np.inf
+
         root = total_share_root(1.0, p.slope, 1.0 / rate) if rate > 0.0 else 0.5
         if np.isfinite(payoff_of_share(root)):
-            s_star = root
-    if s_star is None:
-        s_star = _share_search(payoff_of_share, smax, float(p.value(0.0)))
+            s_star, residual_at = root, (payoff_of_share, lambda s: s, root)
+    if residual_at is None:
+        def share(y):
+            return _balanced_share(y, rate, p)
+
+        payoff_of_performance = _payoff_along(share, p, y_max)
+        y_star = _performance_search(payoff_of_performance, y_max, float(p.value(0.0)))
+        s_star = float(share(y_star))
+        residual_at = (payoff_of_performance, share, y_star)
 
     tau = np.zeros(n)
     tau[agents] = s_star * best.direction
@@ -717,7 +751,7 @@ def optimize_quadratic_binary(
         equilibrium=eq,
         principal_payoff=payoff,
         active_set=tuple(int(i) for i in agents) if s_star > 0.0 else (),
-        kkt_residual=float(_share_kkt(payoff_of_share, s_star, smax, payoff)),
+        kkt_residual=_share_kkt(*residual_at, payoff),
         method="quadratic_closed_form",
         balance_constant=float(s_star * rate),
         neighborhood_action_constant=float(np.mean(action_levels)) if agents.size > 1 else 0.0,
@@ -730,117 +764,87 @@ def optimize_quadratic_binary(
 # ---------------------------------------------------------------------------
 
 
-def _scan_roots(f, lo: float, hi: float, points: int = 257) -> list:
-    """Roots of ``f`` (vectorised over its argument) on a geometric scan,
-    each sign change refined by brentq."""
-    xs = np.geomspace(lo, hi, points)
-    vals = f(xs)
-    a, b = vals[:-1], vals[1:]
-    with np.errstate(invalid="ignore", over="ignore"):
-        hits = np.isfinite(a) & np.isfinite(b) & ((a == 0.0) | (a * b < 0.0))
-    return [
-        float(xs[k]) if a[k] == 0.0
-        else float(brentq(f, xs[k], xs[k + 1], xtol=1e-15, rtol=1e-15))
-        for k in np.flatnonzero(hits)
-    ]
-
-
-def _second_order_ok(production, p: SuccessProbability, y: float, tau: np.ndarray, actions: np.ndarray) -> bool:
+def _second_order_ok(production, p: SuccessProbability, y, tau, actions):
     """Each agent's payoff must be locally concave at the candidate
-    equilibrium: tau_i * (P'' (dY/da_i)^2 + P' d2Y/da_i^2) <= C'' = 1."""
-    dp = float(p.deriv(y))
-    d2p = float(p.second(y))
-    for i in range(actions.size):
+    equilibrium: tau_i * (P'' (dY/da_i)^2 + P' d2Y/da_i^2) <= C'' = 1.
+    Vectorised over ``y``; ``tau`` and ``actions`` carry a trailing agent
+    axis, and a profile with a non-finite or non-positive action fails."""
+    ok = np.all(np.isfinite(actions) & (actions > 0.0), axis=-1)
+    actions = np.where(ok[..., None], actions, 1.0)
+    dp = p.deriv(y)
+    d2p = p.second(y)
+    for i in range(actions.shape[-1]):
         dy = production.partial(actions, i)
         d2y = production.partial2(actions, i)
-        if tau[i] * (d2p * dy * dy + dp * d2y) > 1.0 + 1e-7:
-            return False
-    return True
+        ok &= tau[..., i] * (d2p * dy * dy + dp * d2y) <= 1.0 + 1e-7
+    return ok
 
 
-def _separable_equilibrium(production, p: SuccessProbability, tau: np.ndarray):
-    """Principal-best verified equilibrium of the separable environments.
+def _separable_curve(production, p: SuccessProbability, d_hat: np.ndarray):
+    """Share curve of the separable environments under payments
+    ``t * d_hat``: the agents' first-order conditions tie the performance
+    ``y`` to ``t`` through a scalar equation that is explicit in ``t``.
+    Returns ``share(y)``, that ``t``, and ``actions(y, t)``, the profile
+    there; both are vectorised over ``y``.
 
-    Works through the scalar performance fixed point implied by the agents'
-    first-order conditions; every root is checked against the agents'
-    second-order conditions, and the best surviving root (highest success
-    probability) is returned as ``(performance, actions)`` or None.
+    At a fixed ``t`` several performances can solve the equation; a higher
+    stable one pays the principal more, so a maximum over ``y`` never picks
+    a dominated one.
     """
-    cap = p.cap if isinstance(p, LinearCappedSuccess) else np.inf
-    y_hi = min(cap * (1.0 - 1e-9), 1e8)
-
     if isinstance(production, CobbDouglasProduction):
         shares = production.shares
-        if np.any(tau <= 0.0):
-            return None
         total = float(np.sum(shares))
-        log_k = float(np.sum(0.5 * shares * np.log(tau * shares)))
+        log_k = float(np.sum(0.5 * shares * np.log(d_hat * shares)))
 
-        def f(y):
-            dp = p.deriv(y)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                val = (1.0 - 0.5 * total) * np.log(y) - log_k - 0.5 * total * np.log(dp)
-            return np.where(dp <= 0.0, np.inf, val)
+        # a_i^2 = t d_i gamma_i P'(y) y and y = prod a_i^gamma_i give
+        # (1 - total/2) ln y = (total/2) (ln t + ln P'(y)) + log_k.
+        def share(y):
+            return np.exp((2.0 / total) * (
+                (1.0 - 0.5 * total) * np.log(y) - 0.5 * total * np.log(p.deriv(y)) - log_k
+            ))
 
-        def actions_at(y):
-            return np.sqrt(tau * shares * float(p.deriv(y)) * y)
+        def actions(y, t):
+            return np.sqrt(np.asarray(t * p.deriv(y) * y)[..., None] * d_hat * shares)
 
     elif isinstance(production, CESProduction):
         shares, rho, returns = production.shares, production.rho, production.returns
-        if np.any(tau <= 0.0):
-            return None
-        q = float(np.sum(shares * (tau * shares) ** (rho / (2.0 - rho))))
+        q = float(np.sum(shares * (d_hat * shares) ** (rho / (2.0 - rho))))
 
-        def f(y):
-            dp = p.deriv(y)
-            b = returns * dp * y ** (1.0 - rho / returns)
-            with np.errstate(invalid="ignore"):
-                val = y - q ** (returns / rho) * b ** (returns / (2.0 - rho))
-            return np.where(dp <= 0.0, np.inf, val)
+        def pull(y):
+            return returns * p.deriv(y) * y ** (1.0 - rho / returns)
 
-        def actions_at(y):
-            dp = float(p.deriv(y))
-            b = returns * dp * y ** (1.0 - rho / returns)
-            return (tau * shares * b) ** (1.0 / (2.0 - rho))
+        # a_i^(2 - rho) = t d_i gamma_i b with b = pull(y), and the CES
+        # aggregate gives y^((2 - rho) / returns) = t q^((2 - rho) / rho) b.
+        def share(y):
+            return y ** ((2.0 - rho) / returns) / (q ** ((2.0 - rho) / rho) * pull(y))
+
+        def actions(y, t):
+            return (np.asarray(t * pull(y))[..., None] * d_hat * shares) ** (1.0 / (2.0 - rho))
 
     else:
         raise ModelError(f"no separable closed form for {type(production).__name__}")
-
-    best = None
-    for y in _scan_roots(f, 1e-10, y_hi):
-        a = actions_at(y)
-        if not np.all(np.isfinite(a)):
-            continue
-        if not _second_order_ok(production, p, y, tau, a):
-            continue
-        # Several candidate equilibria can coexist; keep the principal-best
-        # (highest-performance) one.
-        if best is None or y > best[0]:
-            best = (y, a)
-    return best
+    return share, actions
 
 
 def _separable_closed_form(production, p, direction: np.ndarray, method: str) -> OptimalContractResult:
     n = direction.size
     d_hat = direction / float(np.sum(direction))
-    tmax = 1.0 - 1e-9
+    share, actions_at = _separable_curve(production, p, d_hat)
+    cap = p.cap if isinstance(p, LinearCappedSuccess) else np.inf
+    y_max = min(cap * (1.0 - 1e-9), _Y_CEIL)
 
-    def payoff_of_total(t: float) -> float:
-        got = _separable_equilibrium(production, p, t * d_hat)
-        if got is None:
-            return -np.inf
-        return (1.0 - t) * float(p.value(got[0]))
+    def stable(y, t):
+        return _second_order_ok(production, p, y, t[..., None] * d_hat, actions_at(y, t))
 
-    t_star = _share_search(payoff_of_total, tmax, float(p.value(0.0)))
-    tau = t_star * d_hat
-    if t_star == 0.0:
+    payoff_of_performance = _payoff_along(share, p, y_max, stable)
+    y_star = _performance_search(payoff_of_performance, y_max, float(p.value(0.0)))
+    if y_star == 0.0:
         # Paying nothing leaves every agent at the dormant corner.
-        y_star, actions = 0.0, np.zeros(n)
+        t_star, actions = 0.0, np.zeros(n)
     else:
-        got = _separable_equilibrium(production, p, tau)
-        if got is None:
-            raise OptimizationError(f"{method}: no stable equilibrium at the optimal scale")
-        y_star, actions = got
+        t_star = float(share(y_star))
+        actions = actions_at(y_star, t_star)
+    tau = t_star * d_hat
 
     problem = Problem(
         n=n,
@@ -864,7 +868,7 @@ def _separable_closed_form(production, p, direction: np.ndarray, method: str) ->
         equilibrium=eq,
         principal_payoff=payoff,
         active_set=tuple(range(n)) if t_star > 0.0 else (),
-        kkt_residual=float(_share_kkt(payoff_of_total, t_star, tmax, payoff)),
+        kkt_residual=_share_kkt(payoff_of_performance, share, y_star, payoff),
         method=method,
         # With no one paid there is no balance to report, and the separable
         # gradients are undefined at zero actions.

@@ -87,15 +87,11 @@ def dshare_dlink(
     if include_share_response is None:
         include_share_response = isinstance(p, LinearCappedSuccess)
 
-    m = agents.size
-    dlam = np.zeros((m, m))
-    for j in range(m):
-        for k in range(m):
-            if j == k:
-                continue
-            # Equity level at fixed total share: lam = s / kstar with
-            # d kstar / d G_jk = -2 t_j t_k.
-            dlam[j, k] = 2.0 * tau[j] * tau[k] / s
+    # Only distinct endpoints j != k name a link: the j == k diagonal is 0.
+    link = ~np.eye(agents.size, dtype=bool)
+    # Equity level at fixed total share: lam = s / kstar with
+    # d kstar / d G_jk = -2 t_j t_k.
+    dlam = 2.0 * tau[:, None] * tau[None, :] / s
 
     if include_share_response:
         if not isinstance(p, LinearCappedSuccess):
@@ -103,26 +99,18 @@ def dshare_dlink(
         kappa = p.slope
         dp_ds = -3.0 * kappa**2 * s**2 + 6.0 * kappa * kstar * s - 4.0 * kstar**2
         dp_dk = 3.0 * kappa * s**2 - 8.0 * kstar * s + 4.0 * kstar
-        for j in range(m):
-            for k in range(m):
-                if j == k:
-                    continue
-                ds = (dp_dk / dp_ds) * 2.0 * t[j] * t[k]
-                dlam[j, k] += ds / kstar
+        ds = (dp_dk / dp_ds) * 2.0 * t[:, None] * t[None, :]
+        dlam += ds / kstar
 
+    # block[i, j, k] = -Ginv_ik tau_j - Ginv_ij tau_k + dlam_jk tau_i / lam
+    block = (
+        -ginv[:, None, :] * tau[None, :, None]
+        - ginv[:, :, None] * tau[None, None, :]
+        + dlam[None, :, :] * tau[:, None, None] / lam
+    )
     n = network.n
     tensor = np.zeros((n, n, n))
-    for i_pos, i in enumerate(agents):
-        for j_pos, j in enumerate(agents):
-            for k_pos, k in enumerate(agents):
-                if j == k:
-                    continue
-                val = (
-                    -ginv[i_pos, k_pos] * tau[j_pos]
-                    - ginv[i_pos, j_pos] * tau[k_pos]
-                    + dlam[j_pos, k_pos] * tau[i_pos] / lam
-                )
-                tensor[i, j, k] = val
+    tensor[np.ix_(agents, agents, agents)] = np.where(link[None, :, :], block, 0.0)
     return ShareDerivatives(
         tensor=tensor,
         active=tuple(int(i) for i in agents),

@@ -183,6 +183,14 @@ def test_sweep_csv_and_round_trip(files, capsys):
     assert payoffs == sorted(payoffs)
 
 
+@pytest.mark.parametrize("spec, expected", [("0:1:0.6", [0.0, 0.6]), ("0:1:0.02", [0.02 * k for k in range(51)])])
+def test_sweep_grid_stops_at_its_upper_bound(files, capsys, spec, expected):
+    _, _, figure, _ = files
+    assert run(["sweep", str(figure), "--param", "G23", "--grid", spec]) == 0
+    rows = capsys.readouterr().out.strip().split("\n")[1:]
+    assert [float(row.split(",")[0]) for row in rows] == pytest.approx(expected, abs=1e-12)
+
+
 def test_statics_command(files, capsys):
     _, _, figure, _ = files
     assert run(["statics", str(figure)]) == 0

@@ -2,13 +2,12 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
 
 import teampay as tp
-from teampay import contract_opt, equity
-from teampay.contract_opt import _scan_roots, share_cubic
+from teampay import contract_opt, equilibrium, equity
+from teampay.contract_opt import share_cubic
 
 from helpers import (
     KAPPA_HALF,
@@ -191,8 +190,8 @@ def test_logistic_success_keeps_the_share_search():
 
 
 def test_share_search_reaches_below_its_first_grid_point():
-    # The optimal total, about 0.007, lies below the prescan's first point
-    # (1/64); the search refines down towards 0 instead of stopping there.
+    # The optimal total, about 0.007, lies below 1/64, the first point of a
+    # 64-point share grid; the search over performance reaches it.
     result = tp.closed_form_ces([1.0, 4.0], 0.5, 1.0, tp.LogisticSuccess(0.3, -1.0))
     assert result.contract.payments[:, 1].sum() < 1.0 / 64.0
     assert result.principal_payoff > 0.9714
@@ -368,28 +367,122 @@ def test_ces_rejects_rho_at_least_one():
         tp.closed_form_ces([1.0, 2.0], 1.5, 1.0, CES_P)
 
 
-def test_scan_roots_matches_pointwise_scan():
-    # Reference: the scalar loop the vectorised scan replaced.
-    def f(y):
-        y = np.asarray(y, dtype=float)
-        with np.errstate(divide="ignore"):
-            return np.where(y > 50.0, np.inf, (y - 0.3) * (y - 2.0) * (y - 7.0) / np.log1p(y))
+def _separable_instance(family, gamma, rho, returns):
+    """Production and payment direction of a separable closed form."""
+    gamma = np.asarray(gamma, dtype=float)
+    if family == "cobb_douglas":
+        return tp.CobbDouglasProduction(gamma), gamma
+    return tp.CESProduction(gamma, rho, returns), gamma ** (1.0 / (1.0 - rho))
 
-    lo, hi, points = 1e-3, 100.0, 257
-    xs = np.geomspace(lo, hi, points)
-    vals = [float(f(x)) for x in xs]
-    expected = []
-    for k in range(points - 1):
-        a, b = vals[k], vals[k + 1]
-        if not (np.isfinite(a) and np.isfinite(b)):
+
+@settings(max_examples=40, deadline=None)
+@given(
+    family=st.sampled_from(["cobb_douglas", "ces"]),
+    gamma=st.lists(st.floats(0.3, 2.0), min_size=2, max_size=3),
+    rho=st.sampled_from([-2.0, -0.5, 0.3, 0.7]),
+    returns=st.floats(0.5, 1.5),
+    p=st.sampled_from([tp.PowerSuccess(2.0), tp.PowerSuccess(5.0), tp.LogisticSuccess(0.5, -0.2)]),
+    y=st.floats(0.05, 2.0),
+)
+def test_separable_share_curve_reproduces_its_performance(family, gamma, rho, returns, p, y):
+    # Paying t(y) * d_hat puts a stable equilibrium at performance y: the
+    # general best-response solver, started at the curve's profile, returns y.
+    production, direction = _separable_instance(family, gamma, rho, returns)
+    d_hat = direction / direction.sum()
+    share, actions_at = contract_opt._separable_curve(production, p, d_hat)
+    t = float(share(y))
+    actions = actions_at(y, t)
+    assume(np.isfinite(t) and 0.0 < t < 10.0)
+    assume(contract_opt._second_order_ok(production, p, y, t * d_hat, actions))
+    n = d_hat.size
+    problem = tp.Problem(n, production, tp.BinaryOutcomeModel(p), (tp.LinearUtility(),) * n, (tp.PowerCost(),) * n)
+    eq = tp.solve_equilibrium_general(problem, tp.Contract(np.column_stack([np.zeros(n), t * d_hat])),
+                                      init=actions, tol=1e-12)
+    assert eq.performance == pytest.approx(y, rel=1e-9)
+
+
+def test_share_searches_solve_no_equilibrium_per_candidate(monkeypatch):
+    # The search runs over performance, where the share is explicit: the
+    # quadratic closed form solves one performance fixed point (the final
+    # equilibrium), and the separable ones make no root solve before their
+    # final best-response equilibrium.
+    fixed_points, roots, general = [0], [0], [0]
+
+    def counting(counter, fn):
+        def counted(*args, **kwargs):
+            counter[0] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(equilibrium, "_performance_fixed_point",
+                        counting(fixed_points, equilibrium._performance_fixed_point))
+    monkeypatch.setattr(contract_opt, "brentq", counting(roots, contract_opt.brentq))
+    monkeypatch.setattr(contract_opt, "solve_equilibrium_general",
+                        counting(general, contract_opt.solve_equilibrium_general))
+    triangle = tp.Network([[0.0, 1.0, 0.8], [1.0, 0.0, 0.6], [0.8, 0.6, 0.0]])
+    tp.optimize_quadratic_binary(triangle, tp.LogisticSuccess(0.5, -0.2))
+    assert fixed_points[0] <= 1
+    roots[0] = 0
+    tp.closed_form_cobb_douglas([1.0, 2.0], CD_P)
+    tp.closed_form_ces([1.0, 4.0], 0.5, 1.0, CES_P)
+    assert roots[0] == 0
+    assert general[0] == 2
+
+
+def _best_on_share_grid(payoff_at, points: int, descending: bool = False) -> float:
+    grid = np.linspace(0.0, 1.0, points)
+    best = -np.inf
+    for s in grid[::-1] if descending else grid:
+        try:
+            best = max(best, payoff_at(s))
+        except (tp.EquilibriumError, tp.CapExceededError):
             continue
-        if a == 0.0:
-            expected.append(float(xs[k]))
-        elif a * b < 0.0:
-            expected.append(float(brentq(f, xs[k], xs[k + 1], xtol=1e-15, rtol=1e-15)))
-    roots = _scan_roots(f, lo, hi, points)
-    assert roots == expected
-    assert roots == pytest.approx([0.3, 2.0, 7.0], abs=1e-12)
+    return best
+
+
+@pytest.mark.parametrize("net, p", [
+    (tp.Network([[0.0, 1.0, 0.8], [1.0, 0.0, 0.6], [0.8, 0.6, 0.0]]), tp.LogisticSuccess(0.5, -0.2)),
+    (tp.Network([[0.0, 1.0, 0.8], [1.0, 0.0, 0.6], [0.8, 0.6, 0.0]]), tp.PowerSuccess(2.0)),
+    (clique(2, 1.5), tp.LinearCappedSuccess(0.9)),
+], ids=["triangle-logistic", "triangle-power", "clique-cap-kink"])
+def test_quadratic_closed_form_beats_a_dense_share_grid(net, p):
+    # The grid pays each total share along the optimum's balanced direction
+    # and solves the equilibrium there, without the share curve.
+    result = tp.optimize_quadratic_binary(net, p)
+    candidate = tp.optimal_active_set(net, p)[0]
+    agents = list(candidate.agents)
+
+    def payoff_at(s):
+        tau = np.zeros(net.n)
+        tau[agents] = s * candidate.direction
+        eq = tp.solve_equilibrium_quadratic_binary(net, tau, p)
+        return (1.0 - s) * eq.probs[1]
+
+    assert result.principal_payoff >= _best_on_share_grid(payoff_at, 2001) - 1e-9
+
+
+@pytest.mark.parametrize("family, gamma", [("cobb_douglas", [1.0, 2.0]), ("ces", [1.0, 4.0])])
+def test_separable_closed_form_beats_a_dense_share_grid(family, gamma):
+    # The grid's equilibria come from the general best-response solver, not
+    # from the share curve.  It walks down from the largest total, each solve
+    # started at the last one, which follows the high-performance branch
+    # where several equilibria coexist.
+    p = CD_P if family == "cobb_douglas" else CES_P
+    production, direction = _separable_instance(family, gamma, 0.5, 1.0)
+    result = (tp.closed_form_cobb_douglas(gamma, p) if family == "cobb_douglas"
+              else tp.closed_form_ces(gamma, 0.5, 1.0, p))
+    d_hat = direction / direction.sum()
+    problem = tp.Problem(2, production, tp.BinaryOutcomeModel(p), (tp.LinearUtility(),) * 2, (tp.PowerCost(),) * 2)
+    start = [np.ones(2)]
+
+    def payoff_at(t):
+        contract = tp.Contract(np.column_stack([np.zeros(2), t * d_hat]))
+        eq = tp.solve_equilibrium_general(problem, contract, init=start[0], damping=1.0)
+        if np.all(eq.actions > 0.0):
+            start[0] = eq.actions
+        return (1.0 - t) * eq.probs[1]
+
+    assert result.principal_payoff >= _best_on_share_grid(payoff_at, 201, descending=True) - 1e-9
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import teampay as tp
 from teampay import contract_opt, equilibrium
-from teampay.contract_opt import _balanced_performance
+from teampay.contract_opt import _balanced_share
 from teampay.equilibrium import _foc
 
 from helpers import (
@@ -195,10 +195,11 @@ def test_spectral_margin_matches_dense_spectral_radius(kind, n, p, seed):
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_balanced_clique_equilibrium_matches_balanced_performance(k, p):
     # A k-clique paid s/k each is the balanced contract with rate (k-1)/k; the
-    # steep curves put P'(0) * s * rate >= 1 at the larger shares.
+    # steep curves put P'(0) * s * rate >= 1 at the larger shares.  The share
+    # curve at the solver's performance returns the share paid.
     for s in (0.2, 0.5, 0.9):
         eq = tp.solve_equilibrium_quadratic_binary(clique(k), np.full(k, s / k), p)
-        assert eq.performance == pytest.approx(_balanced_performance(s, (k - 1) / k, p), abs=1e-12)
+        assert float(_balanced_share(eq.performance, (k - 1) / k, p)) == pytest.approx(s, abs=1e-12)
         assert eq.residual <= 1e-11
 
 

@@ -3,7 +3,7 @@ import pytest
 
 import teampay as tp
 
-from helpers import KAPPA_HALF, clique
+from helpers import KAPPA_HALF, clique, random_symmetric_network
 
 def asym_triangle() -> tp.Network:
     w = np.zeros((3, 3))
@@ -47,6 +47,55 @@ def test_share_derivative_symmetric_on_symmetric_clique():
     ds = tp.dshare_dlink(net, KAPPA_HALF, opt)
     assert ds.tensor[0, 0, 1] == pytest.approx(ds.tensor[1, 0, 1], abs=1e-12)
     assert ds.tensor[:, 0, 1] == pytest.approx(ds.tensor[:, 1, 0])
+
+
+def _dshare_dlink_loops(network, p, opt, include_share_response):
+    """Reference: the element-by-element loops of the link-derivative formula."""
+    agents = np.asarray(opt.active_set, dtype=int)
+    ginv = np.linalg.inv(network.matrix[np.ix_(agents, agents)])
+    tau = opt.contract.payments[agents, 1]
+    s = float(np.sum(tau))
+    lam = opt.balance_constant
+    t = tau / lam
+    kstar = float(np.sum(t))
+    m = agents.size
+    dlam = np.zeros((m, m))
+    for j in range(m):
+        for k in range(m):
+            if j != k:
+                dlam[j, k] = 2.0 * tau[j] * tau[k] / s
+    if include_share_response:
+        kappa = p.slope
+        dp_ds = -3.0 * kappa**2 * s**2 + 6.0 * kappa * kstar * s - 4.0 * kstar**2
+        dp_dk = 3.0 * kappa * s**2 - 8.0 * kstar * s + 4.0 * kstar
+        for j in range(m):
+            for k in range(m):
+                if j != k:
+                    dlam[j, k] += (dp_dk / dp_ds) * 2.0 * t[j] * t[k] / kstar
+    tensor = np.zeros((network.n,) * 3)
+    for i_pos, i in enumerate(agents):
+        for j_pos, j in enumerate(agents):
+            for k_pos, k in enumerate(agents):
+                if j != k:
+                    tensor[i, j, k] = (
+                        -ginv[i_pos, k_pos] * tau[j_pos]
+                        - ginv[i_pos, j_pos] * tau[k_pos]
+                        + dlam[j_pos, k_pos] * tau[i_pos] / lam
+                    )
+    return tensor
+
+
+@pytest.mark.parametrize("p", [KAPPA_HALF, tp.PowerSuccess(2.0)], ids=["linear", "power"])
+def test_share_derivative_arrays_match_the_elementwise_loops(p):
+    rng = np.random.default_rng(3)
+    for net in (asym_triangle(), figure_network(0.4), clique(4),
+                *(random_symmetric_network(rng, 5) for _ in range(4))):
+        opt = tp.optimize_quadratic_binary(net, p)
+        if len(opt.active_set) < 2:
+            continue
+        ds = tp.dshare_dlink(net, p, opt)
+        expected = _dshare_dlink_loops(net, p, opt, ds.includes_share_response)
+        assert np.array_equal(ds.tensor, expected)
 
 
 def test_own_link_derivative_initially_negative_in_figure_setup():
