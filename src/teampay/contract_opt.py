@@ -650,18 +650,20 @@ def _performance_search(payoff, y_max: float, zero_payoff: float) -> float:
     return 0.0 if zero_payoff >= payoff(y) else float(y)
 
 
-def _share_kkt(payoff, share, x: float, value: float) -> float:
+def _share_kkt(payoff, x: float, share, value: float) -> float:
     """Finite-difference optimality residual, in the total share, of a 1-D
-    payoff in ``x`` at ``x``, where the payoff is ``value`` and ``share(x)``
-    is the total share, increasing in ``x``: the chain rule
-    ``dpi/ds = (dpi/dx) / (ds/dx)``.  With ``x`` the share itself this is the
-    plain difference quotient of the payoff."""
+    payoff in ``x`` at ``x``, where the payoff is ``value``.  ``share(x)`` is
+    the total share, increasing in ``x``, and the residual follows the chain
+    rule ``dpi/ds = (dpi/dx) / (ds/dx)``; with ``share`` None, ``x`` is the
+    share itself."""
     h = max(1e-7, 1e-7 * x)
     up = payoff(x + h)
     if x == 0.0:
         # Zero share sits on the bound: only a payoff rising away from it
         # violates optimality.
-        lo, hi, slope = 0.0, h, max(0.0, (up - value) / h)
+        if up <= value:
+            return 0.0
+        lo, hi, slope = 0.0, h, (up - value) / h
     else:
         lo = max(x - h, 1e-12)
         down = payoff(lo)
@@ -671,10 +673,8 @@ def _share_kkt(payoff, share, x: float, value: float) -> float:
             # Past the cap kink: x is an upper-bound optimum, so only a
             # payoff falling towards it from the left violates optimality.
             hi, slope = x, max(0.0, -(value - down) / h)
-    if slope == 0.0:
-        # Nothing to convert; the share's slope may be undefined at 0.
-        return 0.0
-    return float(slope / ((share(hi) - share(lo)) / (hi - lo)))
+    ds = 1.0 if share is None else (share(hi) - share(lo)) / (hi - lo)
+    return float(slope / ds)
 
 
 def optimize_quadratic_binary(
@@ -705,7 +705,7 @@ def optimize_quadratic_binary(
     linear = isinstance(p, LinearCappedSuccess)
     y_max = p.cap * (1.0 - 1e-12) if linear else _Y_CEIL
 
-    residual_at = None  # (payoff, share, x) for the optimality residual
+    residual_at = None  # (payoff, x, share) for the optimality residual
     if linear and p.slope * rate < 1.0:
         # The payoff's share derivative has the sign of the share cubic, so its
         # root is the optimum unless the performance there reaches the cap.
@@ -717,7 +717,7 @@ def optimize_quadratic_binary(
 
         root = total_share_root(1.0, p.slope, 1.0 / rate) if rate > 0.0 else 0.5
         if np.isfinite(payoff_of_share(root)):
-            s_star, residual_at = root, (payoff_of_share, lambda s: s, root)
+            s_star, residual_at = root, (payoff_of_share, root, None)
     if residual_at is None:
         def share(y):
             return _balanced_share(y, rate, p)
@@ -725,7 +725,7 @@ def optimize_quadratic_binary(
         payoff_of_performance = _payoff_along(share, p, y_max)
         y_star = _performance_search(payoff_of_performance, y_max, float(p.value(0.0)))
         s_star = float(share(y_star))
-        residual_at = (payoff_of_performance, share, y_star)
+        residual_at = (payoff_of_performance, y_star, share)
 
     tau = np.zeros(n)
     tau[agents] = s_star * best.direction
@@ -868,7 +868,7 @@ def _separable_closed_form(production, p, direction: np.ndarray, method: str) ->
         equilibrium=eq,
         principal_payoff=payoff,
         active_set=tuple(range(n)) if t_star > 0.0 else (),
-        kkt_residual=_share_kkt(payoff_of_performance, share, y_star, payoff),
+        kkt_residual=_share_kkt(payoff_of_performance, y_star, share, payoff),
         method=method,
         # With no one paid there is no balance to report, and the separable
         # gradients are undefined at zero actions.
@@ -879,7 +879,8 @@ def _separable_closed_form(production, p, direction: np.ndarray, method: str) ->
 def closed_form_cobb_douglas(gamma, p: SuccessProbability) -> OptimalContractResult:
     """Optimal contract for Cobb-Douglas production in the binary
     environment: payments proportional to factor shares, scaled by a 1-D
-    payoff search with an equilibrium re-solve per candidate scale."""
+    payoff search over the equilibrium performance, where the total share is
+    explicit; only the optimum's contract is solved, as a check."""
     gamma = np.asarray(gamma, dtype=float)
     if np.any(gamma <= 0.0):
         raise ModelError("factor shares must be strictly positive")

@@ -520,12 +520,9 @@ class LogisticSuccess(SuccessProbability):
 
     def value(self, y):
         z = (np.asarray(y, dtype=float) - self.shift) / self.scale
-        out = np.empty_like(z)
-        pos = z >= 0
-        out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-        ez = np.exp(z[~pos])
-        out[~pos] = ez / (1.0 + ez)
-        return out
+        # exp(-|z|) <= 1 never overflows; on each side it is exp(-z) or exp(z).
+        ez = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + ez), ez / (1.0 + ez))
 
     def deriv(self, y):
         p = self.value(y)

@@ -465,21 +465,22 @@ def test_quadratic_closed_form_beats_a_dense_share_grid(net, p):
 def test_separable_closed_form_beats_a_dense_share_grid(family, gamma):
     # The grid's equilibria come from the general best-response solver, not
     # from the share curve.  It walks down from the largest total, each solve
-    # started at the last one, which follows the high-performance branch
-    # where several equilibria coexist.
+    # started where the last two interior solutions extrapolate to, which
+    # follows the high-performance branch where several equilibria coexist.
     p = CD_P if family == "cobb_douglas" else CES_P
     production, direction = _separable_instance(family, gamma, 0.5, 1.0)
     result = (tp.closed_form_cobb_douglas(gamma, p) if family == "cobb_douglas"
               else tp.closed_form_ces(gamma, 0.5, 1.0, p))
     d_hat = direction / direction.sum()
     problem = tp.Problem(2, production, tp.BinaryOutcomeModel(p), (tp.LinearUtility(),) * 2, (tp.PowerCost(),) * 2)
-    start = [np.ones(2)]
+    path = [np.ones(2)]  # the first start, then every interior solution
 
     def payoff_at(t):
         contract = tp.Contract(np.column_stack([np.zeros(2), t * d_hat]))
-        eq = tp.solve_equilibrium_general(problem, contract, init=start[0], damping=1.0)
+        start = path[-1] if len(path) < 3 else 2.0 * path[-1] - path[-2]
+        eq = tp.solve_equilibrium_general(problem, contract, init=start, damping=1.0)
         if np.all(eq.actions > 0.0):
-            start[0] = eq.actions
+            path.append(eq.actions)
         return (1.0 - t) * eq.probs[1]
 
     assert result.principal_payoff >= _best_on_share_grid(payoff_at, 201, descending=True) - 1e-9
