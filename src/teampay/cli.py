@@ -225,7 +225,8 @@ def _cmd_active_set(args) -> int:
     problem = _load_problem(args.problem)
     _require_valid(problem)
     network, p = _quadratic_binary_parts(problem)
-    candidates = optimal_active_set(network, p, cap=args.cap)
+    bound = {} if args.cap is None else {"cap": args.cap}
+    candidates = optimal_active_set(network, p, **bound)
     print(dump_json({
         "candidates": [
             {
@@ -375,7 +376,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--tol", type=float, default=None)
 
     p = add("active-set", _cmd_active_set, help="rank candidate active sets")
-    p.add_argument("--cap", type=int, default=16)
+    p.add_argument("--cap", type=int, default=None,
+                   help="work bound: enumerate weighted networks of at most CAP agents (2^CAP "
+                        "subsets), and search 0/1 networks for maximum cliques in at most 2^CAP "
+                        "branch-and-bound nodes (default: the library's)")
 
     p = add("statics", _cmd_statics, help="closed-form link-weight derivatives at the optimum")
     p.add_argument("--param", default=None, help="'beta' or a link like G23 (needed with --grid)")

@@ -72,6 +72,7 @@ _PRESCAN = 257         # geometric grid points of the 1-D performance search
 _Y_FLOOR = 1e-10       # first grid point of the performance search
 _Y_CEIL = 1e8          # highest performance searched without a success cap
 _GOLDEN_TOL = 1e-11    # bracket width, relative to its upper end, at which the search stops
+_CHUNK = 1024          # subsets per batched solve of the active-set enumeration
 
 
 class OptimizationError(RuntimeError):
@@ -486,15 +487,24 @@ def optimize_general(problem: Problem, starts: int | None = None, options: Optim
 # ---------------------------------------------------------------------------
 
 
-def _maximum_cliques(adjacency: np.ndarray) -> list:
-    """All maximum cliques, by branch-and-bound extension of candidate sets."""
+def _maximum_cliques(adjacency: np.ndarray, budget: int) -> list:
+    """All maximum cliques, by branch-and-bound extension of candidate sets.
+    Raises ``ActiveSetError`` when the search needs more than ``budget``
+    nodes (calls of the extension step)."""
     n = adjacency.shape[0]
     neighbors = [set(np.flatnonzero(adjacency[i] > 0.0)) for i in range(n)]
     best: list = []
     best_size = 0
+    nodes = 0
 
     def extend(clique: list, candidates: list):
-        nonlocal best, best_size
+        nonlocal best, best_size, nodes
+        nodes += 1
+        if nodes > budget:
+            raise ActiveSetError(
+                f"maximum-clique search stopped at its budget of {budget} branch-and-bound nodes; "
+                "use optimize_general"
+            )
         if not candidates:
             if len(clique) > best_size:
                 best, best_size = [tuple(clique)], len(clique)
@@ -513,38 +523,59 @@ def _maximum_cliques(adjacency: np.ndarray) -> list:
     return sorted(set(best))
 
 
-def _induced_diameter_le2(sub: np.ndarray) -> bool:
-    """Connected with all pairwise distances at most 2 (in the induced graph)."""
-    k = sub.shape[0]
-    if k == 1:
-        return True
+def _balanced_candidates(g: np.ndarray, agents: np.ndarray) -> list:
+    """The subsets among the rows of ``agents`` (one subset of one size per
+    row) whose induced subnetwork is connected with diameter at most 2 and
+    solves ``G_S t = 1`` with ``t > 0``; one batched solve for all of them."""
+    size = agents.shape[1]
+    sub = g[agents[:, :, None], agents[:, None, :]]
     adj = sub > 0.0
-    two_step = adj | (adj @ adj)
-    np.fill_diagonal(two_step, True)
-    return bool(np.all(two_step))
+    reach = adj | (adj @ adj)
+    reach[:, np.arange(size), np.arange(size)] = True
+    keep = reach.all(axis=(1, 2))
+    # A batched solve raises for the whole stack if one matrix is singular.
+    # The sign of the determinant comes from the same LU factorization, and
+    # is 0 exactly where the solve would raise, even when the determinant
+    # itself would underflow.
+    keep[keep] = np.linalg.slogdet(sub[keep])[0] != 0.0
+    agents, sub = agents[keep], sub[keep]
+    t = np.linalg.solve(sub, np.ones((len(agents), size, 1)))
+    residual = np.max(np.abs(sub @ t - 1.0), axis=(1, 2))
+    t = t[..., 0]
+    ok = np.isfinite(t).all(axis=1) & (residual <= 1e-8) & (t.min(axis=1) > 1e-12)
+    agents, t = agents[ok], t[ok]
+    total = t.sum(axis=1)
+    return [
+        ActiveSetCandidate(agents=tuple(row), share_rate=rate, direction=direction)
+        for row, rate, direction in zip(agents.tolist(), (1.0 / total).tolist(), t / total[:, None])
+    ]
 
 
 def optimal_active_set(network: Network, p: SuccessProbability, *, cap: int = 16) -> list:
     """Ranked candidate active sets for the quadratic-binary environment.
 
     Unweighted (0/1) networks: the maximum cliques, with balance constant
-    ``(k-1)/k`` per unit share.  Weighted networks: all connected subsets of
+    ``(k-1)/k`` per unit share (Motzkin & Straus, 1965), found by a
+    branch-and-bound search of at most ``2**cap`` nodes at any network size.
+    Weighted networks of at most ``cap`` agents: all connected subsets of
     diameter at most 2 whose subnetwork supports a positive balanced payment
-    direction, scored by balance constant per unit share.  Ties break toward
-    smaller then lexicographically earlier sets.  The ranking does not
-    depend on the success probability (it only scales the share level), so
-    ``p`` participates only through downstream share searches.
+    direction, scored by balance constant per unit share; the ``2**n``
+    subsets are enumerated exactly, each size in batches of up to
+    ``_CHUNK`` subsets.  Ties break toward smaller then lexicographically
+    earlier sets.  The ranking does not depend on the success probability
+    (it only scales the share level), so ``p`` participates only through
+    downstream share searches.  Raises ``ActiveSetError`` for a weighted
+    network of more than ``cap`` agents and for a clique search past its
+    node budget.
     """
     n = network.n
-    if n > cap:
-        raise ActiveSetError(
-            f"active-set enumeration capped at {cap} agents; use optimize_general"
-        )
     g = network.matrix
 
     candidates: list[ActiveSetCandidate] = []
     if np.all(np.isin(g, (0.0, 1.0))):
-        for clique in _maximum_cliques(g):
+        # No search reaches 2**64 nodes; the bound keeps a huge cap from
+        # building a huge integer.
+        for clique in _maximum_cliques(g, 2 ** min(cap, 64)):
             k = len(clique)
             candidates.append(ActiveSetCandidate(
                 agents=tuple(int(i) for i in clique),
@@ -554,26 +585,16 @@ def optimal_active_set(network: Network, p: SuccessProbability, *, cap: int = 16
         candidates.sort(key=lambda c: (len(c.agents), c.agents))
         return candidates
 
-    for size in range(1, n + 1):
-        for agents in itertools.combinations(range(n), size):
-            sub = g[np.ix_(agents, agents)]
-            if size == 1:
-                candidates.append(ActiveSetCandidate(agents=agents, share_rate=0.0, direction=np.ones(1)))
-                continue
-            if not _induced_diameter_le2(sub):
-                continue
-            try:
-                t = np.linalg.solve(sub, np.ones(size))
-            except np.linalg.LinAlgError:
-                continue
-            if not np.all(np.isfinite(t)) or np.max(np.abs(sub @ t - 1.0)) > 1e-8:
-                continue
-            if np.min(t) <= 1e-12:
-                continue
-            total = float(np.sum(t))
-            candidates.append(ActiveSetCandidate(
-                agents=agents, share_rate=1.0 / total, direction=t / total,
-            ))
+    if n > cap:
+        raise ActiveSetError(
+            f"active-set enumeration of a weighted network capped at {cap} agents "
+            f"(2^{cap} subsets); use optimize_general"
+        )
+    candidates += [ActiveSetCandidate(agents=(i,), share_rate=0.0, direction=np.ones(1)) for i in range(n)]
+    for size in range(2, n + 1):
+        subsets = itertools.combinations(range(n), size)
+        while (agents := np.fromiter(itertools.islice(subsets, _CHUNK), dtype=(np.intp, size))).size:
+            candidates.extend(_balanced_candidates(g, agents))
 
     candidates.sort(key=lambda c: (-c.share_rate, len(c.agents), c.agents))
     return candidates
@@ -688,14 +709,13 @@ def optimize_quadratic_binary(
     cubic; otherwise, or when that root's performance reaches the cap, the
     search runs over the equilibrium performance, whose balanced-equity
     share is explicit (``_balanced_share``).  Falls back to the gradient
-    optimizer when no usable candidate set exists.
+    optimizer, with a warning that names the bound, when the active-set
+    search stops at its work bound.
     """
     try:
         candidates = optimal_active_set(network, p)
-    except ActiveSetError:
-        candidates = []
-    if not candidates:
-        warnings.warn("no usable active set; falling back to the gradient optimizer")
+    except ActiveSetError as exc:
+        warnings.warn(f"no usable active set ({exc}); falling back to the gradient optimizer")
         return optimize_general(quadratic_binary_problem(network, p), options=options)
 
     best = candidates[0]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 import teampay as tp
@@ -11,6 +13,12 @@ KAPPA_HALF = tp.LinearCappedSuccess(0.5)
 
 def clique(n: int, weight: float = 1.0) -> tp.Network:
     w = weight * (np.ones((n, n)) - np.eye(n))
+    return tp.Network(w)
+
+
+def star(n: int, weight: float = 1.0) -> tp.Network:
+    w = np.zeros((n, n))
+    w[0, 1:] = w[1:, 0] = weight
     return tp.Network(w)
 
 
@@ -184,3 +192,45 @@ def staged_oracle(problem, coarse_step, coarse_hi, stages):
         hi[:, 0] = 0.0
         contract, payoff = tp.brute_force_optimal_contract(problem, step, (lo, hi))
     return contract, payoff
+
+
+def _induced_diameter_le2(sub: np.ndarray) -> bool:
+    """Connected with all pairwise distances at most 2 (in the induced graph)."""
+    k = sub.shape[0]
+    if k == 1:
+        return True
+    adj = sub > 0.0
+    two_step = adj | (adj @ adj)
+    np.fill_diagonal(two_step, True)
+    return bool(np.all(two_step))
+
+
+def reference_active_sets(network: tp.Network) -> list:
+    """The weighted branch of ``optimal_active_set`` as a loop over every
+    subset, one solve each: the reference the batched enumeration must
+    match bit for bit."""
+    n = network.n
+    g = network.matrix
+    candidates = []
+    for size in range(1, n + 1):
+        for agents in itertools.combinations(range(n), size):
+            sub = g[np.ix_(agents, agents)]
+            if size == 1:
+                candidates.append(tp.ActiveSetCandidate(agents=agents, share_rate=0.0, direction=np.ones(1)))
+                continue
+            if not _induced_diameter_le2(sub):
+                continue
+            try:
+                t = np.linalg.solve(sub, np.ones(size))
+            except np.linalg.LinAlgError:
+                continue
+            if not np.all(np.isfinite(t)) or np.max(np.abs(sub @ t - 1.0)) > 1e-8:
+                continue
+            if np.min(t) <= 1e-12:
+                continue
+            total = float(np.sum(t))
+            candidates.append(tp.ActiveSetCandidate(
+                agents=agents, share_rate=1.0 / total, direction=t / total,
+            ))
+    candidates.sort(key=lambda c: (-c.share_rate, len(c.agents), c.agents))
+    return candidates

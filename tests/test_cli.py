@@ -173,6 +173,14 @@ def test_active_set_command(files, capsys):
     assert out["candidates"][0]["share_rate"] == pytest.approx(2 / 3)
 
 
+def test_active_set_budget_stop_exits_two(files, capsys):
+    _, problem, _, _ = files
+    assert run(["active-set", str(problem), "--cap", "1"]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "solver"
+    assert "budget of 2 branch-and-bound nodes" in err["message"]
+
+
 def test_sweep_csv_and_round_trip(files, capsys):
     _, _, figure, _ = files
     assert run(["sweep", str(figure), "--param", "G23", "--grid", "0:1:0.25"]) == 0

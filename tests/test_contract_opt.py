@@ -1,5 +1,7 @@
 import dataclasses
+import tracemalloc
 
+import networkx as nx
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +16,9 @@ from helpers import (
     clique,
     quadratic_problem,
     random_symmetric_network,
+    reference_active_sets,
     softmax_instance,
+    star,
     two_stage_oracle,
 )
 
@@ -143,6 +147,23 @@ def test_payoff_weakly_increasing_in_edge_weights():
         assert after >= base - 1e-9
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 7), seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 0.6),
+       a=st.integers(0, 6), b=st.integers(0, 5), bump=st.floats(0.001, 0.5))
+def test_payoff_weakly_increasing_in_each_edge_weight_property(n, seed, zeros, a, b, bump):
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) >= zeros), 1)
+    net = tp.Network(w + w.T)
+    i = a % n
+    j = (i + 1 + b % (n - 1)) % n
+    bumped = net.with_edge(i, j, net.weights[i, j] + bump)
+    before = tp.optimize_quadratic_binary(net, KAPPA_HALF)
+    after = tp.optimize_quadratic_binary(bumped, KAPPA_HALF)
+    # Below the cap of LinearCappedSuccess(0.5), at performance 2.
+    assume(max(before.equilibrium.performance, after.equilibrium.performance) < 2.0 * (1.0 - 1e-6))
+    assert after.principal_payoff >= before.principal_payoff - 1e-12
+
+
 @settings(max_examples=30, deadline=None)
 @given(n=st.integers(2, 6), kappa=st.floats(0.1, 0.5), seed=st.integers(0, 2**32 - 1))
 def test_linear_success_total_share_is_the_cubic_root(n, kappa, seed):
@@ -248,7 +269,76 @@ def test_weighted_candidates_have_diameter_at_most_two():
 
 def test_enumeration_cap():
     with pytest.raises(tp.ActiveSetError):
-        tp.optimal_active_set(clique(5), KAPPA_HALF, cap=4)
+        tp.optimal_active_set(clique(5, 0.5), KAPPA_HALF, cap=4)
+
+
+def _assert_same_candidates(got, expected):
+    assert [c.agents for c in got] == [c.agents for c in expected]
+    for a, b in zip(got, expected):
+        assert type(a.share_rate) is type(b.share_rate) and a.share_rate == b.share_rate, a.agents
+        assert a.direction.tobytes() == b.direction.tobytes(), a.agents
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 10), seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 0.8), twins=st.booleans())
+def test_batched_active_sets_match_the_subset_loop(n, seed, zeros, twins):
+    # Zero weights make some subsets disconnected or of diameter > 2; twin
+    # agents (equal rows, no link between them) make every subset holding
+    # both singular.
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.uniform(0.05, 1.0, (n, n)) * (rng.uniform(size=(n, n)) >= zeros), 1)
+    w = w + w.T
+    if twins and n >= 3:
+        w[2, :] = w[1, :]
+        w[:, 2] = w[:, 1]
+    net = tp.Network(w)
+    _assert_same_candidates(tp.optimal_active_set(net, KAPPA_HALF), reference_active_sets(net))
+
+
+@pytest.mark.parametrize("net", [
+    pytest.param(star(7, 0.7), id="star"),
+    # C(14, 7) = 3432 subsets: the middle size classes span several batches.
+    pytest.param(random_symmetric_network(np.random.default_rng(14), 14), id="n14"),
+])
+def test_batched_active_sets_match_the_subset_loop_pinned(net):
+    _assert_same_candidates(tp.optimal_active_set(net, KAPPA_HALF), reference_active_sets(net))
+
+
+def test_batched_enumeration_memory_is_bounded():
+    net = random_symmetric_network(np.random.default_rng(16), 16)
+    tracemalloc.start()
+    try:
+        tp.optimal_active_set(net, KAPPA_HALF)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20
+
+
+@settings(max_examples=25, deadline=None)
+@given(n=st.integers(17, 40), edge=st.floats(0.1, 0.8), seed=st.integers(0, 2**32 - 1))
+def test_maximum_cliques_match_networkx(n, edge, seed):
+    w = np.triu((np.random.default_rng(seed).uniform(size=(n, n)) < edge).astype(float), 1)
+    w = w + w.T
+    cliques = [tuple(sorted(int(i) for i in c)) for c in nx.find_cliques(nx.from_numpy_array(w))]
+    omega = max(len(c) for c in cliques)
+    candidates = tp.optimal_active_set(tp.Network(w), KAPPA_HALF)
+    assert [c.agents for c in candidates] == sorted(c for c in cliques if len(c) == omega)
+    assert all(c.share_rate == (omega - 1.0) / omega for c in candidates)
+
+
+def test_clique_search_stops_at_its_node_budget():
+    w = np.triu((np.random.default_rng(0).uniform(size=(30, 30)) < 0.9).astype(float), 1)
+    with pytest.raises(tp.ActiveSetError, match="budget of 64 branch-and-bound nodes"):
+        tp.optimal_active_set(tp.Network(w + w.T), KAPPA_HALF, cap=6)
+
+
+def test_fallback_warning_names_the_bound_that_stopped_the_search(monkeypatch):
+    monkeypatch.setattr(contract_opt, "optimize_general", lambda problem, options=None: "fallback")
+    net = random_symmetric_network(np.random.default_rng(0), 17)
+    with pytest.warns(UserWarning, match=r"no usable active set \(active-set enumeration of a weighted "
+                                         r"network capped at 16 agents"):
+        assert tp.optimize_quadratic_binary(net, KAPPA_HALF) == "fallback"
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from helpers import (
     random_symmetric_network,
     softmax_instance,
     solver_oracle_agreement,
+    star,
     success_contract,
 )
 
@@ -160,12 +161,6 @@ def test_spectral_guard_strict_at_returned_equilibria():
         rho = tp.spectral_radius(tau[:, None] * net.matrix)
         assert float(p.deriv(eq.performance)) * rho < 1.0
         assert eq.spectral_margin > 0.0
-
-
-def star(n: int) -> tp.Network:
-    w = np.zeros((n, n))
-    w[0, 1:] = w[1:, 0] = 1.0
-    return tp.Network(w)
 
 
 @settings(max_examples=60, deadline=None)

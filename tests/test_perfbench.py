@@ -1,5 +1,6 @@
-"""The benchmark's closed_form workload, run as a test: every CLI call of one
-pass must pass its output check against the recorded references.  Reads
+"""The benchmark's workloads, run as tests: every CLI call of one pass of
+``closed_form``, and the quadratic ``optimize`` calls of ``large_network``,
+must pass their output checks against the recorded references.  Reads
 ``perfbench/`` and writes only into the test's temporary directory."""
 
 import contextlib
@@ -8,6 +9,8 @@ import io
 import json
 import sys
 from pathlib import Path
+
+import pytest
 
 from teampay.cli import run
 
@@ -23,12 +26,28 @@ def _workloads(monkeypatch):
     return module
 
 
+def _run_checked(call) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(list(call.argv))
+    assert call.check(code, out.getvalue()) is None, call.label
+    return out.getvalue()
+
+
 def test_closed_form_workload_passes_its_reference_checks(tmp_path, monkeypatch):
     reference = json.loads((PERFBENCH / "reference.json").read_text())
     _, calls = _workloads(monkeypatch).build("closed_form", 1, tmp_path, reference)
     assert calls
     for call in calls:
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = run(list(call.argv))
-        assert call.check(code, out.getvalue()) is None, call.label
+        _run_checked(call)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_large_network_optimize_calls_pass_their_reference_checks(tmp_path, monkeypatch, seed):
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    _, calls = _workloads(monkeypatch).build("large_network", seed, tmp_path, reference)
+    optimize = {call.label: call for call in calls if call.command == "optimize"}
+    assert sorted(optimize) == ["gnp40", "weighted12", "weighted14"]
+    methods = {label: json.loads(_run_checked(call))["method"] for label, call in optimize.items()}
+    # The unweighted G(40, 0.5) graph takes the clique search, not the fallback.
+    assert methods == dict.fromkeys(optimize, "quadratic_closed_form")
