@@ -303,64 +303,18 @@ class _Parametrization:
 _PAYMENTS = _Parametrization(Contract, lambda grad: grad, lambda tau: np.maximum(0.0, tau))
 
 
-def _polish_support(problem: Problem, x: np.ndarray, eq: EquilibriumResult, options: OptimizerOptions,
-                    var: _Parametrization):
-    """Newton refinement of the stationarity system on the positive support.
-
-    Projected gradient stalls once line-search gains sink below the payoff's
-    equilibrium-solve noise; solving grad = 0 on the support with a
-    finite-difference Jacobian of the analytic gradient pushes the KKT
-    residual a few more orders down.
-    """
-    shape = x.shape
-    support = np.flatnonzero(x.ravel() > 1e-7)
-    if support.size == 0:
-        return x, eq
-    x = x.ravel().copy()
-    for _ in range(12):
-        g = var.gradient(problem, x.reshape(shape), eq).ravel()[support]
-        if np.max(np.abs(g)) <= 0.25 * options.tol:
-            break
-        h = 1e-6 * np.maximum(1.0, np.abs(x[support]))
-        jac = np.empty((support.size, support.size))
-        for col, b in enumerate(support):
-            xp = x.copy()
-            xp[b] += h[col]
-            try:
-                eq_p = _solve_eq_checked(problem, var.contract(xp.reshape(shape)), eq.actions)
-            except (EquilibriumError, CapExceededError):
-                return x.reshape(shape), eq
-            gp = var.gradient(problem, xp.reshape(shape), eq_p).ravel()
-            jac[:, col] = (gp[support] - g) / h[col]
-        try:
-            delta = np.linalg.solve(jac, -g)
-        except np.linalg.LinAlgError:
-            break
-        limit = 0.2 * max(1.0, float(np.max(np.abs(x[support]))))
-        scale = min(1.0, limit / max(float(np.max(np.abs(delta))), 1e-300))
-        x_new = x.copy()
-        x_new[support] += scale * delta
-        x_new = var.project(x_new)
-        try:
-            eq_new = _solve_eq_checked(problem, var.contract(x_new.reshape(shape)), eq.actions)
-        except (EquilibriumError, CapExceededError):
-            break
-        x, eq = x_new, eq_new
-    return x.reshape(shape), eq
-
-
 def _ascend(problem: Problem, x0: np.ndarray, options: OptimizerOptions, var: _Parametrization,
             known=None):
-    """Projected Armijo ascent with Barzilai-Borwein steps from ``x0``, with
-    a Newton polish once the KKT residual is small.  Returns ``(x, eq,
+    """Projected Armijo ascent with Barzilai-Borwein steps from ``x0``.  It
+    stops at a KKT residual within ``options.tol``, on reaching a run in
+    ``known`` that another start already certified, when the line search
+    stalls, or after ``options.max_iters`` steps.  Returns ``(x, eq,
     payoff, kkt, converged)``."""
     x = x0.copy()
     eq = _solve_eq_selected(problem, var.contract(x))
     payoff = var.payoff(problem, x, eq)
     step = _STEP_INIT
-    kkt = np.inf
     prev = None  # (x, grad) for the Barzilai-Borwein step length
-    polish_gate = 1e-3
     for _ in range(options.max_iters):
         # A start homing in on an optimum another start already certified
         # can stop; re-running the same endgame is pure waste.
@@ -375,12 +329,6 @@ def _ascend(problem: Problem, x0: np.ndarray, options: OptimizerOptions, var: _P
         kkt = _kkt_residual(x, grad)
         if kkt <= options.tol:
             return x, eq, payoff, kkt, True
-        if kkt <= polish_gate:
-            x_p, eq_p = _polish_support(problem, x, eq, options, var)
-            kkt_p = _kkt_residual(x_p, var.gradient(problem, x_p, eq_p))
-            if kkt_p <= options.tol:
-                return x_p, eq_p, var.payoff(problem, x_p, eq_p), kkt_p, True
-            polish_gate = min(polish_gate / 30.0, kkt / 30.0)
         if prev is not None:
             # Barzilai-Borwein step over the free coordinates only; entries
             # pinned at the zero bound carry capped gradients whose jitter
@@ -415,10 +363,6 @@ def _ascend(problem: Problem, x0: np.ndarray, options: OptimizerOptions, var: _P
         if not accepted:
             break
     kkt = _kkt_residual(x, var.gradient(problem, x, eq))
-    if kkt > options.tol:
-        x, eq = _polish_support(problem, x, eq, options, var)
-        payoff = var.payoff(problem, x, eq)
-        kkt = _kkt_residual(x, var.gradient(problem, x, eq))
     return x, eq, payoff, kkt, kkt <= options.tol
 
 

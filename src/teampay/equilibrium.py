@@ -4,8 +4,8 @@ Two paths: a specialized solver for the quadratic-network / binary-outcome
 environment (linear money utility, unit quadratic costs), which is one linear
 solve under a linear success probability and otherwise one scalar root of the
 performance fixed point in the eigenbasis of ``T^{1/2} G T^{1/2}``, and a
-general damped best-response solver for arbitrary production / outcome /
-utility / cost combinations.
+general damped best-response solver with a Newton corrector for arbitrary
+production / outcome / utility / cost combinations.
 """
 
 from __future__ import annotations
@@ -251,13 +251,13 @@ def _foc(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, ai):
 _NEWTON_STOP = 4.0 * np.finfo(float).eps  # relative step at which Newton has converged
 
 
-def _refine_root(problem, u_levels, i, a, lo, hi, start=None) -> float:
+def _refine_root(problem, u_levels, i, a, lo, hi) -> float:
     """Safeguarded Newton for the first-order condition inside a bracket with
-    g(lo) > 0 >= g(hi), from ``start`` (the bracket's midpoint when None): a
-    step that leaves the bracket takes its midpoint.  Stops at an exact zero
-    of g, or once the step is within four ulps of the iterate, which is as
-    close as double precision resolves a root."""
-    x = 0.5 * (lo + hi) if start is None else start
+    g(lo) > 0 >= g(hi), from the bracket's midpoint: a step that leaves the
+    bracket takes its midpoint.  Stops at an exact zero of g, or once the
+    step is within four ulps of the iterate, which is as close as double
+    precision resolves a root."""
+    x = 0.5 * (lo + hi)
     for _ in range(100):
         gx, slope = (float(v) for v in _foc(problem, u_levels, i, a, x))
         if gx == 0.0:
@@ -280,19 +280,11 @@ def _refine_root(problem, u_levels, i, a, lo, hi, start=None) -> float:
     return x
 
 
-def _best_response(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray,
-                   a_max: float, hint: float | None = None) -> float:
+def _best_response(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, a_max: float) -> float:
     """Agent i's best response: probe for sign changes of the first-order
     condition, then safeguarded Newton in each bracket;
-    multiple roots are resolved by comparing payoffs.  A ``hint`` near the
-    previous response tries a cheap local bracket, with Newton started at
-    the hint, before the full probe grid.
+    multiple roots are resolved by comparing payoffs.
     """
-    if hint is not None and hint > 1e-9:
-        lo, hi = 0.7 * hint, 1.45 * hint
-        (g_lo, g_hi), _ = _foc(problem, u_levels, i, a, [lo, hi])
-        if g_lo > 0.0 >= g_hi:
-            return float(_refine_root(problem, u_levels, i, a, lo, hi, start=hint))
     probes = np.unique(np.concatenate([
         np.geomspace(1e-11, a_max, 24),
         np.linspace(a_max / 12.0, a_max, 12),
@@ -376,9 +368,10 @@ def _first_order(problem: Problem, u_levels: np.ndarray, a: np.ndarray, support:
 
 
 def _newton_snap(problem: Problem, u_levels: np.ndarray, a: np.ndarray, steps: int = 6):
-    """Full-system Newton on the interior first-order conditions, used as a
-    terminal accelerator once damped best responses are close; the caller
-    re-verifies the result with an exact best-response pass."""
+    """Full-system Newton on the first-order conditions of ``a``'s support,
+    from ``a``; None when a step leaves the support's positive orthant or
+    meets a singular Jacobian or an undefined derivative.  The caller
+    accepts the result only after a full best-response pass."""
     support = np.flatnonzero(a > 1e-12)
     if support.size == 0:
         return a
@@ -403,6 +396,19 @@ def _newton_snap(problem: Problem, u_levels: np.ndarray, a: np.ndarray, steps: i
     return x
 
 
+def _accepted_residual(problem: Problem, u_levels: np.ndarray, candidate: np.ndarray,
+                       a_max: float, tol: float) -> float | None:
+    """The first-order-condition residual of ``candidate`` when it is an
+    equilibrium within ``tol``, else None: every agent's best response,
+    re-derived from the full probe scan, lies within ``tol`` of its action,
+    and the residual is at most ``tol``."""
+    full = np.array([_best_response(problem, u_levels, i, candidate, a_max) for i in range(problem.n)])
+    if float(np.max(np.abs(full - candidate))) > tol:
+        return None
+    residual = _foc_residual(problem, u_levels, candidate)
+    return residual if residual <= tol else None
+
+
 def solve_equilibrium_general(
     problem: Problem,
     contract: Contract,
@@ -413,20 +419,27 @@ def solve_equilibrium_general(
     max_sweeps: int = 10_000,
     check_grid: int = 64,
 ) -> EquilibriumResult:
-    """Damped simultaneous best-response iteration for arbitrary problems.
+    """Damped simultaneous best-response iteration with a Newton corrector,
+    for arbitrary problems.
 
-    Each best response evaluates the first-order condition on 36 probes in
-    one batched call (or, warm, on a bracket around the previous response)
-    and refines each sign change by safeguarded Newton to machine precision.
-    Converges when both the sweep-to-sweep change and the per-agent
-    first-order-condition residual fall below ``tol``; afterwards each
-    agent's action is compared against a coarse payoff grid (``check_grid``
-    points on [0, a_max]) and the outcome recorded in
-    ``global_check_passed``.  Raises :class:`EquilibriumError` after
-    ``max_sweeps`` sweeps, or as soon as the best-response profile's
-    performance reaches a linear success probability's cap (within 1e-9
-    relative) on two consecutive sweeps: at the kink efforts form a
-    continuum and no interior equilibrium exists.
+    Each sweep takes every agent's best response: the first-order condition
+    on 36 probes in one batched call, each sign change refined by
+    safeguarded Newton to machine precision.  When the sweep moves the
+    profile by more than ``tol``, full-system Newton on the first-order
+    conditions of the best-response profile's support (``_newton_snap``)
+    proposes a candidate; otherwise the best-response profile is the
+    candidate.  A candidate is accepted only when a full best-response pass
+    moves no agent by more than ``tol`` and its first-order-condition
+    residual is within ``tol``; otherwise the profile takes the damped step
+    ``(1 - damping) a + damping br`` (the best-response profile itself once
+    the sweep gap is within ``tol``).  ``iterations`` counts the sweeps,
+    the accepting one included.  The accepted profile's actions are then
+    compared against a coarse payoff grid (``check_grid`` points on
+    [0, a_max]) and the outcome recorded in ``global_check_passed``.  Raises
+    :class:`EquilibriumError` after ``max_sweeps`` sweeps, or as soon as the
+    best-response profile's performance reaches a linear success
+    probability's cap (within 1e-9 relative) on two consecutive sweeps: at
+    the kink efforts form a continuum and no interior equilibrium exists.
     """
     n = problem.n
     if contract.payments.shape != (n, problem.n_outcomes):
@@ -442,15 +455,10 @@ def solve_equilibrium_general(
     a = np.clip(a, 0.0, a_max)
 
     sweeps = 0
-    converged = False
-    snap_gate = max(1e-4, 10.0 * tol)
-    hints = [None] * n
+    residual = None
     at_cap = 0
     for sweeps in range(1, max_sweeps + 1):
-        br = np.array([
-            _best_response(problem, u_levels, i, a, a_max, hint=hints[i]) for i in range(n)
-        ])
-        hints = list(br)
+        br = np.array([_best_response(problem, u_levels, i, a, a_max) for i in range(n)])
         y_br = problem.production.value(br)
         at_cap = at_cap + 1 if _past_cap(problem.outcomes, y_br, rel=1e-9) else 0
         if at_cap == 2:
@@ -461,42 +469,18 @@ def solve_equilibrium_general(
                 f"on consecutive sweeps (performance {y_br:.17g}): no interior equilibrium",
                 best=a,
             )
-        gap = float(np.max(np.abs(br - a)))
-
-        def _accept(candidate: np.ndarray) -> bool:
-            # Final acceptance always re-derives best responses with the full
-            # probe scan, so a warm hint cannot have latched onto a local root.
-            full = np.array([
-                _best_response(problem, u_levels, i, candidate, a_max) for i in range(n)
-            ])
-            return (
-                float(np.max(np.abs(full - candidate))) <= tol
-                and _foc_residual(problem, u_levels, candidate) <= tol
-            )
-
-        if gap <= tol:
-            if _accept(br):
-                a = br
-                converged = True
+        close = float(np.max(np.abs(br - a))) <= tol
+        candidate = br if close else _newton_snap(problem, u_levels, br)
+        if candidate is not None:
+            residual = _accepted_residual(problem, u_levels, candidate, a_max, tol)
+            if residual is not None:
+                a = candidate
                 break
-            a = br
-        elif gap <= snap_gate:
-            # Close to the fixed point: a full-system Newton snap on the
-            # first-order conditions saves dozens of damped sweeps.
-            snapped = _newton_snap(problem, u_levels, br)
-            if snapped is not None and np.all(snapped >= 0.0) and _accept(snapped):
-                a = snapped
-                converged = True
-                break
-            snap_gate /= 10.0  # snap failed; retry only once materially closer
-            a = (1.0 - damping) * a + damping * br
-        else:
-            a = (1.0 - damping) * a + damping * br
-    if not converged:
+        a = br if close else (1.0 - damping) * a + damping * br
+    if residual is None:
         raise EquilibriumError(
             f"best-response iteration did not converge in {max_sweeps} sweeps", best=a
         )
-    residual = _foc_residual(problem, u_levels, a)
 
     y = float(problem.production.value(a))
     probs, _, _ = problem.outcomes.probs_derivs(y)

@@ -3,10 +3,10 @@
 An equity contract pays agent i the amount ``shares[i] * revenue_s`` at
 outcome s.  Equity pay is a linear reparametrization of payments,
 ``tau = sigma ⊗ v``, so equilibria go through the general solver and the
-share optimizer is the unrestricted optimizer's projected ascent, run in
-shares: the shares map to payments, the payment gradient maps back to
-shares by the chain rule, and the projection keeps the shares nonnegative
-with a sum of at most 1.
+share optimizer is the unrestricted optimizer's projected Barzilai-Borwein
+ascent, run in shares: the shares map to payments, the payment gradient
+maps back to shares by the chain rule, and the projection keeps the shares
+nonnegative with a sum of at most 1.
 """
 
 from __future__ import annotations
@@ -114,7 +114,7 @@ def optimize_equity(
 ) -> EquityResult:
     """Multi-start projected gradient ascent on the equity payoff
     ``(1 - sum(sigma)) * sum_s v_s P_s(Y*)``: the unrestricted optimizer's
-    ascent, Newton polish and multi-start driver, run in shares.
+    projected Barzilai-Borwein ascent and multi-start driver, run in shares.
 
     Reports the per-agent balance values (whose spread across positive-share
     agents is the optimality diagnostic) and, by default, the unrestricted

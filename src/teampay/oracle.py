@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 
 import numpy as np
 
@@ -29,7 +30,6 @@ __all__ = [
     "finite_diff",
 ]
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Points of one windowed scan or zoom.
 _SCAN = 64
 _SCAN_K = np.arange(_SCAN, dtype=float)
@@ -46,6 +46,10 @@ _GRID_POINTS = 1024
 # around a flat payoff maximum, so requested tolerances are clamped at
 # this resolution floor; the returned residual stays honest.
 _FLOOR = 5e-9
+# Zooms per best response: each shrinks a bracket by at least (_SCAN - 1) / 2,
+# so this many take any finite bracket to the smallest step tolerance,
+# a quarter of the resolution floor.
+_ZOOMS = math.ceil((math.log(sys.float_info.max) - math.log(_FLOOR / 4.0)) / math.log((_SCAN - 1) / 2.0))
 
 
 class OracleError(RuntimeError):
@@ -101,29 +105,6 @@ def _full_scan(problem, u, i, a, a_max, grid_points):
     return arg, corner
 
 
-def _golden(problem, u, i, a, lo, hi, xtol):
-    """Golden-section pass that moves each row until its own bracket is
-    at most its ``xtol``; moves ``lo`` and ``hi`` in place and returns the
-    bracket midpoints."""
-    x1 = hi - _GOLDEN * (hi - lo)
-    x2 = lo + _GOLDEN * (hi - lo)
-    f = _payoffs(problem, u, i, a, np.stack([x1, x2], axis=1))
-    f1, f2 = f[:, 0], f[:, 1]
-    live = np.flatnonzero(hi - lo > xtol)
-    while live.size:
-        left = f1[live] >= f2[live]
-        lt, rt = live[left], live[~left]
-        hi[lt], x2[lt], f2[lt] = x2[lt], x1[lt], f1[lt]
-        x1[lt] = hi[lt] - _GOLDEN * (hi[lt] - lo[lt])
-        lo[rt], x1[rt], f1[rt] = x1[rt], x2[rt], f2[rt]
-        x2[rt] = lo[rt] + _GOLDEN * (hi[rt] - lo[rt])
-        new = np.where(left, x1[live], x2[live])
-        fn = _payoffs(problem, u[live], i, a[live], new[:, None])[:, 0]
-        f1[lt], f2[rt] = fn[left], fn[~left]
-        live = live[hi[live] - lo[live] > xtol[live]]
-    return 0.5 * (lo + hi)
-
-
 def _window_scan(problem, u, i, a, a_max, half, lo, hi, corner):
     """Windowed 64-point scans around each row's action, widened sixfold
     while the argmax sits on an inner window edge.  Fills ``lo``, ``hi``
@@ -153,7 +134,7 @@ def _window_scan(problem, u, i, a, a_max, half, lo, hi, corner):
 
 def _best_responses(problem, u, i, a, a_max, grid_points, xtol, window=None):
     """Agent i's grid-argmax best response in every row, zoomed by nested
-    64-point grids down to the row's ``xtol`` and finished by a golden pass.
+    64-point grids until the row's bracket is at most its ``xtol``.
 
     ``window`` (per row) restricts the initial scan to a local bracket around
     the current action (used mid-iteration for speed); an argmax on the
@@ -181,7 +162,7 @@ def _best_responses(problem, u, i, a, a_max, grid_points, xtol, window=None):
     if not z.size:
         return out
     live = z
-    for _ in range(8):
+    for _ in range(_ZOOMS):
         sub = _linspace_at(lo[live, None], hi[live, None], _SCAN, _SCAN_K)
         k = np.argmax(_payoffs(problem, u[live], i, a[live], sub), axis=1)
         lo[live], hi[live] = _bracket(sub, k)
@@ -189,8 +170,6 @@ def _best_responses(problem, u, i, a, a_max, grid_points, xtol, window=None):
         if not live.size:
             break
     x = 0.5 * (lo + hi)
-    if live.size:
-        x[live] = _golden(problem, u[live], i, a[live], lo[live], hi[live], xtol[live])
     # The corner can beat the interior refinement when the payoff is
     # decreasing from the start.
     at_x = _payoffs(problem, u[z], i, a[z], x[z, None])[:, 0]
@@ -257,12 +236,14 @@ def _iterate(problem, payments, tol, damping, max_sweeps, grid_points, a_max, in
         a[r] = (1.0 - damping) * a[r] + damping * br
         trail.append(a.copy())
         if len(trail) == 3:
-            # Aitken extrapolation of the linearly converging damped map;
-            # the next sweep re-measures the gap, so a bad jump self-corrects.
+            # Aitken extrapolation of the linearly converging damped map, on
+            # the coordinates whose last two steps keep their sign and shrink.
+            # Where a step flips sign or grows, the jump can land far off, and
+            # from zero effort such jumps can keep the iteration cycling.
             x0, x1, x2 = (t[r] for t in trail)
             d1, d2 = x1 - x0, x2 - x1
             denom = d2 - d1
-            safe = np.abs(denom) > 1e-14
+            safe = (d1 * d2 > 0.0) & (np.abs(d2) < np.abs(d1)) & (np.abs(denom) > 1e-14)
             jump = np.where(safe, x2 - np.divide(d2**2, denom, out=np.zeros_like(d2), where=safe), x2)
             a[r] = np.maximum(0.0, jump)
             trail = [a.copy()]

@@ -655,6 +655,16 @@ def test_softmax_general_optimize_bounds_outcome_derivative_calls(monkeypatch):
     assert 0 < calls[0] <= 25_000
 
 
+def test_softmax_sqrt_ascents_converge_at_a_tight_tolerance():
+    # Barzilai-Borwein projected ascent alone reaches a KKT residual of 1e-12,
+    # in payments and in equity shares.
+    problem = softmax_instance([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0],
+                               clique(2), tp.SqrtUtility())
+    options = tp.OptimizerOptions(tol=1e-12)
+    assert tp.optimize_general(problem, options=options).kkt_residual <= 1e-12
+    assert tp.optimize_equity(problem, options, compare_unrestricted=False).kkt_residual <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # equilibria that fail the general solver's global check
 # ---------------------------------------------------------------------------

@@ -397,23 +397,29 @@ def test_first_order_jacobian_matches_central_differences(family, softmax, n, se
     assert np.max(np.abs(jac - fd)) <= 1e-6 * np.max(np.abs(jac))
 
 
-def test_hinted_best_response_starts_newton_at_the_hint(monkeypatch):
-    problem = softmax_instance([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0], clique(2), tp.SqrtUtility())
-    payments = np.array([[0.05, 0.15, 0.5], [0.05, 0.2, 0.4]])
-    u_levels = np.array([problem.utilities[i].value(payments[i]) for i in range(2)])
-    a = np.array([0.4, 0.3])
-    a_max = equilibrium.default_action_bound(tp.Contract(payments))
-    root = equilibrium._best_response(problem, u_levels, 0, a, a_max)
-    assert root > 0.0
+GENERAL_TWO_CLIQUES = {
+    "softmax_linear": softmax_instance([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0], clique(2),
+                                       tp.LinearUtility()),
+    "softmax_sqrt": softmax_instance([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0], clique(2),
+                                     tp.SqrtUtility()),
+    "binary": quadratic_problem(clique(2)),
+}
 
-    calls = []
-    foc = equilibrium._foc
 
-    def counted(*args):
-        calls.append(args)
-        return foc(*args)
-
-    monkeypatch.setattr(equilibrium, "_foc", counted)
-    again = equilibrium._best_response(problem, u_levels, 0, a, a_max, hint=root)
-    assert len(calls) <= 3
-    assert abs(again - root) <= 4.0 * np.spacing(root)
+@settings(max_examples=100, deadline=None)
+@given(label=st.sampled_from(sorted(GENERAL_TWO_CLIQUES)),
+       cells=st.lists(st.floats(0.0, 2.0), min_size=6, max_size=6))
+def test_general_equilibria_meet_their_residual_and_global_check(label, cells):
+    """Every equilibrium the general solver returns, from each start the
+    principal-best selection uses, has a first-order residual within ``tol``
+    and passes the global best-response grid check."""
+    problem = GENERAL_TWO_CLIQUES[label]
+    contract = tp.Contract(np.reshape(cells[: 2 * problem.n_outcomes], (2, problem.n_outcomes)))
+    tol = 1e-11
+    for start in (0.1, 1.0, 3.0):
+        try:
+            eq = tp.solve_equilibrium_general(problem, contract, init=np.full(2, start), tol=tol)
+        except tp.EquilibriumError:
+            continue
+        assert eq.residual <= tol
+        assert eq.global_check_passed

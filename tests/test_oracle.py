@@ -53,6 +53,28 @@ def test_symmetric_profile_from_asymmetric_init():
     assert abs(eq.actions[0] - eq.actions[1]) < 1e-8
 
 
+def test_zero_start_converges_where_steps_stop_shrinking():
+    # From zero effort the damped map's steps on this contract flip sign or
+    # barely grow on one agent; an Aitken jump there used to throw the
+    # profile off and the iteration cycled through its whole budget.
+    net = clique(2)
+    tol = 1e-8
+    eq = tp.best_response_iterate(quadratic_problem(net), success_contract([0.65, 0.8]), tol=tol, init=np.zeros(2))
+    exact = tp.solve_equilibrium_quadratic_binary(net, np.array([0.65, 0.8]), KAPPA_HALF)
+    assert np.max(np.abs(eq.actions - exact.actions)) <= tol
+
+
+def test_best_response_zooms_down_to_its_tolerance_on_a_wide_range():
+    # One agent, y = a, success probability a / 2: the best response to a
+    # success pay of 0.5 maximizes a / 4 - a^2 / 2 at 0.25.  Over [0, 1e12] the full grid's bracket
+    # needs more than eight 64-point zooms to come within 1e-6.
+    problem = quadratic_problem(clique(1))
+    xtol = np.array([1e-6])
+    br = oracle._best_responses(problem, np.array([[0.0, 0.5]]), 0, np.zeros((1, 1)), np.array([1e12]),
+                                oracle._GRID_POINTS, xtol)
+    assert abs(br[0] - 0.25) <= xtol[0]
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 2**32 - 1), st.integers(1, 9), st.booleans(), st.sampled_from([1e-8, 1e-10]))
 def test_batched_rows_match_one_by_one_iterations(seed, batch, softmax, tol):
