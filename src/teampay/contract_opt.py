@@ -72,6 +72,7 @@ _PRESCAN = 257         # geometric grid points of the 1-D performance search
 _Y_FLOOR = 1e-10       # first grid point of the performance search
 _Y_CEIL = 1e8          # highest performance searched without a success cap
 _GOLDEN_TOL = 1e-11    # bracket width, relative to its upper end, at which the search stops
+_GOLDEN_STEPS = 100    # golden-section step budget; 53 take any bracket [lo >= 0, hi] to _GOLDEN_TOL
 _CHUNK = 1024          # subsets per batched solve of the active-set enumeration
 
 
@@ -222,9 +223,11 @@ def _solve_eq_selected(problem: Problem, contract: Contract, *, tol: float = 1e-
     return best[1]
 
 
-def _payoff_gradient(problem: Problem, contract: Contract, eq: EquilibriumResult) -> np.ndarray:
-    """Analytic gradient of the principal payoff in every payment cell."""
-    obj = _FirstOrderObjects(problem, contract, eq)
+def _payoff_gradient(problem: Problem, contract: Contract, eq: EquilibriumResult,
+                     first_order: _FirstOrderObjects | None = None) -> np.ndarray:
+    """Analytic gradient of the principal payoff in every payment cell, from
+    the first-order objects at ``eq`` (built here unless given)."""
+    obj = first_order if first_order is not None else _FirstOrderObjects(problem, contract, eq)
     grad = obj.D_term * obj.performance_gradient() - eq.probs[None, :]
     # Unbounded entries (marginal utility at a zero payment) keep their sign
     # but are capped near the finite entries' scale, so one runaway
@@ -296,8 +299,9 @@ class _Parametrization:
     def payoff(self, problem: Problem, x: np.ndarray, eq: EquilibriumResult) -> float:
         return _principal_payoff(problem, self.contract(x), eq.probs)
 
-    def gradient(self, problem: Problem, x: np.ndarray, eq: EquilibriumResult) -> np.ndarray:
-        return self.pull_back(_payoff_gradient(problem, self.contract(x), eq))
+    def gradient(self, problem: Problem, x: np.ndarray, eq: EquilibriumResult,
+                 first_order: _FirstOrderObjects | None = None) -> np.ndarray:
+        return self.pull_back(_payoff_gradient(problem, self.contract(x), eq, first_order))
 
 
 _PAYMENTS = _Parametrization(Contract, lambda grad: grad, lambda tau: np.maximum(0.0, tau))
@@ -309,7 +313,13 @@ def _ascend(problem: Problem, x0: np.ndarray, options: OptimizerOptions, var: _P
     stops at a KKT residual within ``options.tol``, on reaching a run in
     ``known`` that another start already certified, when the line search
     stalls, or after ``options.max_iters`` steps.  Returns ``(x, eq,
-    payoff, kkt, converged)``."""
+    payoff, kkt, converged)``.
+
+    Each line-search trial's equilibrium is solved warm from the tangent
+    prediction ``a - J^{-1} dF`` (``_FirstOrderObjects.tangent_profile``),
+    with ``J`` the first-order Jacobian the payoff gradient at the current
+    equilibrium was built from, so a trial costs one small solve more and
+    usually no best-response sweep."""
     x = x0.copy()
     eq = _solve_eq_selected(problem, var.contract(x))
     payoff = var.payoff(problem, x, eq)
@@ -325,7 +335,8 @@ def _ascend(problem: Problem, x0: np.ndarray, options: OptimizerOptions, var: _P
                     and payoff >= run[2] - 1e-7 * (1.0 + abs(run[2]))
                 ):
                     return run
-        grad = var.gradient(problem, x, eq)
+        first_order = _FirstOrderObjects(problem, var.contract(x), eq)
+        grad = var.gradient(problem, x, eq, first_order)
         kkt = _kkt_residual(x, grad)
         if kkt <= options.tol:
             return x, eq, payoff, kkt, True
@@ -348,8 +359,9 @@ def _ascend(problem: Problem, x0: np.ndarray, options: OptimizerOptions, var: _P
             delta = trial - x
             if not np.any(delta):
                 break
+            contract = var.contract(trial)
             try:
-                eq_t = _solve_eq_checked(problem, var.contract(trial), eq.actions)
+                eq_t = _solve_eq_checked(problem, contract, first_order.tangent_profile(contract.payments))
             except (EquilibriumError, CapExceededError):
                 step *= 0.5
                 continue
@@ -585,11 +597,22 @@ def _payoff_along(share, p: SuccessProbability, y_max: float, stable=None):
 
 
 def _golden_max(f, lo: float, hi: float, tol: float) -> float:
+    """Golden-section maximizer of ``f`` on ``[lo, hi]``: the bracket's
+    midpoint once its width is at most ``tol``.  Raises
+    :class:`OptimizationError` when ``_GOLDEN_STEPS`` steps do not get there
+    (a ``tol`` below the spacing of doubles near the maximizer never does)."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - phi * (hi - lo)
     x2 = lo + phi * (hi - lo)
     f1, f2 = f(x1), f(x2)
+    steps = 0
     while hi - lo > tol:
+        if steps == _GOLDEN_STEPS:
+            raise OptimizationError(
+                f"golden-section search did not narrow its bracket to {tol:.3g} "
+                f"within its budget of {_GOLDEN_STEPS} steps"
+            )
+        steps += 1
         if f1 >= f2:
             hi, x2, f2 = x2, x1, f1
             x1 = hi - phi * (hi - lo)

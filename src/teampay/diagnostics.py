@@ -124,7 +124,8 @@ def _marginal_utilities(problem: Problem, payments: np.ndarray) -> np.ndarray:
 class _FirstOrderObjects:
     """The balance objects and the dY/dtau matrix, from the agents'
     first-order Jacobian ``J`` on the active agents and one solve of
-    ``J' v = -grad``."""
+    ``J' v = -grad``; the same ``J`` predicts the equilibrium under other
+    payments (:meth:`tangent_profile`)."""
 
     def __init__(self, problem: Problem, contract: Contract, eq: EquilibriumResult):
         n = problem.n
@@ -141,6 +142,7 @@ class _FirstOrderObjects:
         system = _first_order(problem, u_levels, a, act)
         self.probs, self.dprobs = system.probs, system.dprobs
         grad, curv = system.grad, system.curv
+        self.actions, self.u_levels, self.grad, self.jacobian = a, u_levels, grad, system.jac
         hess = system.hess if act.size else np.zeros((n, n))
 
         h_act = curv[act]
@@ -172,11 +174,12 @@ class _FirstOrderObjects:
         # Extended products for inactive agents, which do not respond to the
         # others: a vanishing curvature at zero action stays finite where
         # possible.
-        cross = grad[inact] + (w[act] * self.payment_utility) @ hess[np.ix_(act, inact)]
         curv_in = curv[inact]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            unbounded = np.where(cross == 0.0, 0.0, np.inf * np.sign(cross))
-            w[inact] = np.where(curv_in > 0.0, cross / np.maximum(curv_in, 1e-300), unbounded)
+        if inact.size:
+            cross = grad[inact] + (w[act] * self.payment_utility) @ hess[np.ix_(act, inact)]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                unbounded = np.where(cross == 0.0, 0.0, np.inf * np.sign(cross))
+                w[inact] = np.where(curv_in > 0.0, cross / np.maximum(curv_in, 1e-300), unbounded)
         self.products_all = w * grad  # alpha_i * c_i for every agent
         # An inactive agent responds only at outcomes with a positive
         # probability slope, and not at all at a strict corner: paid only at
@@ -209,6 +212,19 @@ class _FirstOrderObjects:
         with np.errstate(invalid="ignore"):
             out = self.l_factor * self.dprobs * self.products_all[:, None] * self.u_marginals
         return np.where(self.responds, out, 0.0)
+
+    def tangent_profile(self, payments: np.ndarray) -> np.ndarray:
+        """First-order prediction of the equilibrium under ``payments``: on
+        the active agents ``a - J^{-1} dF``, where the payment change moves
+        agent i's first-order condition by ``dF_i = (u_i(tau'_i) -
+        u_i(tau_i)) . P'(Y) dY/da_i``; a negative prediction is clipped to 0
+        and inactive agents keep their actions."""
+        act = self.active
+        u_new = np.array([u.value(row) for u, row in zip(self.problem.utilities, payments)])
+        shift = (u_new[act] - self.u_levels[act]) @ self.dprobs * self.grad[act]
+        profile = self.actions.copy()
+        profile[act] -= np.linalg.solve(self.jacobian, shift)
+        return np.maximum(profile, 0.0)
 
     def fit_lambdas(self):
         payments = self.contract.payments

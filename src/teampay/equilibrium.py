@@ -251,13 +251,14 @@ def _foc(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, ai):
 _NEWTON_STOP = 4.0 * np.finfo(float).eps  # relative step at which Newton has converged
 
 
-def _refine_root(problem, u_levels, i, a, lo, hi) -> float:
+def _refine_root(problem, u_levels, i, a, lo, hi, start=None) -> float:
     """Safeguarded Newton for the first-order condition inside a bracket with
-    g(lo) > 0 >= g(hi), from the bracket's midpoint: a step that leaves the
+    g(lo) > 0 >= g(hi), from ``start`` when it lies strictly inside the
+    bracket and from the bracket's midpoint otherwise: a step that leaves the
     bracket takes its midpoint.  Stops at an exact zero of g, or once the
     step is within four ulps of the iterate, which is as close as double
     precision resolves a root."""
-    x = 0.5 * (lo + hi)
+    x = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
     for _ in range(100):
         gx, slope = (float(v) for v in _foc(problem, u_levels, i, a, x))
         if gx == 0.0:
@@ -280,10 +281,12 @@ def _refine_root(problem, u_levels, i, a, lo, hi) -> float:
     return x
 
 
-def _best_response(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, a_max: float) -> float:
+def _best_response(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, a_max: float,
+                   start=None) -> float:
     """Agent i's best response: probe for sign changes of the first-order
-    condition, then safeguarded Newton in each bracket;
-    multiple roots are resolved by comparing payoffs.
+    condition, then safeguarded Newton in each bracket (from ``start`` in
+    the bracket that holds it, see :func:`_refine_root`); multiple roots are
+    resolved by comparing payoffs.
     """
     probes = np.unique(np.concatenate([
         np.geomspace(1e-11, a_max, 24),
@@ -303,7 +306,7 @@ def _best_response(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray
         # residual check flag the anomaly.
         return float(a_max)
 
-    roots = [_refine_root(problem, u_levels, i, a, lo, hi) for lo, hi in brackets]
+    roots = [_refine_root(problem, u_levels, i, a, lo, hi, start) for lo, hi in brackets]
 
     candidates = [0.0] + roots if gains[0] <= 0.0 else roots
     if len(candidates) == 1:
@@ -353,8 +356,9 @@ def _first_order(problem: Problem, u_levels: np.ndarray, a: np.ndarray, support:
         # The dormant profile, where the Cobb-Douglas gradient is singular but
         # every own partial is defined.
         grad = np.array([float(problem.production.partial(a, i)) for i in range(n)])
-    marginal = np.array([float(problem.costs[i].marginal(a[i])) for i in range(n)])
-    curv = np.array([float(problem.costs[i].curvature(a[i])) for i in range(n)])
+    marginal, curv = np.array([
+        (float(cost.marginal(x)), float(cost.curvature(x))) for cost, x in zip(problem.costs, a)
+    ]).T
     hess, jac = None, np.zeros((0, 0))
     if support.size:
         hess = problem.production.hessian(a)
@@ -396,17 +400,23 @@ def _newton_snap(problem: Problem, u_levels: np.ndarray, a: np.ndarray, steps: i
     return x
 
 
-def _accepted_residual(problem: Problem, u_levels: np.ndarray, candidate: np.ndarray,
+def _accepted_residual(problem: Problem, u_levels: np.ndarray, candidate: np.ndarray | None,
                        a_max: float, tol: float) -> float | None:
     """The first-order-condition residual of ``candidate`` when it is an
-    equilibrium within ``tol``, else None: every agent's best response,
-    re-derived from the full probe scan, lies within ``tol`` of its action,
-    and the residual is at most ``tol``."""
-    full = np.array([_best_response(problem, u_levels, i, candidate, a_max) for i in range(problem.n)])
-    if float(np.max(np.abs(full - candidate))) > tol:
+    equilibrium within ``tol``, else None (also for no candidate): the
+    residual is at most ``tol``, and every agent's best response, re-derived
+    from the full probe scan with each bracket's Newton started at the
+    agent's own action when the bracket holds it, lies within ``tol`` of
+    that action."""
+    if candidate is None:
         return None
     residual = _foc_residual(problem, u_levels, candidate)
-    return residual if residual <= tol else None
+    if residual > tol:
+        return None
+    full = np.array([
+        _best_response(problem, u_levels, i, candidate, a_max, start=candidate[i]) for i in range(problem.n)
+    ])
+    return residual if float(np.max(np.abs(full - candidate))) <= tol else None
 
 
 def solve_equilibrium_general(
@@ -422,15 +432,21 @@ def solve_equilibrium_general(
     """Damped simultaneous best-response iteration with a Newton corrector,
     for arbitrary problems.
 
+    A warm start ``init`` is corrected before any sweep: full-system Newton
+    on the first-order conditions of ``init``'s support (``_newton_snap``)
+    proposes a candidate, and when the acceptance test below accepts it the
+    solve ends without a sweep (``iterations`` is 0).  Otherwise the sweeps
+    start at ``init``, or at every action 0.1 when ``init`` is None.
+
     Each sweep takes every agent's best response: the first-order condition
     on 36 probes in one batched call, each sign change refined by
     safeguarded Newton to machine precision.  When the sweep moves the
     profile by more than ``tol``, full-system Newton on the first-order
     conditions of the best-response profile's support (``_newton_snap``)
     proposes a candidate; otherwise the best-response profile is the
-    candidate.  A candidate is accepted only when a full best-response pass
-    moves no agent by more than ``tol`` and its first-order-condition
-    residual is within ``tol``; otherwise the profile takes the damped step
+    candidate.  A candidate is accepted only when its first-order-condition
+    residual is within ``tol`` and a full best-response pass moves no agent
+    by more than ``tol``; otherwise the profile takes the damped step
     ``(1 - damping) a + damping br`` (the best-response profile itself once
     the sweep gap is within ``tol``).  ``iterations`` counts the sweeps,
     the accepting one included.  The accepted profile's actions are then
@@ -455,9 +471,15 @@ def solve_equilibrium_general(
     a = np.clip(a, 0.0, a_max)
 
     sweeps = 0
-    residual = None
+    candidate = None if init is None else _newton_snap(problem, u_levels, a)
+    residual = _accepted_residual(problem, u_levels, candidate, a_max, tol)
     at_cap = 0
-    for sweeps in range(1, max_sweeps + 1):
+    while residual is None:
+        if sweeps == max_sweeps:
+            raise EquilibriumError(
+                f"best-response iteration did not converge in {max_sweeps} sweeps", best=a
+            )
+        sweeps += 1
         br = np.array([_best_response(problem, u_levels, i, a, a_max) for i in range(n)])
         y_br = problem.production.value(br)
         at_cap = at_cap + 1 if _past_cap(problem.outcomes, y_br, rel=1e-9) else 0
@@ -471,16 +493,10 @@ def solve_equilibrium_general(
             )
         close = float(np.max(np.abs(br - a))) <= tol
         candidate = br if close else _newton_snap(problem, u_levels, br)
-        if candidate is not None:
-            residual = _accepted_residual(problem, u_levels, candidate, a_max, tol)
-            if residual is not None:
-                a = candidate
-                break
-        a = br if close else (1.0 - damping) * a + damping * br
-    if residual is None:
-        raise EquilibriumError(
-            f"best-response iteration did not converge in {max_sweeps} sweeps", best=a
-        )
+        residual = _accepted_residual(problem, u_levels, candidate, a_max, tol)
+        if residual is None:
+            a = br if close else (1.0 - damping) * a + damping * br
+    a = candidate
 
     y = float(problem.production.value(a))
     probs, _, _ = problem.outcomes.probs_derivs(y)
