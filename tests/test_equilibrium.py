@@ -470,7 +470,7 @@ def test_rejected_warm_start_falls_back_to_the_sweeps(start):
 def test_tangent_prediction_is_closer_than_the_old_equilibrium(family, outcome, n, seed):
     """After a small payment step, ``a - J^{-1} dF`` lies closer to the new
     equilibrium than the old equilibrium does: its error is second order in
-    the step.  A 600-draw scratch run of this property found no
+    the step.  A 600-draw run of this property found no
     counterexample (the largest error ratio was 0.08), so none is pinned."""
     rng = np.random.default_rng(seed)
     if outcome == "softmax":
