@@ -20,6 +20,7 @@ import itertools
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.optimize import brentq
@@ -169,7 +170,9 @@ def _is_quadratic_binary(problem: Problem) -> bool:
 def _solve_eq(problem: Problem, contract: Contract, warm=None, *, tol: float = 1e-11) -> EquilibriumResult:
     """Equilibrium dispatcher: the quadratic-binary fast path applies whenever
     effective success incentives (success minus failure pay) are nonnegative,
-    since equilibria depend on payments only through that difference."""
+    since equilibria depend on payments only through that difference.
+    ``warm``, when given, is called for the general solver's start profile,
+    so the fast path never computes one."""
     if _is_quadratic_binary(problem):
         eff = contract.payments[:, 1] - contract.payments[:, 0]
         if np.all(eff >= 0.0):
@@ -177,7 +180,8 @@ def _solve_eq(problem: Problem, contract: Contract, warm=None, *, tol: float = 1
             return solve_equilibrium_quadratic_binary(
                 prod.network, eff, problem.outcomes.success, prod.standalone
             )
-    return solve_equilibrium_general(problem, contract, init=warm, tol=max(tol, 1e-12))
+    init = None if warm is None else warm()
+    return solve_equilibrium_general(problem, contract, init=init, tol=max(tol, 1e-12))
 
 
 _CHECK_FAILED = "equilibrium failed the global best-response check"
@@ -223,12 +227,10 @@ def _solve_eq_selected(problem: Problem, contract: Contract, *, tol: float = 1e-
     return best[1]
 
 
-def _payoff_gradient(problem: Problem, contract: Contract, eq: EquilibriumResult,
-                     first_order: _FirstOrderObjects | None = None) -> np.ndarray:
+def _payoff_gradient(first_order: _FirstOrderObjects, eq: EquilibriumResult) -> np.ndarray:
     """Analytic gradient of the principal payoff in every payment cell, from
-    the first-order objects at ``eq`` (built here unless given)."""
-    obj = first_order if first_order is not None else _FirstOrderObjects(problem, contract, eq)
-    grad = obj.D_term * obj.performance_gradient() - eq.probs[None, :]
+    the first-order objects at ``eq``."""
+    grad = first_order.D_term * first_order.performance_gradient() - eq.probs[None, :]
     # Unbounded entries (marginal utility at a zero payment) keep their sign
     # but are capped near the finite entries' scale, so one runaway
     # coordinate cannot starve the line search.
@@ -299,9 +301,11 @@ class _Parametrization:
     def payoff(self, problem: Problem, x: np.ndarray, eq: EquilibriumResult) -> float:
         return _principal_payoff(problem, self.contract(x), eq.probs)
 
-    def gradient(self, problem: Problem, x: np.ndarray, eq: EquilibriumResult,
-                 first_order: _FirstOrderObjects | None = None) -> np.ndarray:
-        return self.pull_back(_payoff_gradient(problem, self.contract(x), eq, first_order))
+    def gradient(self, problem: Problem, x: np.ndarray, eq: EquilibriumResult):
+        """The first-order objects at ``eq`` and the payoff's gradient in
+        ``x``, taken from them."""
+        first_order = _FirstOrderObjects(problem, self.contract(x), eq)
+        return first_order, self.pull_back(_payoff_gradient(first_order, eq))
 
 
 _PAYMENTS = _Parametrization(Contract, lambda grad: grad, lambda tau: np.maximum(0.0, tau))
@@ -315,11 +319,12 @@ def _ascend(problem: Problem, x0: np.ndarray, options: OptimizerOptions, var: _P
     stalls, or after ``options.max_iters`` steps.  Returns ``(x, eq,
     payoff, kkt, converged)``.
 
-    Each line-search trial's equilibrium is solved warm from the tangent
-    prediction ``a - J^{-1} dF`` (``_FirstOrderObjects.tangent_profile``),
-    with ``J`` the first-order Jacobian the payoff gradient at the current
-    equilibrium was built from, so a trial costs one small solve more and
-    usually no best-response sweep."""
+    Each line-search trial that goes to the general solver is solved warm
+    from the tangent prediction ``a - J^{-1} dF``
+    (``_FirstOrderObjects.tangent_profile``), with ``J`` the first-order
+    Jacobian the payoff gradient at the current equilibrium was built from,
+    so such a trial costs one small solve more and usually no best-response
+    sweep; the quadratic-binary fast path computes no prediction."""
     x = x0.copy()
     eq = _solve_eq_selected(problem, var.contract(x))
     payoff = var.payoff(problem, x, eq)
@@ -335,8 +340,7 @@ def _ascend(problem: Problem, x0: np.ndarray, options: OptimizerOptions, var: _P
                     and payoff >= run[2] - 1e-7 * (1.0 + abs(run[2]))
                 ):
                     return run
-        first_order = _FirstOrderObjects(problem, var.contract(x), eq)
-        grad = var.gradient(problem, x, eq, first_order)
+        first_order, grad = var.gradient(problem, x, eq)
         kkt = _kkt_residual(x, grad)
         if kkt <= options.tol:
             return x, eq, payoff, kkt, True
@@ -361,7 +365,7 @@ def _ascend(problem: Problem, x0: np.ndarray, options: OptimizerOptions, var: _P
                 break
             contract = var.contract(trial)
             try:
-                eq_t = _solve_eq_checked(problem, contract, first_order.tangent_profile(contract.payments))
+                eq_t = _solve_eq_checked(problem, contract, partial(first_order.tangent_profile, contract.payments))
             except (EquilibriumError, CapExceededError):
                 step *= 0.5
                 continue
@@ -373,8 +377,8 @@ def _ascend(problem: Problem, x0: np.ndarray, options: OptimizerOptions, var: _P
                 break
             step *= 0.5
         if not accepted:
-            break
-    kkt = _kkt_residual(x, var.gradient(problem, x, eq))
+            return x, eq, payoff, kkt, False
+    kkt = _kkt_residual(x, var.gradient(problem, x, eq)[1])
     return x, eq, payoff, kkt, kkt <= options.tol
 
 

@@ -424,7 +424,7 @@ def test_dormant_payoff_gradient_keeps_a_strict_corner_agent_pinned():
     assert not np.any(eq.actions)
     # Only the unpaid agent responds, and only to a success payment.
     assert np.array_equal(tp.marginal_performance(problem, contract, eq), [[0.0, 0.0], [0.0, 0.5]])
-    grad = contract_opt._payoff_gradient(problem, contract, eq)
+    grad = contract_opt._payoff_gradient(contract_opt._FirstOrderObjects(problem, contract, eq), eq)
     base = contract_opt._principal_payoff(problem, contract, eq.probs)
     h = 1e-6
     for s in range(2):
@@ -669,10 +669,24 @@ def test_softmax_general_optimize_bounds_outcome_derivative_calls(monkeypatch):
 
 def test_softmax_general_optimize_solves_trials_from_the_tangent_prediction(monkeypatch):
     # Each line-search trial starts Newton at the tangent prediction and is
-    # confirmed by one best-response pass, with no sweep: about 1,750
-    # derivative calls, against 4,238 when trials started at the old
-    # equilibrium and swept once before the Newton step.
-    assert _softmax_sqrt_optimize_derivative_calls(monkeypatch) <= 2_500
+    # confirmed by one best-response pass, with no sweep: 1,745 derivative
+    # calls, against 4,238 when trials started at the old equilibrium and
+    # swept once before the Newton step.  The confirming pass starts each
+    # bracket's Newton at the candidate's own action; from the bracket
+    # midpoint it would make 2,795.
+    assert _softmax_sqrt_optimize_derivative_calls(monkeypatch) <= 2_200
+
+
+def test_fast_path_trials_compute_no_tangent_prediction(monkeypatch):
+    # The quadratic-binary fast path takes no start profile, so the gradient
+    # optimizer's trials there must not pay for a prediction (37 of them here
+    # when every trial computed one).
+    calls = []
+    monkeypatch.setattr(contract_opt._FirstOrderObjects, "tangent_profile",
+                        lambda self, payments: calls.append(payments))
+    result = tp.optimize_general(quadratic_problem(clique(3)))
+    assert result.kkt_residual <= 1e-8
+    assert not calls
 
 
 def test_softmax_sqrt_ascents_converge_at_a_tight_tolerance():
