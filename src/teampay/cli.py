@@ -63,6 +63,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def format_float(x: float) -> str:
+    # ".17g" writes negative zero as "-0", which JSON reads as the integer 0.
+    if x == 0.0 and math.copysign(1.0, x) < 0.0:
+        return "-0.0"
     return f"{x:.17g}"
 
 

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .diagnostics import ACTIVITY_TOL, DiagnosticsError, _FirstOrderObjects, compute_balance_report
 from .equilibrium import (
     EquilibriumError,
     _performance_map,
+    brentq,
     solve_equilibrium_general,
     solve_equilibrium_quadratic_binary,
 )
@@ -75,6 +75,7 @@ _Y_CEIL = 1e8          # highest performance searched without a success cap
 _GOLDEN_TOL = 1e-11    # bracket width, relative to its upper end, at which the search stops
 _GOLDEN_STEPS = 100    # golden-section step budget; 53 take any bracket [lo >= 0, hi] to _GOLDEN_TOL
 _CHUNK = 1024          # subsets per batched solve of the active-set enumeration
+_SHARE_ROOT_STEPS = 100  # Brent step budget of the share cubic's root
 
 
 class OptimizationError(RuntimeError):
@@ -912,8 +913,8 @@ def share_cubic(s: float, beta: float, kappa: float, kstar: float) -> float:
 
 def total_share_root(beta: float, kappa: float, kstar: float, *, tol: float = 1e-13) -> float:
     """Optimal total share with a linear success probability: the unique
-    root of the share cubic, which lies in (1/2, 1).  Requires
-    ``beta * kappa < kstar``."""
+    root of the share cubic, which lies in (1/2, 1), by ``equilibrium.brentq``
+    within ``_SHARE_ROOT_STEPS`` steps.  Requires ``beta * kappa < kstar``."""
     if not beta * kappa < kstar:
         raise ModelError(f"requires beta * kappa < kstar, got {beta * kappa:.6g} >= {kstar:.6g}")
     args = (beta, kappa, kstar)
@@ -921,4 +922,7 @@ def total_share_root(beta: float, kappa: float, kstar: float, *, tol: float = 1e
         raise ModelError("cubic not positive at s = 1/2; parameters out of range")
     if share_cubic(1.0, *args) >= 0.0:
         raise ModelError("cubic not negative at s = 1; parameters out of range")
-    return float(brentq(share_cubic, 0.5, 1.0, args=args, xtol=tol))
+    root, _, converged = brentq(lambda s: share_cubic(s, *args), 0.5, 1.0, xtol=tol, maxiter=_SHARE_ROOT_STEPS)
+    if not converged:
+        raise ModelError(f"share cubic root not found within the budget of {_SHARE_ROOT_STEPS} Brent steps")
+    return root

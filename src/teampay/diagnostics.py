@@ -159,6 +159,7 @@ class _FirstOrderObjects:
         self.l_factor = 1.0 + float(self.d_vector @ v)
         if abs(self.l_factor) >= 1e14:
             raise DiagnosticsError("probability-curvature feedback is singular (l factor blows up)")
+        self.v = v
         w = np.zeros(n)
         w[act] = v / self.l_factor
 
@@ -207,10 +208,16 @@ class _FirstOrderObjects:
         derivative given by the same formula), while other perturbations
         leave them pinned.  Inactive agents paid only at unfavorable
         outcomes are at a strict corner and do not respond at all.  At the
-        dormant profile every agent is inactive and ``l_factor`` is 1.
+        dormant profile every agent is inactive and ``l_factor`` is 1.  Where
+        ``l_factor`` is 0, ``[H - U G]`` is singular and ``w`` infinite, but
+        the product ``l w`` is ``v`` on the active agents.
         """
+        scale, products = self.l_factor, self.products_all
+        if scale == 0.0:
+            scale, products = 1.0, products.copy()
+            products[self.active] = self.v * self.grad[self.active]
         with np.errstate(invalid="ignore"):
-            out = self.l_factor * self.dprobs * self.products_all[:, None] * self.u_marginals
+            out = scale * self.dprobs * products[:, None] * self.u_marginals
         return np.where(self.responds, out, 0.0)
 
     def tangent_profile(self, payments: np.ndarray) -> np.ndarray:

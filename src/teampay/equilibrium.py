@@ -10,10 +10,11 @@ production / outcome / utility / cost combinations.
 
 from __future__ import annotations
 
+import math
+import sys
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .model import (
     CapExceededError,
@@ -29,6 +30,7 @@ from .model import (
 
 __all__ = [
     "EquilibriumError",
+    "brentq",
     "spectral_radius",
     "solve_equilibrium_quadratic_binary",
     "solve_equilibrium_general",
@@ -53,6 +55,73 @@ def spectral_radius(m) -> float:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
     return float(np.max(np.abs(np.linalg.eigvals(m))))
+
+
+_BRENT_RTOL = 4.0 * sys.float_info.epsilon  # a Python float keeps the loop out of numpy scalars
+
+
+def brentq(f, a: float, b: float, *, xtol: float, maxiter: int = 100) -> tuple[float, int, bool]:
+    """Root of ``f`` in the sign-changing bracket ``[a, b]`` by Brent's method
+    (Brent 1973, *Algorithms for Minimization without Derivatives*, ch. 4),
+    ported step for step from the reference C routine with ``rtol = 4 eps``:
+    the same iterates and the same number of evaluations, which
+    ``tests/test_equilibrium.py`` checks bit for bit.
+
+    Returns the root, the number of evaluations of ``f``, and whether the
+    bracket shrank below ``xtol + rtol |x|`` within ``maxiter`` steps (when
+    it did not, the root is the last iterate).  Raises ``ValueError`` on a
+    bracket whose ends have the same sign or on a NaN value of ``f``.
+    """
+
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at x={x} is NaN")
+        return fx
+
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = value(xpre), value(xcur)
+    calls = 2
+    if fpre == 0.0:
+        return xpre, calls, True
+    if fcur == 0.0:
+        return xcur, calls, True
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, calls, True
+        # Interpolate where the last step was long enough and improved on
+        # the one before; take the step only if it is short, else bisect.
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass  # C's step is infinite or NaN here, which the test below rejects
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+        calls += 1
+    return xcur, calls, False
 
 
 # ---------------------------------------------------------------------------
@@ -82,8 +151,8 @@ def _performance_map(c, weights, modes) -> float:
 def _performance_fixed_point(weights, modes, p: SuccessProbability,
                              tol: float = 1e-15, max_iter: int = 200) -> tuple[float, int]:
     """Root of ``y = Y(P'(y))`` (``Y`` as in ``_performance_map``) on the range
-    where ``P'(y) * max(modes) < 1``, by brentq; returns the root and the
-    number of map evaluations brentq made.
+    where ``P'(y) * max(modes) < 1``, by :func:`brentq` within ``max_iter``
+    steps; returns the root and the number of map evaluations it made.
 
     ``Y`` increases in the slope and a concave ``P`` has a decreasing ``P'``,
     so ``Y(P'(y)) - y`` is strictly decreasing on that range.  Below it, where
@@ -103,10 +172,10 @@ def _performance_fixed_point(weights, modes, p: SuccessProbability,
         y_hi *= 2.0
     else:
         raise EquilibriumError("candidate performance exceeds the diagonal everywhere")
-    y, info = brentq(excess, 0.0, y_hi, xtol=tol, maxiter=max_iter, full_output=True, disp=False)
-    if not info.converged:
+    y, calls, converged = brentq(excess, 0.0, y_hi, xtol=tol, maxiter=max_iter)
+    if not converged:
         raise EquilibriumError(f"performance fixed point not found in {max_iter} steps")
-    return y, info.function_calls
+    return y, calls
 
 
 def solve_equilibrium_quadratic_binary(
@@ -128,8 +197,8 @@ def solve_equilibrium_quadratic_binary(
     eigenvalue.  Under a linear success probability ``P'`` is the constant
     slope, so this is one linear solve (``iterations`` is 1); otherwise the
     fixed point is a root of an O(n) map in ``S``'s eigenbasis, found by
-    brentq (``iterations`` counts its map evaluations), and the profile is
-    one solve at the fixed point's slope.
+    :func:`brentq` (``iterations`` counts its map evaluations), and the
+    profile is one solve at the fixed point's slope.
     """
     tau = np.asarray(tau, dtype=float)
     g = network.matrix

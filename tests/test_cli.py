@@ -1,11 +1,15 @@
 import json
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from teampay.cli import run
+import teampay as tp
+from teampay.cli import dump_json, run
 
-from helpers import KAPPA_HALF
+from helpers import KAPPA_HALF, random_production
 
 
 TRIANGLE_PENDANT = {
@@ -227,6 +231,54 @@ def test_float_round_trip_is_exact(files, capsys):
     result = tp.optimize_quadratic_binary(net, KAPPA_HALF)
     assert out["principal_payoff"] == result.principal_payoff
     assert out["contract"]["payments"][0][1] == result.contract.payments[0, 1]
+
+
+def _float_bits(o):
+    """``o`` with every number replaced by the bytes of its double."""
+    if isinstance(o, dict):
+        return {k: _float_bits(v) for k, v in o.items()}
+    if isinstance(o, list):
+        return [_float_bits(v) for v in o]
+    return struct.pack("<d", o)
+
+
+# Signed zeros and integral values, which ".17g" writes without a point,
+# are drawn on purpose: plain float draws rarely hit -0.0.
+FINITE_JSON = st.recursive(
+    st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([0.0, -0.0, 1.0, -3.0, 1e17]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(obj=FINITE_JSON)
+def test_json_round_trip_keeps_every_float_bit(obj):
+    assert _float_bits(json.loads(dump_json(obj))) == _float_bits(obj)
+
+
+def test_negative_zero_survives_the_json_round_trip():
+    # ".17g" alone writes "-0", which parses as the integer 0.
+    assert dump_json([-0.0, 0.0]) == "[-0.0,0]"
+    assert _float_bits(json.loads(dump_json({"x": [-0.0]}))) == {"x": [struct.pack("<d", -0.0)]}
+
+
+def test_problem_and_contract_round_trip_bit_exactly():
+    rng = np.random.default_rng(20240611)
+    n = 3
+    problem = tp.Problem(
+        n=n, production=random_production("polynomial", n, rng),
+        outcomes=tp.SoftmaxOutcomeModel(np.sort(rng.uniform(0.0, 2.5, size=3)), rng.uniform(-0.5, 0.5, size=3),
+                                        rng.uniform(0.0, 2.0, size=3)),
+        utilities=(tp.SqrtUtility(), tp.LinearUtility(), tp.SqrtUtility()),
+        costs=tuple(tp.PowerCost(float(rng.uniform(0.5, 2.0)), float(rng.uniform(1.5, 3.0))) for _ in range(n)),
+    )
+    payments = rng.uniform(0.0, 1.0, size=(n, 3))
+    payments[0, 0] = -0.0
+    text = dump_json(tp.problem_to_dict(problem))
+    assert dump_json(tp.problem_to_dict(tp.problem_from_dict(json.loads(text)))) == text
+    back = tp.contract_from_dict(json.loads(dump_json(tp.contract_to_dict(tp.Contract(payments)))))
+    assert back.payments.tobytes() == payments.tobytes()
 
 
 def test_verify_command(files, capsys):

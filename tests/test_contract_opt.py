@@ -609,6 +609,16 @@ def test_total_share_root_guard():
         tp.total_share_root(5.0, 1.0, 2.0)
 
 
+def test_total_share_root_acts_on_an_unconverged_root(monkeypatch):
+    def unconverged(f, a, b, *, xtol, maxiter):
+        root, calls, _ = equilibrium.brentq(f, a, b, xtol=xtol, maxiter=maxiter)
+        return root, calls, False
+
+    monkeypatch.setattr(contract_opt, "brentq", unconverged)
+    with pytest.raises(tp.ModelError, match=f"budget of {contract_opt._SHARE_ROOT_STEPS} Brent steps"):
+        tp.total_share_root(1.0, 0.5, 2.0)
+
+
 # ---------------------------------------------------------------------------
 # structural invariants at optimizer outputs
 # ---------------------------------------------------------------------------

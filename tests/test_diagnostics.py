@@ -11,6 +11,7 @@ from helpers import (
     clique,
     gradient_fd_battery,
     quadratic_problem,
+    random_production,
     random_symmetric_network,
     softmax_instance,
     success_contract,
@@ -132,6 +133,37 @@ def test_triangle_logistic_sqrt_gradient_matches_fd():
                 - tp.solve_equilibrium_general(problem, tp.Contract(dn), init=eq.actions, tol=1e-13).performance
             ) / (2 * h)
             assert abs(analytic[i, s] - fd) / max(abs(fd), 1e-8) < 1e-5
+
+
+def test_gradient_is_finite_where_the_l_factor_is_zero():
+    # Y = c0 + (c1 + c2) a^2 with a quadratic cost makes [H - U G] singular
+    # at the interior first-order condition, so l = 0 and w is infinite,
+    # while l w = v is finite.  The draw comes from the tangent-prediction
+    # property test's construction.
+    rng = np.random.default_rng(4180964081)
+    assert rng.uniform() < 0.5  # the construction's sqrt-utility branch
+    production = random_production("polynomial", 1, rng)
+    costs = (tp.PowerCost(float(rng.uniform(0.5, 2.0)), float(rng.choice([2.0, 2.5]))),)
+    problem = tp.Problem(n=1, production=production,
+                         outcomes=tp.SoftmaxOutcomeModel([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0]),
+                         utilities=(tp.SqrtUtility(),), costs=costs)
+    payments = np.cumsum(rng.uniform(0.05, 1.0, size=(1, 3)), axis=1)
+    payments[:, 0] = 0.0
+    contract = tp.Contract(payments)
+    eq = solve(problem, contract)
+    assert tp.compute_balance_report(problem, contract, eq).l_factor == 0.0
+    analytic = tp.marginal_performance(problem, contract, eq)
+    h = 1e-6
+    for s in (1, 2):
+        up, dn = payments.copy(), payments.copy()
+        up[0, s] += h
+        dn[0, s] -= h
+        fd = (
+            tp.solve_equilibrium_general(problem, tp.Contract(up), init=eq.actions, tol=1e-13).performance
+            - tp.solve_equilibrium_general(problem, tp.Contract(dn), init=eq.actions, tol=1e-13).performance
+        ) / (2 * h)
+        assert np.isfinite(analytic[0, s])
+        assert abs(analytic[0, s] - fd) / abs(fd) < 1e-5
 
 
 def test_gradient_fd_battery_small():

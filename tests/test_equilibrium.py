@@ -1,7 +1,14 @@
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import brentq as scipy_brentq
 
 import teampay as tp
 from teampay import contract_opt, equilibrium
@@ -22,6 +29,64 @@ from helpers import (
     star,
     success_contract,
 )
+
+
+# ---------------------------------------------------------------------------
+# Brent root finder
+# ---------------------------------------------------------------------------
+
+
+def _bracketed_function(kind: str, p: float, q: float, r: float):
+    """A function with a sign change on the returned bracket ``[a, b]``."""
+    if kind == "share_cubic":
+        # beta * kappa = p * kstar < kstar: the cubic's valid range.
+        kstar = 0.05 + 2.0 * q
+        args = (r + 0.05, p * kstar / (r + 0.05), kstar)
+        return (lambda s: contract_opt.share_cubic(s, *args)), 0.5, 1.0
+    if kind == "inf_below":
+        # Like the performance fixed point's excess: +inf below a threshold,
+        # decreasing above it, with the threshold below or above the root.
+        c = 0.1 + 4.0 * q
+        root = (-0.1 + math.sqrt(0.01 + 4.0 * c)) / 2.0
+        threshold = 2.0 * r * root
+        return (lambda y: (math.inf if y < threshold else c / (y + 0.1)) - y), 0.0, 2.0 * root + 1.0
+    # Piecewise flat: decreasing in steps of height 1/k, with a jump across 0.
+    k = 1.0 + 20.0 * q
+    return (lambda x: math.floor((r - x) * k) / k + 0.5 * p / k), -1.0, 2.0
+
+
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(["share_cubic", "inf_below", "flat"]),
+       p=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), q=st.floats(0.0, 1.0),
+       r=st.floats(0.0, 1.0), scale=st.sampled_from([1.0, 1e-160, 1e-300]),
+       xtol=st.sampled_from([1e-15, 1e-13, 2e-12, 1e-6]),
+       maxiter=st.one_of(st.integers(1, 7), st.just(100)))
+def test_brentq_matches_scipy_bit_for_bit(kind, p, q, r, scale, xtol, maxiter):
+    # Tiny scales underflow the interpolation denominators to zero, where
+    # the C routine's infinite or NaN step bisects.
+    g, a, b = _bracketed_function(kind, p, q, r)
+
+    def f(x):
+        return scale * g(x)
+
+    ref, info = scipy_brentq(f, a, b, xtol=xtol, maxiter=maxiter, full_output=True, disp=False)
+    root, calls, converged = equilibrium.brentq(f, a, b, xtol=xtol, maxiter=maxiter)
+    assert np.float64(root).tobytes() == np.float64(ref).tobytes()
+    assert (calls, converged) == (info.function_calls, info.converged)
+
+
+def test_brentq_rejects_a_same_sign_bracket():
+    with pytest.raises(ValueError, match="different signs"):
+        equilibrium.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12)
+
+
+def test_cli_import_loads_no_scipy():
+    env = dict(os.environ)
+    src = str(Path(tp.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = "import sys, teampay.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -498,8 +563,8 @@ def test_tangent_prediction_is_closer_than_the_old_equilibrium(family, outcome, 
     # The prediction moves the active agents only.
     assume(np.all(eq.actions > 1e-6) and np.all(new.actions > 1e-6))
     try:
-        # An l factor of exactly 0 divides by zero in the performance
-        # gradient, which the prediction does not use.
+        # An l factor of exactly 0 makes the balance objects' w = v / l
+        # infinite; the prediction does not use them.
         with np.errstate(divide="ignore", invalid="ignore"):
             first_order = _FirstOrderObjects(problem, tp.Contract(payments), eq)
     except tp.DiagnosticsError:
