@@ -44,4 +44,4 @@ opt = tp.optimize_quadratic_binary(mid, p)
 ds = tp.dshare_dlink(mid, p, opt)
 print("at G23=0.3, d tau_2 / d G23 =", ds.tensor[1, 1, 2], "(negative: own link still hurts)")
 print("performance-link derivatives proportional to payment products:")
-print(tp.dperformance_dlink(mid, p, opt))
+print(tp.dperformance_dlink(p, opt))

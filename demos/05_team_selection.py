@@ -19,7 +19,7 @@ for i, j in [(0, 1), (0, 2), (1, 2), (2, 3)]:
     w[i, j] = w[j, i] = 1.0
 network = tp.Network(w)
 
-for cand in tp.optimal_active_set(network, p):
+for cand in tp.optimal_active_set(network):
     print("candidate", cand.agents, "balance rate", cand.share_rate)
 
 opt = tp.optimize_quadratic_binary(network, p)
@@ -29,7 +29,7 @@ print("optimal payments:", opt.contract.payments[:, 1])
 w2 = np.zeros((4, 4))
 w2[0, 1] = w2[1, 0] = 1.0
 w2[2, 3] = w2[3, 2] = 0.5
-ranked = tp.optimal_active_set(tp.Network(w2), p)
+ranked = tp.optimal_active_set(tp.Network(w2))
 print("disjoint edges ranked:")
 for cand in ranked:
     if len(cand.agents) == 2:

@@ -20,6 +20,7 @@ from .contract_opt import (
     ActiveSetError,
     OptimizationError,
     OptimizerOptions,
+    _is_binary_linear_unit,
     _is_quadratic_binary,
     _solve_eq,
     closed_form_ces,
@@ -32,7 +33,6 @@ from .diagnostics import DiagnosticsError, compute_balance_report
 from .equilibrium import EquilibriumError, solve_equilibrium_general
 from .equity import optimize_equity
 from .model import (
-    BinaryOutcomeModel,
     CapExceededError,
     CESProduction,
     CobbDouglasProduction,
@@ -143,6 +143,15 @@ def _quadratic_binary_parts(problem: Problem):
     return prod.network, problem.outcomes.success
 
 
+def _separable_production(problem: Problem, cls, method: str, kind: str):
+    if not isinstance(problem.production, cls) or not _is_binary_linear_unit(problem):
+        raise _CliError(
+            f"{method} method needs {kind} production, binary outcomes, linear utilities "
+            "and unit quadratic costs", 1,
+        )
+    return problem.production
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
@@ -206,17 +215,10 @@ def _cmd_optimize(args) -> int:
         network, p = _quadratic_binary_parts(problem)
         result = optimize_quadratic_binary(network, p, options)
     elif args.method == "cobb-douglas":
-        if not isinstance(problem.production, CobbDouglasProduction) or not isinstance(
-            problem.outcomes, BinaryOutcomeModel
-        ):
-            raise _CliError("cobb-douglas method needs cobb_douglas production and binary outcomes", 1)
-        result = closed_form_cobb_douglas(problem.production.shares, problem.outcomes.success)
+        prod = _separable_production(problem, CobbDouglasProduction, "cobb-douglas", "cobb_douglas")
+        result = closed_form_cobb_douglas(prod.shares, problem.outcomes.success)
     elif args.method == "ces":
-        if not isinstance(problem.production, CESProduction) or not isinstance(
-            problem.outcomes, BinaryOutcomeModel
-        ):
-            raise _CliError("ces method needs ces production and binary outcomes", 1)
-        prod = problem.production
+        prod = _separable_production(problem, CESProduction, "ces", "ces")
         result = closed_form_ces(prod.shares, prod.rho, prod.returns, problem.outcomes.success)
     else:
         result = optimize_general(problem, options=options)
@@ -227,9 +229,9 @@ def _cmd_optimize(args) -> int:
 def _cmd_active_set(args) -> int:
     problem = _load_problem(args.problem)
     _require_valid(problem)
-    network, p = _quadratic_binary_parts(problem)
+    network, _ = _quadratic_binary_parts(problem)
     bound = {} if args.cap is None else {"cap": args.cap}
-    candidates = optimal_active_set(network, p, **bound)
+    candidates = optimal_active_set(network, **bound)
     print(dump_json({
         "candidates": [
             {
@@ -246,7 +248,7 @@ def _cmd_active_set(args) -> int:
 def _statics_point(network, p, options) -> dict:
     opt = optimize_quadratic_binary(network, p, options)
     shares = dshare_dlink(network, p, opt)
-    perf = dperformance_dlink(network, p, opt)
+    perf = dperformance_dlink(p, opt)
     return {
         "active_set": list(opt.active_set),
         "payments": opt.contract.payments[:, 1].tolist(),

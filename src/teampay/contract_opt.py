@@ -75,7 +75,10 @@ _Y_CEIL = 1e8          # highest performance searched without a success cap
 _GOLDEN_TOL = 1e-11    # bracket width, relative to its upper end, at which the search stops
 _GOLDEN_STEPS = 100    # golden-section step budget; 53 take any bracket [lo >= 0, hi] to _GOLDEN_TOL
 _CHUNK = 1024          # subsets per batched solve of the active-set enumeration
+_SHARE_ROOT_TOL = 1e-13  # Brent bracket width at which the share cubic's root stops
 _SHARE_ROOT_STEPS = 100  # Brent step budget of the share cubic's root
+_ASCENT_STEPS = 4000   # projected-ascent step budget per start
+_EQ_TOL = 1e-11        # general-solver tolerance of the optimizers' equilibria
 
 
 class OptimizationError(RuntimeError):
@@ -90,9 +93,10 @@ class ActiveSetError(RuntimeError):
 
 @dataclass(frozen=True)
 class OptimizerOptions:
-    tol: float = 1e-8            # projected-gradient KKT residual
-    max_iters: int = 4000
-    starts: int = 8
+    """Projected-ascent settings; each start's step budget is ``_ASCENT_STEPS``."""
+
+    tol: float = 1e-8            # projected-gradient KKT residual at which a start stops
+    starts: int = 8              # deterministic seeds climbed
 
 
 @dataclass(frozen=True)
@@ -158,17 +162,24 @@ def quadratic_binary_problem(network: Network, p: SuccessProbability, standalone
     )
 
 
+def _is_binary_linear_unit(problem: Problem) -> bool:
+    """Binary outcomes, linear utilities, unit quadratic costs: every closed form's environment."""
+    return (
+        isinstance(problem.outcomes, BinaryOutcomeModel)
+        and all(isinstance(u, LinearUtility) for u in problem.utilities)
+        and all(c.scale == 1.0 and c.exponent == 2.0 for c in problem.costs)
+    )
+
+
 def _is_quadratic_binary(problem: Problem) -> bool:
     return (
         isinstance(problem.production, QuadraticNetworkProduction)
-        and isinstance(problem.outcomes, BinaryOutcomeModel)
-        and all(isinstance(u, LinearUtility) for u in problem.utilities)
-        and all(c.scale == 1.0 and c.exponent == 2.0 for c in problem.costs)
+        and _is_binary_linear_unit(problem)
         and problem.outcomes.success.concave_on_nonneg()
     )
 
 
-def _solve_eq(problem: Problem, contract: Contract, warm=None, *, tol: float = 1e-11) -> EquilibriumResult:
+def _solve_eq(problem: Problem, contract: Contract, warm=None, *, tol: float = _EQ_TOL) -> EquilibriumResult:
     """Equilibrium dispatcher: the quadratic-binary fast path applies whenever
     effective success incentives (success minus failure pay) are nonnegative,
     since equilibria depend on payments only through that difference.
@@ -201,19 +212,19 @@ def _principal_payoff(problem: Problem, contract: Contract, probs: np.ndarray) -
     return float((problem.outcomes.revenues - contract.payments.sum(axis=0)) @ probs)
 
 
-def _solve_eq_selected(problem: Problem, contract: Contract, *, tol: float = 1e-11) -> EquilibriumResult:
+def _solve_eq_selected(problem: Problem, contract: Contract) -> EquilibriumResult:
     """Equilibrium with principal-best selection across several dynamics
     initializations.  Production functions with strong joint complementarity
     can pair a dormant equilibrium with an active one; the principal-optimal
     selection keeps whichever gives the higher payoff."""
     if _is_quadratic_binary(problem):
-        return _solve_eq(problem, contract, tol=tol)
+        return _solve_eq(problem, contract)
     n = problem.n
     best = None
     last_error = None
     for init in (np.full(n, 0.1), np.ones(n), np.full(n, 3.0)):
         try:
-            eq = solve_equilibrium_general(problem, contract, init=init, tol=max(tol, 1e-12))
+            eq = solve_equilibrium_general(problem, contract, init=init, tol=_EQ_TOL)
         except EquilibriumError as exc:
             last_error = exc
             continue
@@ -317,7 +328,7 @@ def _ascend(problem: Problem, x0: np.ndarray, options: OptimizerOptions, var: _P
     """Projected Armijo ascent with Barzilai-Borwein steps from ``x0``.  It
     stops at a KKT residual within ``options.tol``, on reaching a run in
     ``known`` that another start already certified, when the line search
-    stalls, or after ``options.max_iters`` steps.  Returns ``(x, eq,
+    stalls, or after ``_ASCENT_STEPS`` steps.  Returns ``(x, eq,
     payoff, kkt, converged)``.
 
     Each line-search trial that goes to the general solver is solved warm
@@ -331,7 +342,7 @@ def _ascend(problem: Problem, x0: np.ndarray, options: OptimizerOptions, var: _P
     payoff = var.payoff(problem, x, eq)
     step = _STEP_INIT
     prev = None  # (x, grad) for the Barzilai-Borwein step length
-    for _ in range(options.max_iters):
+    for _ in range(_ASCENT_STEPS):
         # A start homing in on an optimum another start already certified
         # can stop; re-running the same endgame is pure waste.
         if known:
@@ -418,18 +429,17 @@ def _best_ascent(problem: Problem, seeds, options: OptimizerOptions, var: _Param
     return ties[0][:4]
 
 
-def optimize_general(problem: Problem, starts: int | None = None, options: OptimizerOptions | None = None) -> OptimalContractResult:
+def optimize_general(problem: Problem, options: OptimizerOptions | None = None) -> OptimalContractResult:
     """Multi-start projected gradient ascent on the principal payoff.
 
-    Deterministic seeds (revenue-proportional contracts at four scales,
-    productivity-weighted ones at two, then per-agent concentrated ones);
-    Armijo backtracking line search; the best converged local optimum wins,
-    with payoff ties broken toward the lexicographically smallest contract.
+    ``options.starts`` deterministic seeds (revenue-proportional contracts at
+    four scales, productivity-weighted ones at two, then per-agent
+    concentrated ones); Armijo backtracking line search; the best converged
+    local optimum wins, with payoff ties broken toward the lexicographically
+    smallest contract.
     """
     options = options or OptimizerOptions()
-    if starts is None:
-        starts = options.starts
-    tau, eq, payoff, kkt = _best_ascent(problem, _seed_contracts(problem, starts), options, _PAYMENTS)
+    tau, eq, payoff, kkt = _best_ascent(problem, _seed_contracts(problem, options.starts), options, _PAYMENTS)
 
     contract = Contract(tau)
     return OptimalContractResult(
@@ -512,7 +522,7 @@ def _balanced_candidates(g: np.ndarray, agents: np.ndarray) -> list:
     ]
 
 
-def optimal_active_set(network: Network, p: SuccessProbability, *, cap: int = 16) -> list:
+def optimal_active_set(network: Network, *, cap: int = 16) -> list:
     """Ranked candidate active sets for the quadratic-binary environment.
 
     Unweighted (0/1) networks: the maximum cliques, with balance constant
@@ -523,11 +533,10 @@ def optimal_active_set(network: Network, p: SuccessProbability, *, cap: int = 16
     direction, scored by balance constant per unit share; the ``2**n``
     subsets are enumerated exactly, each size in batches of up to
     ``_CHUNK`` subsets.  Ties break toward smaller then lexicographically
-    earlier sets.  The ranking does not depend on the success probability
-    (it only scales the share level), so ``p`` participates only through
-    downstream share searches.  Raises ``ActiveSetError`` for a weighted
-    network of more than ``cap`` agents and for a clique search past its
-    node budget.
+    earlier sets.  The ranking does not depend on the success probability,
+    which only scales the share level in the downstream share searches.
+    Raises ``ActiveSetError`` for a weighted network of more than ``cap``
+    agents and for a clique search past its node budget.
     """
     n = network.n
     g = network.matrix
@@ -685,7 +694,7 @@ def optimize_quadratic_binary(
     search stops at its work bound.
     """
     try:
-        candidates = optimal_active_set(network, p)
+        candidates = optimal_active_set(network)
     except ActiveSetError as exc:
         warnings.warn(f"no usable active set ({exc}); falling back to the gradient optimizer")
         return optimize_general(quadratic_binary_problem(network, p), options=options)
@@ -848,7 +857,7 @@ def _separable_closed_form(production, p, direction: np.ndarray, method: str) ->
     payments = np.zeros((n, 2))
     payments[:, 1] = tau
     contract = Contract(payments)
-    eq = solve_equilibrium_general(problem, contract, init=actions, tol=1e-11)
+    eq = solve_equilibrium_general(problem, contract, init=actions, tol=_EQ_TOL)
     if abs(eq.performance - y_star) > 1e-6 * max(1.0, y_star):
         raise OptimizationError(
             f"{method}: scalar fixed point and best-response equilibrium disagree "
@@ -911,10 +920,10 @@ def share_cubic(s: float, beta: float, kappa: float, kstar: float) -> float:
     return -(bk**2) * s**3 + 3.0 * bk * kstar * s**2 - 4.0 * kstar**2 * s + 2.0 * kstar**2
 
 
-def total_share_root(beta: float, kappa: float, kstar: float, *, tol: float = 1e-13) -> float:
+def total_share_root(beta: float, kappa: float, kstar: float) -> float:
     """Optimal total share with a linear success probability: the unique
     root of the share cubic, which lies in (1/2, 1), by ``equilibrium.brentq``
-    within ``_SHARE_ROOT_STEPS`` steps.  Requires ``beta * kappa < kstar``."""
+    to ``_SHARE_ROOT_TOL`` within ``_SHARE_ROOT_STEPS`` steps.  Requires ``beta * kappa < kstar``."""
     if not beta * kappa < kstar:
         raise ModelError(f"requires beta * kappa < kstar, got {beta * kappa:.6g} >= {kstar:.6g}")
     args = (beta, kappa, kstar)
@@ -922,7 +931,8 @@ def total_share_root(beta: float, kappa: float, kstar: float, *, tol: float = 1e
         raise ModelError("cubic not positive at s = 1/2; parameters out of range")
     if share_cubic(1.0, *args) >= 0.0:
         raise ModelError("cubic not negative at s = 1; parameters out of range")
-    root, _, converged = brentq(lambda s: share_cubic(s, *args), 0.5, 1.0, xtol=tol, maxiter=_SHARE_ROOT_STEPS)
+    root, _, converged = brentq(lambda s: share_cubic(s, *args), 0.5, 1.0,
+                                xtol=_SHARE_ROOT_TOL, maxiter=_SHARE_ROOT_STEPS)
     if not converged:
         raise ModelError(f"share cubic root not found within the budget of {_SHARE_ROOT_STEPS} Brent steps")
     return root

@@ -161,27 +161,30 @@ class _FirstOrderObjects:
             raise DiagnosticsError("probability-curvature feedback is singular (l factor blows up)")
         self.v = v
         w = np.zeros(n)
-        w[act] = v / self.l_factor
+        # At l = 0, [H - U G] is singular and w is infinite; the payoff
+        # gradient and the tangent prediction use l w = v instead, and a
+        # balance report refuses.  Infinite and NaN entries pass silently.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w[act] = v / self.l_factor
 
-        # Symmetrized objects for the report.  The payment sensitivity is the
-        # marginal change in expected payment utility as performance rises,
-        # holding the contract fixed.
-        self.curvature = h_act
-        self.alpha = grad[act] / np.sqrt(h_act)
-        self.hessian = hess[np.ix_(act, act)]
-        self.payment_utility = system.sens[act]
-        self.centrality = np.sqrt(h_act) * w[act]
+            # Symmetrized objects for the report.  The payment sensitivity is
+            # the marginal change in expected payment utility as performance
+            # rises, holding the contract fixed.
+            self.curvature = h_act
+            self.alpha = grad[act] / np.sqrt(h_act)
+            self.hessian = hess[np.ix_(act, act)]
+            self.payment_utility = system.sens[act]
+            self.centrality = np.sqrt(h_act) * w[act]
 
-        # Extended products for inactive agents, which do not respond to the
-        # others: a vanishing curvature at zero action stays finite where
-        # possible.
-        curv_in = curv[inact]
-        if inact.size:
-            cross = grad[inact] + (w[act] * self.payment_utility) @ hess[np.ix_(act, inact)]
-            with np.errstate(divide="ignore", invalid="ignore"):
+            # Extended products for inactive agents, which do not respond to
+            # the others: a vanishing curvature at zero action stays finite
+            # where possible.
+            curv_in = curv[inact]
+            if inact.size:
+                cross = grad[inact] + (w[act] * self.payment_utility) @ hess[np.ix_(act, inact)]
                 unbounded = np.where(cross == 0.0, 0.0, np.inf * np.sign(cross))
                 w[inact] = np.where(curv_in > 0.0, cross / np.maximum(curv_in, 1e-300), unbounded)
-        self.products_all = w * grad  # alpha_i * c_i for every agent
+            self.products_all = w * grad  # alpha_i * c_i for every agent
         # An inactive agent responds only at outcomes with a positive
         # probability slope, and not at all at a strict corner: paid only at
         # unfavorable outcomes.
@@ -253,10 +256,14 @@ class _FirstOrderObjects:
 
 
 def compute_balance_report(problem: Problem, contract: Contract, eq: EquilibriumResult) -> BalanceReport:
-    """Assemble every balance object at the given equilibrium."""
+    """Assemble every balance object at the given equilibrium.  Raises
+    :class:`DiagnosticsError` without an active agent, and at an l factor of
+    0, where ``[H - U G]`` is singular and the centralities unbounded."""
     obj = _FirstOrderObjects(problem, contract, eq)
     if obj.active.size == 0:
         raise DiagnosticsError("no active agents; balance objects are undefined")
+    if obj.l_factor == 0.0:
+        raise DiagnosticsError("[H - U G] is singular (l factor 0); centralities are unbounded")
     lam, resid = obj.fit_lambdas()
     return BalanceReport(
         active_agents=tuple(int(i) for i in obj.active),

@@ -58,6 +58,8 @@ def spectral_radius(m) -> float:
 
 
 _BRENT_RTOL = 4.0 * sys.float_info.epsilon  # a Python float keeps the loop out of numpy scalars
+_FIXED_POINT_TOL = 1e-13   # Brent bracket width at which the performance fixed point stops
+_FIXED_POINT_STEPS = 200   # Brent step budget of the performance fixed point
 
 
 def brentq(f, a: float, b: float, *, xtol: float, maxiter: int = 100) -> tuple[float, int, bool]:
@@ -148,11 +150,11 @@ def _performance_map(c, weights, modes) -> float:
     return float(np.sum(weights * (c / q + c * c * modes / (2.0 * q ** 2))))
 
 
-def _performance_fixed_point(weights, modes, p: SuccessProbability,
-                             tol: float = 1e-15, max_iter: int = 200) -> tuple[float, int]:
+def _performance_fixed_point(weights, modes, p: SuccessProbability) -> tuple[float, int]:
     """Root of ``y = Y(P'(y))`` (``Y`` as in ``_performance_map``) on the range
-    where ``P'(y) * max(modes) < 1``, by :func:`brentq` within ``max_iter``
-    steps; returns the root and the number of map evaluations it made.
+    where ``P'(y) * max(modes) < 1``, by :func:`brentq` to ``_FIXED_POINT_TOL``
+    within ``_FIXED_POINT_STEPS`` steps; returns the root and the number of
+    map evaluations it made.
 
     ``Y`` increases in the slope and a concave ``P`` has a decreasing ``P'``,
     so ``Y(P'(y)) - y`` is strictly decreasing on that range.  Below it, where
@@ -172,21 +174,14 @@ def _performance_fixed_point(weights, modes, p: SuccessProbability,
         y_hi *= 2.0
     else:
         raise EquilibriumError("candidate performance exceeds the diagonal everywhere")
-    y, calls, converged = brentq(excess, 0.0, y_hi, xtol=tol, maxiter=max_iter)
+    y, calls, converged = brentq(excess, 0.0, y_hi, xtol=_FIXED_POINT_TOL, maxiter=_FIXED_POINT_STEPS)
     if not converged:
-        raise EquilibriumError(f"performance fixed point not found in {max_iter} steps")
+        raise EquilibriumError(f"performance fixed point not found in {_FIXED_POINT_STEPS} steps")
     return y, calls
 
 
-def solve_equilibrium_quadratic_binary(
-    network: Network,
-    tau,
-    p: SuccessProbability,
-    standalone=None,
-    *,
-    tol: float = 1e-13,
-    max_iter: int = 200,
-) -> EquilibriumResult:
+def solve_equilibrium_quadratic_binary(network: Network, tau, p: SuccessProbability,
+                                       standalone=None) -> EquilibriumResult:
     """Unique equilibrium of the quadratic-network success/failure game.
 
     ``tau`` holds success payments (failure payments are zero); utilities
@@ -236,7 +231,7 @@ def solve_equilibrium_quadratic_binary(
         modes, vecs = np.linalg.eigh(s)
         rho = float(modes[-1])
         loadings = vecs.T @ (root_tau * b)
-        y_fixed, iterations = _performance_fixed_point(loadings ** 2, modes, p, tol, max_iter)
+        y_fixed, iterations = _performance_fixed_point(loadings ** 2, modes, p)
         slope = float(p.deriv(y_fixed))
     a = _candidate_actions(g, tau, b, slope)
     y_star = float(a @ b + 0.5 * a @ g @ a)
@@ -318,6 +313,10 @@ def _foc(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, ai):
 
 
 _NEWTON_STOP = 4.0 * np.finfo(float).eps  # relative step at which Newton has converged
+_SNAP_STEPS = 6       # full-system Newton steps per corrector call
+_DAMPING = 0.5        # weight of the best-response profile in a damped step
+_MAX_SWEEPS = 10_000  # best-response sweep budget
+_CHECK_GRID = 64      # payoff-grid points of the global best-response check
 
 
 def _refine_root(problem, u_levels, i, a, lo, hi, start=None) -> float:
@@ -440,16 +439,17 @@ def _first_order(problem: Problem, u_levels: np.ndarray, a: np.ndarray, support:
     return _FirstOrder(probs, dp, sens, bend, grad, curv, sens * grad - marginal, hess, jac)
 
 
-def _newton_snap(problem: Problem, u_levels: np.ndarray, a: np.ndarray, steps: int = 6):
+def _newton_snap(problem: Problem, u_levels: np.ndarray, a: np.ndarray):
     """Full-system Newton on the first-order conditions of ``a``'s support,
-    from ``a``; None when a step leaves the support's positive orthant or
-    meets a singular Jacobian or an undefined derivative.  The caller
-    accepts the result only after a full best-response pass."""
+    from ``a``, for at most ``_SNAP_STEPS`` steps; None when a step leaves
+    the support's positive orthant or meets a singular Jacobian or an
+    undefined derivative.  The caller accepts the result only after a full
+    best-response pass."""
     support = np.flatnonzero(a > 1e-12)
     if support.size == 0:
         return a
     x = a.copy()
-    for _ in range(steps):
+    for _ in range(_SNAP_STEPS):
         try:
             system = _first_order(problem, u_levels, x, support)
         except DomainError:
@@ -488,16 +488,8 @@ def _accepted_residual(problem: Problem, u_levels: np.ndarray, candidate: np.nda
     return residual if float(np.max(np.abs(full - candidate))) <= tol else None
 
 
-def solve_equilibrium_general(
-    problem: Problem,
-    contract: Contract,
-    init=None,
-    *,
-    tol: float = 1e-9,
-    damping: float = 0.5,
-    max_sweeps: int = 10_000,
-    check_grid: int = 64,
-) -> EquilibriumResult:
+def solve_equilibrium_general(problem: Problem, contract: Contract, init=None, *,
+                              tol: float = 1e-9) -> EquilibriumResult:
     """Damped simultaneous best-response iteration with a Newton corrector,
     for arbitrary problems.
 
@@ -516,12 +508,12 @@ def solve_equilibrium_general(
     candidate.  A candidate is accepted only when its first-order-condition
     residual is within ``tol`` and a full best-response pass moves no agent
     by more than ``tol``; otherwise the profile takes the damped step
-    ``(1 - damping) a + damping br`` (the best-response profile itself once
+    ``(1 - _DAMPING) a + _DAMPING br`` (the best-response profile itself once
     the sweep gap is within ``tol``).  ``iterations`` counts the sweeps,
     the accepting one included.  The accepted profile's actions are then
-    compared against a coarse payoff grid (``check_grid`` points on
+    compared against a coarse payoff grid (``_CHECK_GRID`` points on
     [0, a_max]) and the outcome recorded in ``global_check_passed``.  Raises
-    :class:`EquilibriumError` after ``max_sweeps`` sweeps, or as soon as the
+    :class:`EquilibriumError` after ``_MAX_SWEEPS`` sweeps, or as soon as the
     best-response profile's performance reaches a linear success
     probability's cap (within 1e-9 relative) on two consecutive sweeps: at
     the kink efforts form a continuum and no interior equilibrium exists.
@@ -544,9 +536,9 @@ def solve_equilibrium_general(
     residual = _accepted_residual(problem, u_levels, candidate, a_max, tol)
     at_cap = 0
     while residual is None:
-        if sweeps == max_sweeps:
+        if sweeps == _MAX_SWEEPS:
             raise EquilibriumError(
-                f"best-response iteration did not converge in {max_sweeps} sweeps", best=a
+                f"best-response iteration did not converge in {_MAX_SWEEPS} sweeps", best=a
             )
         sweeps += 1
         br = np.array([_best_response(problem, u_levels, i, a, a_max) for i in range(n)])
@@ -564,14 +556,14 @@ def solve_equilibrium_general(
         candidate = br if close else _newton_snap(problem, u_levels, br)
         residual = _accepted_residual(problem, u_levels, candidate, a_max, tol)
         if residual is None:
-            a = br if close else (1.0 - damping) * a + damping * br
+            a = br if close else (1.0 - _DAMPING) * a + _DAMPING * br
     a = candidate
 
     y = float(problem.production.value(a))
     probs, _, _ = problem.outcomes.probs_derivs(y)
 
     passed = True
-    grid = np.linspace(0.0, a_max, check_grid)
+    grid = np.linspace(0.0, a_max, _CHECK_GRID)
     for i in range(n):
         here = float(_agent_payoff(problem, u_levels, i, a, a[i]))
         best_grid = float(np.max(_agent_payoff(problem, u_levels, i, a, grid)))

@@ -35,9 +35,11 @@ def induced_contract(problem: Problem, sigma: EquityContract) -> Contract:
     return Contract(np.outer(sigma.shares, problem.outcomes.revenues))
 
 
-def solve_equity_equilibrium(problem: Problem, sigma: EquityContract, init=None, **kwargs) -> EquilibriumResult:
-    """Effort equilibrium under an equity contract (delegates to the general solver)."""
-    return solve_equilibrium_general(problem, induced_contract(problem, sigma), init=init, **kwargs)
+def solve_equity_equilibrium(problem: Problem, sigma: EquityContract, init=None, *,
+                             tol: float = 1e-9) -> EquilibriumResult:
+    """Effort equilibrium under an equity contract: the general solver on
+    the induced payments, from ``init`` to tolerance ``tol``."""
+    return solve_equilibrium_general(problem, induced_contract(problem, sigma), init=init, tol=tol)
 
 
 @dataclass(frozen=True)

@@ -38,10 +38,12 @@ _BATCH = 64
 # Grid points per block of the streamed full-grid scan, which bounds its
 # memory: 64 columns of a full batch, more columns for fewer rows.
 _BLOCK = 64 * _BATCH
-# Defaults of the iteration: damping, sweep budget and full-grid points.
+# The iteration's damping, default sweep budget and full-grid points.
 _DAMPING = 0.5
 _MAX_SWEEPS = 5000
 _GRID_POINTS = 1024
+# Equilibrium tolerance of the exhaustive search's contracts.
+_GRID_TOL = 1e-8
 # Value comparisons cannot rank actions closer than ~sqrt(machine eps)
 # around a flat payoff maximum, so requested tolerances are clamped at
 # this resolution floor; the returned residual stays honest.
@@ -83,18 +85,18 @@ def _bracket(x: np.ndarray, k: np.ndarray):
     return x[rows, np.maximum(0, k - 1)], x[rows, np.minimum(last, k + 1)]
 
 
-def _full_scan(problem, u, i, a, a_max, grid_points):
+def _full_scan(problem, u, i, a, a_max):
     """First argmax and corner value of agent i's payoff on the full grid
-    ``linspace(0, a_max, grid_points)`` of each row, streamed in blocks of
+    ``linspace(0, a_max, _GRID_POINTS)`` of each row, streamed in blocks of
     ``_BLOCK // rows`` columns (at least one) with a running first maximum."""
     rows = np.arange(a.shape[0])
     top = a_max[:, None]
     best = np.full(rows.size, -np.inf)
     arg = np.zeros(rows.size, dtype=int)
     columns = max(1, _BLOCK // rows.size)
-    for start in range(0, grid_points, columns):
-        k = np.arange(start, min(start + columns, grid_points), dtype=float)
-        vals = _payoffs(problem, u, i, a, _linspace_at(0.0, top, grid_points, k))
+    for start in range(0, _GRID_POINTS, columns):
+        k = np.arange(start, min(start + columns, _GRID_POINTS), dtype=float)
+        vals = _payoffs(problem, u, i, a, _linspace_at(0.0, top, _GRID_POINTS, k))
         if start == 0:
             corner = vals[:, 0]
         j = np.argmax(vals, axis=1)
@@ -132,7 +134,7 @@ def _window_scan(problem, u, i, a, a_max, half, lo, hi, corner):
     return np.concatenate(full)
 
 
-def _best_responses(problem, u, i, a, a_max, grid_points, xtol, window=None):
+def _best_responses(problem, u, i, a, a_max, xtol, window=None):
     """Agent i's grid-argmax best response in every row, zoomed by nested
     64-point grids until the row's bracket is at most its ``xtol``.
 
@@ -150,9 +152,9 @@ def _best_responses(problem, u, i, a, a_max, grid_points, xtol, window=None):
     else:
         f = _window_scan(problem, u, i, a, a_max, window.copy(), lo, hi, corner)
     if f.size:
-        k, corner[f] = _full_scan(problem, u[f], i, a[f], a_max[f], grid_points)
-        picks = np.stack([k - 1.0, k, k + 1.0], axis=1).clip(0, grid_points - 1)
-        grid = _linspace_at(0.0, a_max[f, None], grid_points, picks)
+        k, corner[f] = _full_scan(problem, u[f], i, a[f], a_max[f])
+        picks = np.stack([k - 1.0, k, k + 1.0], axis=1).clip(0, _GRID_POINTS - 1)
+        grid = _linspace_at(0.0, a_max[f, None], _GRID_POINTS, picks)
         lo[f], hi[f] = grid[:, 0], grid[:, 2]
         fine = hi[f] - lo[f] <= xtol[f]
         out[f[fine]] = grid[fine, 1]
@@ -177,16 +179,13 @@ def _best_responses(problem, u, i, a, a_max, grid_points, xtol, window=None):
     return out
 
 
-def _default_a_max(payments: np.ndarray) -> np.ndarray:
-    return 10.0 * (np.max(payments, axis=2).sum(axis=1) + 1.0)
-
-
-def _iterate(problem, payments, tol, damping, max_sweeps, grid_points, a_max, init, warm):
+def _iterate(problem, payments, tol, max_sweeps, init, warm):
     """Damped simultaneous grid-argmax best responses for a batch of
     contracts ``payments`` (B, n, S) from the starts ``init`` (B, n).
 
-    Every row keeps its own ``a_max``, tolerances, window, Aitken trail,
-    sweep budget ``max_sweeps`` (broadcast to B) and convergence.  Response
+    Every row keeps its own action bound ``10 * (total best-case pay + 1)``,
+    tolerances, window, Aitken trail, sweep budget ``max_sweeps``
+    (broadcast to B) and convergence.  Response
     resolution adapts to the remaining profile movement (no point resolving
     below the current sweep-to-sweep gap) and tightens to ``tol`` as the
     fixed point closes in.  Returns the accepted actions, residuals and
@@ -195,6 +194,7 @@ def _iterate(problem, payments, tol, damping, max_sweeps, grid_points, a_max, in
     batch, n = payments.shape[0], problem.n
     u = np.stack([problem.utilities[i].value(payments[:, i]) for i in range(n)], axis=1)
     budget = np.broadcast_to(np.asarray(max_sweeps), (batch,))
+    a_max = 10.0 * (np.max(payments, axis=2).sum(axis=1) + 1.0)
     a = init.copy()
     gap = a_max.copy()
     trail = [a.copy()]
@@ -208,14 +208,14 @@ def _iterate(problem, payments, tol, damping, max_sweeps, grid_points, a_max, in
             break
         ar, ur, top = a[r], u[r], a_max[r]
         eff_tol = np.maximum(tol, _FLOOR * np.maximum(1.0, np.max(np.abs(ar), axis=1)))
-        xtol = np.maximum(eff_tol / 4.0, np.minimum(gap[r] / 20.0, top / grid_points))
+        xtol = np.maximum(eff_tol / 4.0, np.minimum(gap[r] / 20.0, top / _GRID_POINTS))
         # Mid-iteration sweeps on a warm start search a local window; the
         # accepting sweep below always re-derives from the full grid.
         window = None
         if (warm and sweep > 1) or sweep > 2:
             window = np.minimum(4.0 * gap[r] + 100.0 * xtol, top)
         br = np.stack([
-            _best_responses(problem, ur[:, i], i, ar, top, grid_points, xtol, window)
+            _best_responses(problem, ur[:, i], i, ar, top, xtol, window)
             for i in range(n)
         ], axis=1)
         gap[r] = np.max(np.abs(br - ar), axis=1)
@@ -223,7 +223,7 @@ def _iterate(problem, payments, tol, damping, max_sweeps, grid_points, a_max, in
         near = np.flatnonzero((gap[r] <= eff_tol) & (xtol <= eff_tol / 2.0))
         if near.size:
             full = np.stack([
-                _best_responses(problem, ur[near, i], i, br[near], top[near], grid_points, eff_tol[near] / 4)
+                _best_responses(problem, ur[near, i], i, br[near], top[near], eff_tol[near] / 4)
                 for i in range(n)
             ], axis=1)
             res = np.max(np.abs(full - br[near]), axis=1)
@@ -233,7 +233,7 @@ def _iterate(problem, payments, tol, damping, max_sweeps, grid_points, a_max, in
             converged[done] = True
             accept[near[ok]] = True
         r, br = r[~accept], br[~accept]
-        a[r] = (1.0 - damping) * a[r] + damping * br
+        a[r] = (1.0 - _DAMPING) * a[r] + _DAMPING * br
         trail.append(a.copy())
         if len(trail) == 3:
             # Aitken extrapolation of the linearly converging damped map, on
@@ -254,26 +254,21 @@ def best_response_iterate(
     problem: Problem,
     contract: Contract,
     tol: float = 1e-10,
-    damping: float = _DAMPING,
     *,
     max_sweeps: int = _MAX_SWEEPS,
-    grid_points: int = _GRID_POINTS,
-    a_max: float | None = None,
     init=None,
 ) -> EquilibriumResult:
     """Damped simultaneous grid-argmax best responses: the batched
-    iteration on a batch of one contract.
+    iteration on a batch of one contract, to tolerance ``tol`` within
+    ``max_sweeps`` sweeps.
 
     With ``init`` given, the sweeps after the first search a local window
     around the current profile; without it (a start from zero effort) the
     first two sweeps scan the full grid.
     """
     payments = np.asarray(contract.payments, dtype=float)[None]
-    a_max = _default_a_max(payments) if a_max is None else np.array([float(a_max)])
     start = np.zeros((1, problem.n)) if init is None else np.array(init, dtype=float).reshape(1, problem.n)
-    actions, residual, sweeps, converged = _iterate(
-        problem, payments, tol, damping, max_sweeps, grid_points, a_max, start, init is not None
-    )
+    actions, residual, sweeps, converged = _iterate(problem, payments, tol, max_sweeps, start, init is not None)
     if not converged[0]:
         raise OracleError(f"grid best-response iteration did not converge in {max_sweeps} sweeps")
     full = actions[0]
@@ -300,32 +295,29 @@ def brute_force_optimal_contract(
     grid_resolution: float,
     bounds,
     *,
-    free_coords=None,
     dim_cap: int = 6,
-    tol: float = 1e-8,
 ) -> tuple[Contract, float]:
     """Exhaustive payoff search over a Cartesian grid of contracts.
 
-    ``bounds`` is ``(lo, hi)`` arrays (or scalars) with shape (n, S);
-    ``free_coords`` optionally restricts the search to a subset of (agent,
-    outcome) cells, with all other payments pinned at ``lo``.  By default, a
-    binary problem searches success payments only (paying at failure is
-    never optimal there).  Ties break to the lexicographically smallest
-    contract.  The grid runs through the batched best-response iteration
-    ``_BATCH`` contracts at a time, each from zero effort (as
-    ``best_response_iterate(problem, contract, tol, init=np.zeros(n))``);
-    contracts whose iteration does not converge are skipped.
+    ``bounds`` is ``(lo, hi)`` arrays (or scalars) with shape (n, S).  A
+    binary problem with zero failure revenue searches success payments only
+    (paying at failure is never optimal there), with failure payments pinned
+    at ``lo``; any other problem searches every cell.  More than ``dim_cap``
+    searched cells raise :class:`OracleError`.  Ties break to the
+    lexicographically smallest contract.  The grid runs through the batched
+    best-response iteration ``_BATCH`` contracts at a time, each from zero
+    effort (as ``best_response_iterate(problem, contract, _GRID_TOL,
+    init=np.zeros(n))``); contracts whose iteration does not converge are
+    skipped.
     """
     n, S = problem.n, problem.n_outcomes
     lo = np.broadcast_to(np.asarray(bounds[0], dtype=float), (n, S)).copy()
     hi = np.broadcast_to(np.asarray(bounds[1], dtype=float), (n, S)).copy()
 
-    if free_coords is None:
-        if S == 2 and float(problem.outcomes.revenues[0]) == 0.0:
-            free_coords = [(i, 1) for i in range(n)]
-        else:
-            free_coords = [(i, s) for i in range(n) for s in range(S)]
-    free_coords = list(free_coords)
+    if S == 2 and float(problem.outcomes.revenues[0]) == 0.0:
+        free_coords = [(i, 1) for i in range(n)]
+    else:
+        free_coords = [(i, s) for i in range(n) for s in range(S)]
     if len(free_coords) > dim_cap:
         raise OracleError(
             f"{len(free_coords)} free payment coordinates exceed the enumeration cap {dim_cap}; "
@@ -344,10 +336,7 @@ def brute_force_optimal_contract(
         payments = np.repeat(lo[None], len(chunk), axis=0)
         for k, (i, s) in enumerate(free_coords):
             payments[:, i, s] = [values[k] for values in chunk]
-        actions, _, _, converged = _iterate(
-            problem, payments, tol, _DAMPING, _MAX_SWEEPS, _GRID_POINTS,
-            _default_a_max(payments), np.zeros((len(chunk), n)), True,
-        )
+        actions, _, _, converged = _iterate(problem, payments, _GRID_TOL, _MAX_SWEEPS, np.zeros((len(chunk), n)), True)
         # Contracts that did not converge are skipped.
         solved = np.flatnonzero(converged)
         for b, performance in zip(solved, problem.production.value(actions[solved])):

@@ -51,13 +51,7 @@ class ShareDerivatives:
     includes_share_response: bool
 
 
-def dshare_dlink(
-    network: Network,
-    p: SuccessProbability,
-    opt: OptimalContractResult,
-    *,
-    include_share_response: bool | None = None,
-) -> ShareDerivatives:
+def dshare_dlink(network: Network, p: SuccessProbability, opt: OptimalContractResult) -> ShareDerivatives:
     """Closed-form derivative of each active agent's optimal payment with
     respect to each active link weight.
 
@@ -84,18 +78,14 @@ def dshare_dlink(
     t = tau / lam
     kstar = float(np.sum(t))
 
-    if include_share_response is None:
-        include_share_response = isinstance(p, LinearCappedSuccess)
-
     # Only distinct endpoints j != k name a link: the j == k diagonal is 0.
     link = ~np.eye(agents.size, dtype=bool)
     # Equity level at fixed total share: lam = s / kstar with
     # d kstar / d G_jk = -2 t_j t_k.
     dlam = 2.0 * tau[:, None] * tau[None, :] / s
 
+    include_share_response = isinstance(p, LinearCappedSuccess)
     if include_share_response:
-        if not isinstance(p, LinearCappedSuccess):
-            raise StaticsError("share response is only available for a linear success probability")
         kappa = p.slope
         dp_ds = -3.0 * kappa**2 * s**2 + 6.0 * kappa * kstar * s - 4.0 * kstar**2
         dp_dk = 3.0 * kappa * s**2 - 8.0 * kstar * s + 4.0 * kstar
@@ -114,11 +104,11 @@ def dshare_dlink(
     return ShareDerivatives(
         tensor=tensor,
         active=tuple(int(i) for i in agents),
-        includes_share_response=bool(include_share_response),
+        includes_share_response=include_share_response,
     )
 
 
-def dperformance_dlink(network: Network, p: SuccessProbability, opt: OptimalContractResult) -> np.ndarray:
+def dperformance_dlink(p: SuccessProbability, opt: OptimalContractResult) -> np.ndarray:
     """Derivative of equilibrium performance in each link weight, holding
     the contract fixed (envelope form): proportional to the product of the
     two endpoint payments."""

@@ -180,7 +180,7 @@ def test_criterion_06_active_sets():
         adj = np.triu(adj, 1)
         adj = adj + adj.T
         net = tp.Network(adj)
-        candidates = tp.optimal_active_set(net, KAPPA_HALF)
+        candidates = tp.optimal_active_set(net)
         best = candidates[0]
         # Independent maximum-clique oracle by subset enumeration.
         import itertools
@@ -206,7 +206,7 @@ def test_criterion_06_active_sets():
     np.fill_diagonal(w, 0.0)
     w[w < 0.5] = 0.0
     netw = tp.Network(w)
-    for cand in tp.optimal_active_set(netw, KAPPA_HALF):
+    for cand in tp.optimal_active_set(netw):
         agents = list(cand.agents)
         sub = netw.matrix[np.ix_(agents, agents)] > 0
         reach = sub | (sub @ sub)
@@ -261,7 +261,7 @@ def test_criterion_09_comparative_statics(optimizer_outputs):
         worst = max(worst, rel)
         assert rel < 1e-3
 
-    dperf = tp.dperformance_dlink(net, KAPPA_HALF, opt)
+    dperf = tp.dperformance_dlink(KAPPA_HALF, opt)
     tau = opt.contract.payments[:, 1]
     ratio_table = dperf / np.outer(tau, tau)
     off = ratio_table[~np.eye(3, dtype=bool)]

@@ -169,6 +169,49 @@ def test_diagnose_at_a_dormant_cobb_douglas_equilibrium_is_a_solver_failure(tmp_
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "solver"
 
 
+SEPARABLE = {
+    "cobb-douglas": {"type": "cobb_douglas", "shares": [1, 2]},
+    "ces": {"type": "ces", "shares": [1, 4], "rho": 0.5, "returns": 1},
+}
+
+
+@pytest.mark.parametrize("method", sorted(SEPARABLE))
+@pytest.mark.parametrize("field, spec", [
+    pytest.param("utilities", {"type": "sqrt"}, id="sqrt-utilities"),
+    pytest.param("costs", {"type": "power", "scale": 3, "exponent": 3}, id="cubic-costs"),
+])
+def test_separable_methods_reject_problems_outside_their_closed_form(tmp_path, capsys, method, field, spec):
+    # The closed forms assume linear utilities and unit quadratic costs; on
+    # any other problem they would optimize a different one.
+    problem = tmp_path / "problem.json"
+    problem.write_text(json.dumps({
+        "n": 2, "production": SEPARABLE[method],
+        "outcomes": {"type": "binary_success", "success": {"type": "power", "exponent": 5}},
+        "utilities": {"type": "linear"}, "costs": {"type": "power"}, field: spec,
+    }))
+    assert run(["optimize", str(problem), "--method", method]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "linear utilities and unit quadratic costs" in json.loads(captured.err)["error"]["message"]
+
+
+@pytest.mark.filterwarnings("error")
+def test_diagnose_at_a_zero_l_factor_is_a_solver_failure(tmp_path, capsys):
+    # Under this contract the equilibrium's l factor is exactly 0: [H - U G]
+    # is singular and the centralities unbounded.
+    problem = tmp_path / "cobb_douglas.json"
+    problem.write_text(json.dumps({
+        "n": 2, "production": SEPARABLE["cobb-douglas"],
+        "outcomes": {"type": "binary_success", "success": {"type": "power", "exponent": 5}},
+        "utilities": {"type": "sqrt"}, "costs": {"type": "power", "scale": 3, "exponent": 3},
+    }))
+    contract = tmp_path / "contract.json"
+    contract.write_text(json.dumps({"payments": [[0, 0.45], [0, 0.45]]}))
+    assert run(["diagnose", str(problem), "--contract", str(contract)]) == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert err["type"] == "solver" and "singular" in err["message"]
+
+
 def test_active_set_command(files, capsys):
     _, problem, _, _ = files
     assert run(["active-set", str(problem)]) == 0

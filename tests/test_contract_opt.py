@@ -172,7 +172,7 @@ def test_linear_success_total_share_is_the_cubic_root(n, kappa, seed):
     net = random_symmetric_network(np.random.default_rng(seed), n)
     p = tp.LinearCappedSuccess(kappa)
     result = tp.optimize_quadratic_binary(net, p)
-    rate = tp.optimal_active_set(net, p)[0].share_rate
+    rate = tp.optimal_active_set(net)[0].share_rate
     root = tp.total_share_root(1.0, kappa, 1.0 / rate) if rate > 0.0 else 0.5
     assert result.contract.payments[:, 1].sum() == pytest.approx(root, abs=1e-12)
     assert result.method == "quadratic_closed_form"
@@ -186,7 +186,7 @@ def test_cap_reaching_share_root_falls_back_to_the_share_search():
     assert np.isfinite(result.principal_payoff)
     assert result.principal_payoff > 0.0
     assert result.equilibrium.performance < p.cap
-    rate = tp.optimal_active_set(clique(2, 1.5), p)[0].share_rate
+    rate = tp.optimal_active_set(clique(2, 1.5))[0].share_rate
     root = tp.total_share_root(1.0, 0.9, 1.0 / rate)
     assert result.contract.payments[:, 1].sum() < root
 
@@ -232,7 +232,7 @@ def test_golden_section_search_stops_at_its_step_budget():
 
 
 def test_triangle_pendant_candidates():
-    candidates = tp.optimal_active_set(triangle_pendant(), KAPPA_HALF)
+    candidates = tp.optimal_active_set(triangle_pendant())
     best = candidates[0]
     assert best.agents == (0, 1, 2)
     assert best.share_rate == pytest.approx(2.0 / 3.0, abs=1e-14)
@@ -242,7 +242,7 @@ def test_disjoint_edges_pick_heavier_weight():
     w = np.zeros((4, 4))
     w[0, 1] = w[1, 0] = 1.0
     w[2, 3] = w[3, 2] = 0.5
-    candidates = tp.optimal_active_set(tp.Network(w), KAPPA_HALF)
+    candidates = tp.optimal_active_set(tp.Network(w))
     assert candidates[0].agents == (0, 1)
     assert candidates[0].share_rate == pytest.approx(0.5, abs=1e-14)
     pair_rates = {c.agents: c.share_rate for c in candidates}
@@ -253,7 +253,7 @@ def test_path_tie_breaks_to_smaller_lexicographic():
     w = np.zeros((3, 3))
     w[0, 1] = w[1, 0] = 1.0
     w[1, 2] = w[2, 1] = 1.0
-    candidates = tp.optimal_active_set(tp.Network(w), KAPPA_HALF)
+    candidates = tp.optimal_active_set(tp.Network(w))
     assert candidates[0].agents == (0, 1)
     assert all(len(c.agents) == 2 for c in candidates)
     assert all(c.share_rate == pytest.approx(0.5) for c in candidates)
@@ -266,7 +266,7 @@ def test_weighted_candidates_have_diameter_at_most_two():
     np.fill_diagonal(w, 0.0)
     w[w < 0.45] = 0.0
     net = tp.Network(w)
-    for cand in tp.optimal_active_set(net, KAPPA_HALF):
+    for cand in tp.optimal_active_set(net):
         agents = list(cand.agents)
         sub = net.matrix[np.ix_(agents, agents)] > 0
         reach = sub | (sub @ sub)
@@ -276,7 +276,7 @@ def test_weighted_candidates_have_diameter_at_most_two():
 
 def test_enumeration_cap():
     with pytest.raises(tp.ActiveSetError):
-        tp.optimal_active_set(clique(5, 0.5), KAPPA_HALF, cap=4)
+        tp.optimal_active_set(clique(5, 0.5), cap=4)
 
 
 def _assert_same_candidates(got, expected):
@@ -299,7 +299,7 @@ def test_batched_active_sets_match_the_subset_loop(n, seed, zeros, twins):
         w[2, :] = w[1, :]
         w[:, 2] = w[:, 1]
     net = tp.Network(w)
-    _assert_same_candidates(tp.optimal_active_set(net, KAPPA_HALF), reference_active_sets(net))
+    _assert_same_candidates(tp.optimal_active_set(net), reference_active_sets(net))
 
 
 @pytest.mark.parametrize("net", [
@@ -308,14 +308,14 @@ def test_batched_active_sets_match_the_subset_loop(n, seed, zeros, twins):
     pytest.param(random_symmetric_network(np.random.default_rng(14), 14), id="n14"),
 ])
 def test_batched_active_sets_match_the_subset_loop_pinned(net):
-    _assert_same_candidates(tp.optimal_active_set(net, KAPPA_HALF), reference_active_sets(net))
+    _assert_same_candidates(tp.optimal_active_set(net), reference_active_sets(net))
 
 
 def test_batched_enumeration_memory_is_bounded():
     net = random_symmetric_network(np.random.default_rng(16), 16)
     tracemalloc.start()
     try:
-        tp.optimal_active_set(net, KAPPA_HALF)
+        tp.optimal_active_set(net)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -329,7 +329,7 @@ def test_maximum_cliques_match_networkx(n, edge, seed):
     w = w + w.T
     cliques = [tuple(sorted(int(i) for i in c)) for c in nx.find_cliques(nx.from_numpy_array(w))]
     omega = max(len(c) for c in cliques)
-    candidates = tp.optimal_active_set(tp.Network(w), KAPPA_HALF)
+    candidates = tp.optimal_active_set(tp.Network(w))
     assert [c.agents for c in candidates] == sorted(c for c in cliques if len(c) == omega)
     assert all(c.share_rate == (omega - 1.0) / omega for c in candidates)
 
@@ -337,7 +337,7 @@ def test_maximum_cliques_match_networkx(n, edge, seed):
 def test_clique_search_stops_at_its_node_budget():
     w = np.triu((np.random.default_rng(0).uniform(size=(30, 30)) < 0.9).astype(float), 1)
     with pytest.raises(tp.ActiveSetError, match="budget of 64 branch-and-bound nodes"):
-        tp.optimal_active_set(tp.Network(w + w.T), KAPPA_HALF, cap=6)
+        tp.optimal_active_set(tp.Network(w + w.T), cap=6)
 
 
 def test_fallback_warning_names_the_bound_that_stopped_the_search(monkeypatch):
@@ -546,7 +546,7 @@ def test_quadratic_closed_form_beats_a_dense_share_grid(net, p):
     # The grid pays each total share along the optimum's balanced direction
     # and solves the equilibrium there, without the share curve.
     result = tp.optimize_quadratic_binary(net, p)
-    candidate = tp.optimal_active_set(net, p)[0]
+    candidate = tp.optimal_active_set(net)[0]
     agents = list(candidate.agents)
 
     def payoff_at(s):
@@ -559,7 +559,7 @@ def test_quadratic_closed_form_beats_a_dense_share_grid(net, p):
 
 
 @pytest.mark.parametrize("family, gamma", [("cobb_douglas", [1.0, 2.0]), ("ces", [1.0, 4.0])])
-def test_separable_closed_form_beats_a_dense_share_grid(family, gamma):
+def test_separable_closed_form_beats_a_dense_share_grid(family, gamma, monkeypatch):
     # The grid's equilibria come from the general best-response solver, not
     # from the share curve.  It walks down from the largest total, each solve
     # started where the last two interior solutions extrapolate to, which
@@ -571,11 +571,13 @@ def test_separable_closed_form_beats_a_dense_share_grid(family, gamma):
     d_hat = direction / direction.sum()
     problem = tp.Problem(2, production, tp.BinaryOutcomeModel(p), (tp.LinearUtility(),) * 2, (tp.PowerCost(),) * 2)
     path = [np.ones(2)]  # the first start, then every interior solution
+    # Undamped sweeps reach the same grid best three times faster.
+    monkeypatch.setattr(equilibrium, "_DAMPING", 1.0)
 
     def payoff_at(t):
         contract = tp.Contract(np.column_stack([np.zeros(2), t * d_hat]))
         start = path[-1] if len(path) < 3 else 2.0 * path[-1] - path[-2]
-        eq = tp.solve_equilibrium_general(problem, contract, init=start, damping=1.0)
+        eq = tp.solve_equilibrium_general(problem, contract, init=start)
         if np.all(eq.actions > 0.0):
             path.append(eq.actions)
         return (1.0 - t) * eq.probs[1]
@@ -756,7 +758,8 @@ def test_line_search_rejects_trials_that_fail_the_global_check(monkeypatch, para
         x0, var = np.array([0.01, 0.01]), equity._shares(problem)
     limit = float(var.contract(x0).payments.sum())
     marked = _failing_check_when(monkeypatch, lambda c: float(c.payments.sum()) > limit)
-    x, eq, _, _, _ = contract_opt._ascend(problem, x0, tp.OptimizerOptions(max_iters=20), var)
+    monkeypatch.setattr(contract_opt, "_ASCENT_STEPS", 20)
+    x, eq, _, _, _ = contract_opt._ascend(problem, x0, tp.OptimizerOptions(), var)
     assert marked  # the ascent tried to pay more, and those trials failed the check
     assert float(var.contract(x).payments.sum()) <= limit
     assert eq.global_check_passed
@@ -765,4 +768,4 @@ def test_line_search_rejects_trials_that_fail_the_global_check(monkeypatch, para
 def test_optimizer_accepts_no_equilibrium_that_fails_the_global_check(monkeypatch):
     _failing_check_when(monkeypatch, lambda c: True)
     with pytest.raises(tp.OptimizationError):
-        tp.optimize_general(_softmax_linear(), starts=2)
+        tp.optimize_general(_softmax_linear(), tp.OptimizerOptions(starts=2))

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import teampay as tp
-from teampay.diagnostics import ACTIVITY_TOL
+from teampay.diagnostics import ACTIVITY_TOL, _FirstOrderObjects
 
 from helpers import (
     KAPPA_HALF,
@@ -135,11 +135,13 @@ def test_triangle_logistic_sqrt_gradient_matches_fd():
             assert abs(analytic[i, s] - fd) / max(abs(fd), 1e-8) < 1e-5
 
 
+@pytest.mark.filterwarnings("error")
 def test_gradient_is_finite_where_the_l_factor_is_zero():
     # Y = c0 + (c1 + c2) a^2 with a quadratic cost makes [H - U G] singular
     # at the interior first-order condition, so l = 0 and w is infinite,
     # while l w = v is finite.  The draw comes from the tangent-prediction
-    # property test's construction.
+    # property test's construction.  No balance report exists there, and
+    # nothing on the way warns.
     rng = np.random.default_rng(4180964081)
     assert rng.uniform() < 0.5  # the construction's sqrt-utility branch
     production = random_production("polynomial", 1, rng)
@@ -151,7 +153,9 @@ def test_gradient_is_finite_where_the_l_factor_is_zero():
     payments[:, 0] = 0.0
     contract = tp.Contract(payments)
     eq = solve(problem, contract)
-    assert tp.compute_balance_report(problem, contract, eq).l_factor == 0.0
+    assert _FirstOrderObjects(problem, contract, eq).l_factor == 0.0
+    with pytest.raises(tp.DiagnosticsError, match="singular"):
+        tp.compute_balance_report(problem, contract, eq)
     analytic = tp.marginal_performance(problem, contract, eq)
     h = 1e-6
     for s in (1, 2):
@@ -309,7 +313,7 @@ def test_one_jacobian_solve_matches_the_three_solve_assembly(n, softmax, seed):
         outcomes = tp.BinaryOutcomeModel(
             tp.LogisticSuccess(float(rng.uniform(0.3, 1.0)), float(rng.uniform(-0.5, 0.0)))
             if rng.uniform() < 0.5 else tp.PowerSuccess(float(rng.uniform(1.0, 3.0))))
-    utility = [tp.LinearUtility(), tp.SqrtUtility(), tp.Log1pUtility()][int(rng.integers(3))]
+    utility = [tp.LinearUtility(), tp.SqrtUtility(), tp.Log1pUtility(), tp.PowerUtility(0.6)][int(rng.integers(4))]
     problem = tp.Problem(
         n=n,
         production=tp.QuadraticNetworkProduction(random_symmetric_network(rng, n, high=0.5)),

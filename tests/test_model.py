@@ -278,6 +278,10 @@ def test_utility_eval_examples():
     assert tp.utility_eval(tp.SqrtUtility(), 0.25) == (0.5, 1.0)
     value, marginal = tp.utility_eval(tp.SqrtUtility(), 0.0)
     assert value == 0.0 and marginal == np.inf
+    value, marginal = tp.utility_eval(tp.PowerUtility(0.6), 0.25)
+    assert value == pytest.approx(0.25 ** 0.6, rel=1e-15)
+    assert marginal == pytest.approx(0.6 * 0.25 ** -0.4, rel=1e-15)
+    assert tp.utility_eval(tp.PowerUtility(0.6), 0.0) == (0.0, np.inf)
 
 
 def test_utility_eval_rejects_negative():

@@ -26,10 +26,7 @@ SOFTMAX_SQRT = softmax_instance([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.
 def _iterate_from_zero(problem, payments, tol, budget):
     """The batched iteration as the exhaustive search runs it: every row
     from zero effort, with its own sweep budget."""
-    return oracle._iterate(
-        problem, payments, tol, oracle._DAMPING, budget, oracle._GRID_POINTS, oracle._default_a_max(payments),
-        np.zeros((len(payments), problem.n)), True,
-    )
+    return oracle._iterate(problem, payments, tol, budget, np.zeros((len(payments), problem.n)), True)
 
 
 def test_zero_contract_converges_immediately():
@@ -70,8 +67,7 @@ def test_best_response_zooms_down_to_its_tolerance_on_a_wide_range():
     # needs more than eight 64-point zooms to come within 1e-6.
     problem = quadratic_problem(clique(1))
     xtol = np.array([1e-6])
-    br = oracle._best_responses(problem, np.array([[0.0, 0.5]]), 0, np.zeros((1, 1)), np.array([1e12]),
-                                oracle._GRID_POINTS, xtol)
+    br = oracle._best_responses(problem, np.array([[0.0, 0.5]]), 0, np.zeros((1, 1)), np.array([1e12]), xtol)
     assert abs(br[0] - 0.25) <= xtol[0]
 
 

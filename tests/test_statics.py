@@ -113,7 +113,7 @@ def test_own_link_derivative_initially_negative_in_figure_setup():
 def test_performance_derivative_proportional_to_payment_products():
     net = asym_triangle()
     opt = tp.optimize_quadratic_binary(net, KAPPA_HALF)
-    dperf = tp.dperformance_dlink(net, KAPPA_HALF, opt)
+    dperf = tp.dperformance_dlink(KAPPA_HALF, opt)
     tau = opt.contract.payments[:, 1]
     assert dperf[0, 1] / dperf[0, 2] == pytest.approx(tau[1] / tau[2], rel=1e-8)
     assert np.allclose(dperf, dperf.T)
@@ -124,7 +124,7 @@ def test_performance_derivative_zero_for_inactive_endpoint():
     net = figure_network(0.0)  # pendant-ish: active set is the (0, 1) edge
     opt = tp.optimize_quadratic_binary(net, KAPPA_HALF)
     assert opt.active_set == (0, 1)
-    dperf = tp.dperformance_dlink(net, KAPPA_HALF, opt)
+    dperf = tp.dperformance_dlink(KAPPA_HALF, opt)
     assert dperf[1, 2] == 0.0
 
 
@@ -132,7 +132,7 @@ def test_performance_derivative_matches_fixed_contract_fd():
     net = asym_triangle()
     opt = tp.optimize_quadratic_binary(net, KAPPA_HALF)
     tau = opt.contract.payments[:, 1]
-    dperf = tp.dperformance_dlink(net, KAPPA_HALF, opt)
+    dperf = tp.dperformance_dlink(KAPPA_HALF, opt)
     h = 1e-5
     for j, k in [(0, 1), (1, 2)]:
         up = tp.solve_equilibrium_quadratic_binary(
