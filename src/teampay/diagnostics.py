@@ -159,11 +159,16 @@ class _FirstOrderObjects:
         self.l_factor = 1.0 + float(self.d_vector @ v)
         if abs(self.l_factor) >= 1e14:
             raise DiagnosticsError("probability-curvature feedback is singular (l factor blows up)")
+        # l counts as 0 within the rounding scale of the sum 1 + d.v: there
+        # its sign and size are noise.
+        rounding = 64 * np.finfo(float).eps * (1.0 + float(np.abs(self.d_vector) @ np.abs(v)))
+        self.l_vanishes = abs(self.l_factor) <= rounding
         self.v = v
         w = np.zeros(n)
-        # At l = 0, [H - U G] is singular and w is infinite; the payoff
-        # gradient and the tangent prediction use l w = v instead, and a
-        # balance report refuses.  Infinite and NaN entries pass silently.
+        # At l = 0, [H - U G] is singular and w is infinite (or, at a noise
+        # l, huge); the payoff gradient and the tangent prediction use l w = v
+        # instead, and a balance report refuses.  Infinite and NaN entries
+        # pass silently.
         with np.errstate(divide="ignore", invalid="ignore"):
             w[act] = v / self.l_factor
 
@@ -212,14 +217,16 @@ class _FirstOrderObjects:
         leave them pinned.  Inactive agents paid only at unfavorable
         outcomes are at a strict corner and do not respond at all.  At the
         dormant profile every agent is inactive and ``l_factor`` is 1.  Where
-        ``l_factor`` is 0, ``[H - U G]`` is singular and ``w`` infinite, but
-        the product ``l w`` is ``v`` on the active agents.
+        ``l_factor`` vanishes, ``[H - U G]`` is singular and ``w`` infinite
+        (or rounding noise), but the product ``l w`` is ``v`` on the active
+        agents; an inactive agent's product ``w_i grad_i`` is scaled by ``l``
+        as well.
         """
         scale, products = self.l_factor, self.products_all
-        if scale == 0.0:
-            scale, products = 1.0, products.copy()
-            products[self.active] = self.v * self.grad[self.active]
         with np.errstate(invalid="ignore"):
+            if self.l_vanishes:
+                scale, products = 1.0, scale * products
+                products[self.active] = self.v * self.grad[self.active]
             out = scale * self.dprobs * products[:, None] * self.u_marginals
         return np.where(self.responds, out, 0.0)
 
@@ -257,12 +264,13 @@ class _FirstOrderObjects:
 
 def compute_balance_report(problem: Problem, contract: Contract, eq: EquilibriumResult) -> BalanceReport:
     """Assemble every balance object at the given equilibrium.  Raises
-    :class:`DiagnosticsError` without an active agent, and at an l factor of
-    0, where ``[H - U G]`` is singular and the centralities unbounded."""
+    :class:`DiagnosticsError` without an active agent, and at an l factor
+    that vanishes to rounding (``|l| <= 64 eps (1 + sum_i |d_i v_i|)``),
+    where ``[H - U G]`` is singular and the centralities unbounded."""
     obj = _FirstOrderObjects(problem, contract, eq)
     if obj.active.size == 0:
         raise DiagnosticsError("no active agents; balance objects are undefined")
-    if obj.l_factor == 0.0:
+    if obj.l_vanishes:
         raise DiagnosticsError("[H - U G] is singular (l factor 0); centralities are unbounded")
     lam, resid = obj.fit_lambdas()
     return BalanceReport(

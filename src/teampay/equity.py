@@ -47,8 +47,8 @@ class EquityResult:
     contract: EquityContract
     equilibrium: EquilibriumResult
     principal_payoff: float
-    balance_values: np.ndarray
-    balance_residual: float
+    balance_values: np.ndarray | None
+    balance_residual: float | None
     kkt_residual: float
     unrestricted_payoff: float | None = None
 
@@ -57,8 +57,10 @@ class EquityResult:
             "shares": [float(x) for x in self.contract.shares],
             "equilibrium": self.equilibrium.to_dict(),
             "principal_payoff": float(self.principal_payoff),
-            "balance_values": [float(x) for x in self.balance_values],
-            "balance_residual": float(self.balance_residual),
+            "balance_values": (
+                None if self.balance_values is None else [float(x) for x in self.balance_values]
+            ),
+            "balance_residual": None if self.balance_residual is None else float(self.balance_residual),
             "kkt_residual": float(self.kkt_residual),
             "unrestricted_payoff": (
                 None if self.unrestricted_payoff is None else float(self.unrestricted_payoff)
@@ -94,9 +96,13 @@ def _shares(problem: Problem) -> _Parametrization:
     )
 
 
-def _balance_values(problem: Problem, sigma: np.ndarray, eq: EquilibriumResult) -> np.ndarray:
+def _balance_values(problem: Problem, sigma: np.ndarray, eq: EquilibriumResult) -> np.ndarray | None:
+    """Per-agent balance values, or None where the l factor vanishes and the
+    centralities are unbounded."""
     contract = induced_contract(problem, EquityContract(sigma))
     obj = _FirstOrderObjects(problem, contract, eq)
+    if obj.l_vanishes:
+        return None
     v = problem.outcomes.revenues
     vals = np.zeros(problem.n)
     for i in range(problem.n):
@@ -136,7 +142,9 @@ def optimize_equity(
 
     vals = _balance_values(problem, sigma, eq)
     positive = np.flatnonzero(sigma > ACTIVITY_TOL)
-    if positive.size:
+    if vals is None:
+        balance_residual = None
+    elif positive.size:
         ref = vals[positive]
         scale = max(abs(float(np.mean(ref))), 1e-12)
         balance_residual = float((np.max(ref) - np.min(ref)) / scale)

@@ -197,9 +197,22 @@ class QuadraticNetworkProduction(ProductionFunction):
         return self.network.n
 
     def value(self, a):
+        """``Y`` at one point ``(n,)`` (a float) or at a batch ``(..., n)``.
+
+        The quadratic term is one BLAS product ``a @ G`` and one last-axis
+        contraction with ``a``.  Rounding: at n = 2 (zero diagonal, any
+        weights) the result is bit for bit the i-major sum
+        ``sum_ij (a_i G_ij) a_j``, since both add the same two rounded
+        products.  From n = 3, on weighted and on 0/1 networks, the
+        additions run in another order than that sum's and the result can
+        differ from it by a few ulps (relative gaps up to 5e-15 over random
+        points at n = 50 and 200).  From n = 4 a batch can also differ in
+        the last bits from a loop of single points, because a stack of
+        ``a @ G`` goes through gemm and one point through gemv; batch and
+        loop agree to a relative 1e-14.
+        """
         a = np.asarray(a, dtype=float)
-        g = self.network.matrix
-        quad = 0.5 * np.einsum("...i,ij,...j->...", a, g, a)
+        quad = 0.5 * np.einsum("...i,...i->...", a @ self.network.matrix, a)
         out = a @ self.standalone + quad
         return out if out.ndim else float(out)
 
@@ -561,6 +574,15 @@ class PowerSuccess(SuccessProbability):
 # ---------------------------------------------------------------------------
 
 
+def _pair(first, second):
+    """``first`` and ``second`` side by side along a new last axis: the
+    values of ``np.stack``, filled into one array without its overhead."""
+    out = np.empty(np.shape(second) + (2,))
+    out[..., 0] = first
+    out[..., 1] = second
+    return out
+
+
 @dataclass(frozen=True)
 class BinaryOutcomeModel:
     """Failure/success outcomes with revenues normalized to (0, 1).
@@ -580,7 +602,7 @@ class BinaryOutcomeModel:
 
     def probs(self, y):
         p = np.asarray(self.success.value(y), dtype=float)
-        return np.stack([1.0 - p, p], axis=-1)
+        return _pair(1.0 - p, p)
 
     def probs_derivs(self, y):
         """(P_s, P_s', P_s''), each of shape ``y.shape + (2,)``: for a scalar
@@ -591,11 +613,7 @@ class BinaryOutcomeModel:
         p = np.asarray(self.success.value(y), dtype=float)
         d = np.asarray(self.success.deriv(y), dtype=float)
         d2 = np.asarray(self.success.second(y), dtype=float)
-        return (
-            np.stack([1.0 - p, p], axis=-1),
-            np.stack([-d, d], axis=-1),
-            np.stack([-d2, d2], axis=-1),
-        )
+        return _pair(1.0 - p, p), _pair(-d, d), _pair(-d2, d2)
 
 
 @dataclass(frozen=True)

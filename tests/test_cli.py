@@ -197,8 +197,9 @@ def test_separable_methods_reject_problems_outside_their_closed_form(tmp_path, c
 
 @pytest.mark.filterwarnings("error")
 def test_diagnose_at_a_zero_l_factor_is_a_solver_failure(tmp_path, capsys):
-    # Under this contract the equilibrium's l factor is exactly 0: [H - U G]
-    # is singular and the centralities unbounded.
+    # The equilibrium's l factor is exactly 0 under the first contract and
+    # rounding noise (3.3e-16) under the second: [H - U G] is singular and
+    # the centralities unbounded.
     problem = tmp_path / "cobb_douglas.json"
     problem.write_text(json.dumps({
         "n": 2, "production": SEPARABLE["cobb-douglas"],
@@ -206,10 +207,13 @@ def test_diagnose_at_a_zero_l_factor_is_a_solver_failure(tmp_path, capsys):
         "utilities": {"type": "sqrt"}, "costs": {"type": "power", "scale": 3, "exponent": 3},
     }))
     contract = tmp_path / "contract.json"
-    contract.write_text(json.dumps({"payments": [[0, 0.45], [0, 0.45]]}))
-    assert run(["diagnose", str(problem), "--contract", str(contract)]) == 2
-    err = json.loads(capsys.readouterr().err)["error"]
-    assert err["type"] == "solver" and "singular" in err["message"]
+    for payments in ([[0, 0.45], [0, 0.45]], [[0, 0.3], [0, 0.6]]):
+        contract.write_text(json.dumps({"payments": payments}))
+        assert run(["diagnose", str(problem), "--contract", str(contract)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "solver" and "singular" in err["message"]
 
 
 def test_active_set_command(files, capsys):

@@ -711,6 +711,34 @@ def test_softmax_sqrt_ascents_converge_at_a_tight_tolerance():
     assert tp.optimize_equity(problem, options, compare_unrestricted=False).kkt_residual <= 1e-12
 
 
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 0.6),
+       outcomes=st.sampled_from([KAPPA_HALF, tp.LinearCappedSuccess(0.3), tp.LogisticSuccess(0.6, -0.1),
+                                 "softmax_sqrt"]))
+def test_optimizer_outputs_are_within_their_residual_tolerances(n, seed, zeros, outcomes):
+    # Every optimizer output meets its KKT tolerance and, where a balance
+    # report exists, its balance tolerance: the closed form (on binary
+    # outcomes), the gradient optimizer and equity pay.
+    rng = np.random.default_rng(seed)
+    w = np.triu(rng.uniform(0.0, 1.0, (n, n)) * (rng.uniform(size=(n, n)) >= zeros), 1)
+    net = tp.Network(w + w.T)
+    results = []
+    if outcomes == "softmax_sqrt":
+        problem = softmax_instance([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0], net, tp.SqrtUtility())
+    else:
+        problem = quadratic_problem(net, outcomes)
+        closed = tp.optimize_quadratic_binary(net, outcomes)
+        results.append((closed.kkt_residual, closed.max_balance_residual))
+    options = tp.OptimizerOptions(starts=2)
+    general = tp.optimize_general(problem, options)
+    results.append((general.kkt_residual, general.max_balance_residual))
+    equity_pay = tp.optimize_equity(problem, options, compare_unrestricted=False)
+    results.append((equity_pay.kkt_residual, equity_pay.balance_residual))
+    for kkt, balance in results:
+        assert kkt <= 1e-6
+        assert balance is None or balance < 1e-5
+
+
 # ---------------------------------------------------------------------------
 # equilibria that fail the general solver's global check
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import teampay as tp
+from teampay import contract_opt, equity
 from teampay.diagnostics import ACTIVITY_TOL, _FirstOrderObjects
 
 from helpers import (
@@ -168,6 +169,47 @@ def test_gradient_is_finite_where_the_l_factor_is_zero():
         ) / (2 * h)
         assert np.isfinite(analytic[0, s])
         assert abs(analytic[0, s] - fd) / abs(fd) < 1e-5
+
+
+def _cobb_douglas_sqrt(shares) -> tp.Problem:
+    return tp.Problem(n=2, production=tp.CobbDouglasProduction(shares),
+                      outcomes=tp.BinaryOutcomeModel(tp.PowerSuccess(5.0)),
+                      utilities=(tp.SqrtUtility(),) * 2, costs=(tp.PowerCost(3.0, 3.0),) * 2)
+
+
+@pytest.mark.filterwarnings("error")
+def test_an_l_factor_of_rounding_noise_counts_as_zero():
+    # With shares [1, 2] the total factor share, 3, equals the cost exponent,
+    # so l vanishes at every interior equilibrium; here it lands on rounding
+    # noise, not on 0.  No balance report, null balances in optimize and
+    # equity, and the payoff gradient takes l w = v.
+    problem = _cobb_douglas_sqrt([1.0, 2.0])
+    payments = np.array([[0.0, 0.3], [0.0, 0.6]])
+    contract = tp.Contract(payments)
+    eq = solve(problem, contract)
+    obj = _FirstOrderObjects(problem, contract, eq)
+    assert 0.0 < abs(obj.l_factor) < 1e-14 and obj.l_vanishes
+    with pytest.raises(tp.DiagnosticsError, match="singular"):
+        tp.compute_balance_report(problem, contract, eq)
+    assert contract_opt._balance_residual_or_none(problem, contract, eq) is None
+    assert equity._balance_values(problem, payments[:, 1], eq) is None
+    analytic = tp.marginal_performance(problem, contract, eq)
+    h = 1e-6
+    for i in range(2):
+        up, dn = payments.copy(), payments.copy()
+        up[i, 1] += h
+        dn[i, 1] -= h
+        fd = (solve(problem, tp.Contract(up)).performance - solve(problem, tp.Contract(dn)).performance) / (2 * h)
+        assert abs(analytic[i, 1] - fd) / abs(fd) < 1e-5
+
+
+def test_a_nonzero_l_factor_still_reports():
+    # Equal shares sum to 2, below the cost exponent: l is about 0.36.
+    problem = _cobb_douglas_sqrt([1.0, 1.0])
+    contract = tp.Contract([[0.0, 0.3], [0.0, 0.6]])
+    report = tp.compute_balance_report(problem, contract, solve(problem, contract))
+    assert report.l_factor == pytest.approx(0.36, abs=0.01)
+    assert np.all(np.isfinite(report.centrality))
 
 
 def test_gradient_fd_battery_small():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,7 @@ from hypothesis import strategies as st
 import teampay as tp
 from teampay.model import SchemaError, problem_from_dict, problem_to_dict
 
-from helpers import PRODUCTION_FAMILIES, clique, quadratic_problem, random_production
+from helpers import PRODUCTION_FAMILIES, clique, quadratic_problem, random_production, random_symmetric_network
 
 
 def fd_gradient(fun, a, h=1e-6):
@@ -173,6 +175,42 @@ def test_batched_partials_match_a_loop_of_single_points(family, n, k, seed):
         assert isinstance(method(pts[0, 0], i), float)
         loop = np.array([[method(x, i) for x in row] for row in pts])
         np.testing.assert_allclose(batch, loop, rtol=1e-14, atol=0.0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 8), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
+def test_quadratic_value_rounding_contract(n, k, seed):
+    # Y(a) = s.a + 0.5 sum_ij (a_i G_ij) a_j.  A batch matches a loop of
+    # single points to a relative 1e-14 and the exact sum of its terms to
+    # 8 eps of their absolute sum.  At n = 2, whatever the two weights, it is
+    # bit for bit the i-major sum, which keeps the 2-clique outputs' bytes.
+    # Weights are nonnegative, as the model requires: with negative ones the
+    # sum can cancel to below any relative bound.
+    rng = np.random.default_rng(seed)
+    if n == 2:
+        w = np.zeros((2, 2))
+        w[0, 1], w[1, 0] = rng.uniform(size=2) * 10.0 ** rng.integers(-3, 4, size=2)
+        network = tp.Network(w, scale=float(rng.uniform(0.1, 2.0)))
+    else:
+        network = random_symmetric_network(rng, n, high=float(rng.choice([1.0, 5.0])))
+    prod = tp.QuadraticNetworkProduction(network, rng.uniform(0.5, 1.5, size=n))
+    pts = rng.uniform(0.0, 3.0, size=(2, k, n))
+    batch = prod.value(pts)
+    assert batch.shape == (2, k)
+    loop = np.array([[prod.value(x) for x in row] for row in pts])
+    np.testing.assert_allclose(batch, loop, rtol=1e-14, atol=0.0)
+
+    g, s = network.matrix, prod.standalone
+    for a, y in zip(pts.reshape(-1, n), batch.ravel()):
+        terms = [s[i] * a[i] for i in range(n)] + [0.5 * ((a[i] * g[i, j]) * a[j])
+                                                   for i in range(n) for j in range(n)]
+        assert abs(y - math.fsum(terms)) <= 8 * np.finfo(float).eps * sum(abs(t) for t in terms)
+    if n == 2:
+        quad = np.zeros((2, k))
+        for i in range(2):
+            for j in range(2):
+                quad = quad + (pts[..., i] * g[i, j]) * pts[..., j]
+        assert np.array_equal(batch, pts @ s + 0.5 * quad)
 
 
 @pytest.mark.parametrize("prod", [tp.CobbDouglasProduction([0.5, 0.8]), tp.CESProduction([1.0, 2.0], rho=-0.5)])

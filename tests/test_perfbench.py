@@ -1,7 +1,7 @@
 """The benchmark's workloads, run as tests: every CLI call of one pass of
-``closed_form`` and of ``general_path``, and the quadratic ``optimize``
-calls of ``large_network``, must pass their output checks against the
-recorded references.  Reads
+``closed_form``, ``general_path`` and ``oracle_verify``, and the quadratic
+``optimize`` calls of ``large_network``, must pass their output checks
+against the recorded references.  Reads
 ``perfbench/`` and writes only into the test's temporary directory."""
 
 import contextlib
@@ -47,6 +47,14 @@ def test_general_path_workload_passes_its_reference_checks(tmp_path, monkeypatch
     reference = json.loads((PERFBENCH / "reference.json").read_text())
     _, calls = _workloads(monkeypatch).build("general_path", 1, tmp_path, reference)
     assert [call.command for call in calls] == ["optimize", "optimize", "equity"]
+    for call in calls:
+        _run_checked(call)
+
+
+def test_oracle_verify_workload_passes_its_reference_checks(tmp_path, monkeypatch):
+    reference = json.loads((PERFBENCH / "reference.json").read_text())
+    _, calls = _workloads(monkeypatch).build("oracle_verify", 1, tmp_path, reference)
+    assert [call.command for call in calls] == ["verify"]
     for call in calls:
         _run_checked(call)
 
