@@ -62,7 +62,6 @@ from .contract_opt import (
     ActiveSetError,
     OptimalContractResult,
     OptimizationError,
-    OptimizerOptions,
     closed_form_ces,
     closed_form_cobb_douglas,
     optimal_active_set,

@@ -19,7 +19,6 @@ import numpy as np
 from .contract_opt import (
     ActiveSetError,
     OptimizationError,
-    OptimizerOptions,
     _is_binary_linear_unit,
     _is_quadratic_binary,
     _solve_eq,
@@ -45,7 +44,7 @@ from .model import (
     validate_problem,
 )
 from .oracle import OracleError, best_response_iterate, brute_force_optimal_contract, principal_payoff
-from .statics import StaticsError, dperformance_dlink, dshare_dlink, sweep, sweep_to_csv
+from .statics import StaticsError, dperformance_dlink, dshare_dlink, network_along, sweep, sweep_to_csv
 
 __all__ = ["run", "main"]
 
@@ -164,15 +163,6 @@ def _parse_grid(spec: str) -> np.ndarray:
     return lo + step * np.arange(count)
 
 
-def _options(args) -> OptimizerOptions:
-    kw = {}
-    if getattr(args, "tol", None) is not None:
-        kw["tol"] = args.tol
-    if getattr(args, "starts", None) is not None:
-        kw["starts"] = args.starts
-    return OptimizerOptions(**kw)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -190,9 +180,9 @@ def _cmd_equilibrium(args) -> int:
     _require_valid(problem)
     contract = _load_contract(args.contract, problem)
     if args.method == "general":
-        eq = solve_equilibrium_general(problem, contract, tol=args.tol or 1e-9)
+        eq = solve_equilibrium_general(problem, contract)
     else:
-        eq = _solve_eq(problem, contract, tol=args.tol or 1e-11)
+        eq = _solve_eq(problem, contract)
     print(dump_json(eq.to_dict()))
     return 0
 
@@ -210,10 +200,9 @@ def _cmd_diagnose(args) -> int:
 def _cmd_optimize(args) -> int:
     problem = _load_problem(args.problem)
     _require_valid(problem)
-    options = _options(args)
     if args.method == "quadratic":
         network, p = _quadratic_binary_parts(problem)
-        result = optimize_quadratic_binary(network, p, options)
+        result = optimize_quadratic_binary(network, p)
     elif args.method == "cobb-douglas":
         prod = _separable_production(problem, CobbDouglasProduction, "cobb-douglas", "cobb_douglas")
         result = closed_form_cobb_douglas(prod.shares, problem.outcomes.success)
@@ -221,7 +210,7 @@ def _cmd_optimize(args) -> int:
         prod = _separable_production(problem, CESProduction, "ces", "ces")
         result = closed_form_ces(prod.shares, prod.rho, prod.returns, problem.outcomes.success)
     else:
-        result = optimize_general(problem, options=options)
+        result = optimize_general(problem)
     print(dump_json(result.to_dict()))
     return 0
 
@@ -245,8 +234,8 @@ def _cmd_active_set(args) -> int:
     return 0
 
 
-def _statics_point(network, p, options) -> dict:
-    opt = optimize_quadratic_binary(network, p, options)
+def _statics_point(network, p) -> dict:
+    opt = optimize_quadratic_binary(network, p)
     shares = dshare_dlink(network, p, opt)
     perf = dperformance_dlink(p, opt)
     return {
@@ -262,20 +251,17 @@ def _cmd_statics(args) -> int:
     problem = _load_problem(args.problem)
     _require_valid(problem)
     network, p = _quadratic_binary_parts(problem)
-    options = _options(args)
     if args.grid is None:
-        print(dump_json(_statics_point(network, p, options)))
+        print(dump_json(_statics_point(network, p)))
         return 0
     if args.param is None:
         raise _CliError("--grid needs --param to know which parameter varies", 1)
-    from .statics import parse_parameter
-
-    kind, edge = parse_parameter(args.param, network.n)
+    network_at = network_along(network, args.param)
     rows = []
     for value in _parse_grid(args.grid):
-        net = network.with_scale(float(value)) if kind == "beta" else network.with_edge(*edge, float(value))
+        net = network_at(float(value))
         try:
-            point = _statics_point(net, p, options)
+            point = _statics_point(net, p)
             point[args.param] = float(value)
             rows.append(point)
         except (OptimizationError, EquilibriumError, StaticsError) as exc:
@@ -288,7 +274,7 @@ def _cmd_sweep(args) -> int:
     problem = _load_problem(args.problem)
     _require_valid(problem)
     network, p = _quadratic_binary_parts(problem)
-    curve = sweep(network, p, args.param, _parse_grid(args.grid), options=_options(args))
+    curve = sweep(network, p, args.param, _parse_grid(args.grid))
     text = sweep_to_csv(curve)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -304,7 +290,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_equity(args) -> int:
     problem = _load_problem(args.problem)
     _require_valid(problem)
-    result = optimize_equity(problem, _options(args), compare_unrestricted=not args.no_compare)
+    result = optimize_equity(problem, compare_unrestricted=not args.no_compare)
     print(dump_json(result.to_dict()))
     return 0
 
@@ -312,13 +298,12 @@ def _cmd_equity(args) -> int:
 def _cmd_verify(args) -> int:
     problem = _load_problem(args.problem)
     _require_valid(problem)
-    options = _options(args)
 
     if _is_quadratic_binary(problem) and np.all(problem.production.standalone == 1.0):
         network, p = _quadratic_binary_parts(problem)
-        opt = optimize_quadratic_binary(network, p, options)
+        opt = optimize_quadratic_binary(network, p)
     else:
-        opt = optimize_general(problem, options=options)
+        opt = optimize_general(problem)
 
     checks = []
 
@@ -330,10 +315,7 @@ def _cmd_verify(args) -> int:
         "passed": gap < 1e-7,
     })
 
-    bound = args.bound
-    contract_best, payoff_best = brute_force_optimal_contract(
-        problem, args.step, (0.0, bound), dim_cap=args.dim_cap
-    )
+    contract_best, payoff_best = brute_force_optimal_contract(problem, args.step, (0.0, args.bound))
     margin = opt.principal_payoff - payoff_best
     checks.append({
         "name": "payoff_at_least_grid_best",
@@ -369,7 +351,6 @@ def _build_parser() -> _Parser:
     p = add("equilibrium", _cmd_equilibrium, help="solve the effort game for a fixed contract")
     p.add_argument("--contract", required=True, help="contract JSON file")
     p.add_argument("--method", choices=["auto", "general"], default="auto")
-    p.add_argument("--tol", type=float, default=None)
 
     p = add("diagnose", _cmd_diagnose, help="balance diagnostics at a contract")
     p.add_argument("--contract", required=True)
@@ -377,8 +358,6 @@ def _build_parser() -> _Parser:
     p = add("optimize", _cmd_optimize, help="find an optimal contract")
     p.add_argument("--method", choices=["general", "quadratic", "cobb-douglas", "ces"],
                    default="general")
-    p.add_argument("--starts", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
 
     p = add("active-set", _cmd_active_set, help="rank candidate active sets")
     p.add_argument("--cap", type=int, default=None,
@@ -390,26 +369,19 @@ def _build_parser() -> _Parser:
     p.add_argument("--param", default=None, help="'beta' or a link like G23 (needed with --grid)")
     p.add_argument("--grid", default=None,
                    help="lo:hi:step; evaluate the derivatives at re-optimized points along it")
-    p.add_argument("--tol", type=float, default=None)
 
     p = add("sweep", _cmd_sweep, help="re-optimize along a parameter grid, emit CSV")
     p.add_argument("--param", required=True, help="'beta' or a link like G23")
     p.add_argument("--grid", required=True, help="lo:hi:step")
     p.add_argument("--out", default=None, help="write CSV here instead of stdout")
-    p.add_argument("--tol", type=float, default=None)
 
     p = add("equity", _cmd_equity, help="optimal equity shares")
-    p.add_argument("--starts", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--no-compare", action="store_true",
                    help="skip the unrestricted-optimum comparison")
 
     p = add("verify", _cmd_verify, help="cross-check solvers against the brute-force oracle")
     p.add_argument("--step", type=float, default=0.01, help="payment grid resolution")
     p.add_argument("--bound", type=float, default=1.0, help="payment grid upper bound")
-    p.add_argument("--dim-cap", type=int, default=6)
-    p.add_argument("--starts", type=int, default=None)
-    p.add_argument("--tol", type=float, default=None)
 
     return parser
 

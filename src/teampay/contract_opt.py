@@ -53,7 +53,6 @@ from .model import (
 __all__ = [
     "OptimizationError",
     "ActiveSetError",
-    "OptimizerOptions",
     "OptimalContractResult",
     "ActiveSetCandidate",
     "optimize_general",
@@ -79,6 +78,8 @@ _SHARE_ROOT_TOL = 1e-13  # Brent bracket width at which the share cubic's root s
 _SHARE_ROOT_STEPS = 100  # Brent step budget of the share cubic's root
 _ASCENT_STEPS = 4000   # projected-ascent step budget per start
 _EQ_TOL = 1e-11        # general-solver tolerance of the optimizers' equilibria
+_KKT_TOL = 1e-8        # projected-gradient KKT residual at which an ascent start stops
+_STARTS = 8            # deterministic seeds climbed by the projected ascent
 
 
 class OptimizationError(RuntimeError):
@@ -89,14 +90,6 @@ class OptimizationError(RuntimeError):
 
 class ActiveSetError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class OptimizerOptions:
-    """Projected-ascent settings; each start's step budget is ``_ASCENT_STEPS``."""
-
-    tol: float = 1e-8            # projected-gradient KKT residual at which a start stops
-    starts: int = 8              # deterministic seeds climbed
 
 
 @dataclass(frozen=True)
@@ -179,7 +172,7 @@ def _is_quadratic_binary(problem: Problem) -> bool:
     )
 
 
-def _solve_eq(problem: Problem, contract: Contract, warm=None, *, tol: float = _EQ_TOL) -> EquilibriumResult:
+def _solve_eq(problem: Problem, contract: Contract, warm=None) -> EquilibriumResult:
     """Equilibrium dispatcher: the quadratic-binary fast path applies whenever
     effective success incentives (success minus failure pay) are nonnegative,
     since equilibria depend on payments only through that difference.
@@ -193,7 +186,7 @@ def _solve_eq(problem: Problem, contract: Contract, warm=None, *, tol: float = _
                 prod.network, eff, problem.outcomes.success, prod.standalone
             )
     init = None if warm is None else warm()
-    return solve_equilibrium_general(problem, contract, init=init, tol=max(tol, 1e-12))
+    return solve_equilibrium_general(problem, contract, init=init, tol=_EQ_TOL)
 
 
 _CHECK_FAILED = "equilibrium failed the global best-response check"
@@ -270,10 +263,10 @@ def _balance_residual_or_none(problem, contract, eq) -> float | None:
 # ---------------------------------------------------------------------------
 
 
-def _seed_contracts(problem: Problem, starts: int) -> list:
-    """Deterministic starts: revenue-proportional contracts at several scales
-    (so every seed carries outcome-contingent incentive) plus per-agent
-    concentrated variants."""
+def _seed_contracts(problem: Problem) -> list:
+    """``_STARTS`` deterministic starts: revenue-proportional contracts at
+    several scales (so every seed carries outcome-contingent incentive) plus
+    per-agent concentrated variants."""
     n = problem.n
     v = np.asarray(problem.outcomes.revenues, dtype=float)
     direction = v / max(float(np.max(v)), 1e-12) if np.max(v) > 0 else np.ones_like(v)
@@ -292,11 +285,11 @@ def _seed_contracts(problem: Problem, starts: int) -> list:
                 seeds.append(np.outer(split, scale * direction))
     except ModelError:
         pass
-    for i in range(max(0, starts - len(seeds))):
+    for i in range(max(0, _STARTS - len(seeds))):
         tau = np.tile(0.02 * direction / n, (n, 1))
         tau[i % n] = 0.5 * direction
         seeds.append(tau)
-    return seeds[:starts]
+    return seeds[:_STARTS]
 
 
 @dataclass(frozen=True)
@@ -323,10 +316,9 @@ class _Parametrization:
 _PAYMENTS = _Parametrization(Contract, lambda grad: grad, lambda tau: np.maximum(0.0, tau))
 
 
-def _ascend(problem: Problem, x0: np.ndarray, options: OptimizerOptions, var: _Parametrization,
-            known=None):
+def _ascend(problem: Problem, x0: np.ndarray, var: _Parametrization, known=None):
     """Projected Armijo ascent with Barzilai-Borwein steps from ``x0``.  It
-    stops at a KKT residual within ``options.tol``, on reaching a run in
+    stops at a KKT residual within ``_KKT_TOL``, on reaching a run in
     ``known`` that another start already certified, when the line search
     stalls, or after ``_ASCENT_STEPS`` steps.  Returns ``(x, eq,
     payoff, kkt, converged)``.
@@ -354,7 +346,7 @@ def _ascend(problem: Problem, x0: np.ndarray, options: OptimizerOptions, var: _P
                     return run
         first_order, grad = var.gradient(problem, x, eq)
         kkt = _kkt_residual(x, grad)
-        if kkt <= options.tol:
+        if kkt <= _KKT_TOL:
             return x, eq, payoff, kkt, True
         if prev is not None:
             # Barzilai-Borwein step over the free coordinates only; entries
@@ -391,10 +383,10 @@ def _ascend(problem: Problem, x0: np.ndarray, options: OptimizerOptions, var: _P
         if not accepted:
             return x, eq, payoff, kkt, False
     kkt = _kkt_residual(x, var.gradient(problem, x, eq)[1])
-    return x, eq, payoff, kkt, kkt <= options.tol
+    return x, eq, payoff, kkt, kkt <= _KKT_TOL
 
 
-def _best_ascent(problem: Problem, seeds, options: OptimizerOptions, var: _Parametrization):
+def _best_ascent(problem: Problem, seeds, var: _Parametrization):
     """Projected ascent from every distinct seed.  The best converged local
     optimum wins, with payoff ties broken toward the lexicographically
     smallest variable; returns ``(x, eq, payoff, kkt)``.  When no start
@@ -408,7 +400,7 @@ def _best_ascent(problem: Problem, seeds, options: OptimizerOptions, var: _Param
             continue
         seen_seeds.append(x0)
         try:
-            x, eq, payoff, kkt, converged = _ascend(problem, x0, options, var, known=runs)
+            x, eq, payoff, kkt, converged = _ascend(problem, x0, var, known=runs)
         except (EquilibriumError, DiagnosticsError, ModelError) as exc:
             failures.append(str(exc))
             continue
@@ -429,17 +421,16 @@ def _best_ascent(problem: Problem, seeds, options: OptimizerOptions, var: _Param
     return ties[0][:4]
 
 
-def optimize_general(problem: Problem, options: OptimizerOptions | None = None) -> OptimalContractResult:
+def optimize_general(problem: Problem) -> OptimalContractResult:
     """Multi-start projected gradient ascent on the principal payoff.
 
-    ``options.starts`` deterministic seeds (revenue-proportional contracts at
+    ``_STARTS`` deterministic seeds (revenue-proportional contracts at
     four scales, productivity-weighted ones at two, then per-agent
     concentrated ones); Armijo backtracking line search; the best converged
     local optimum wins, with payoff ties broken toward the lexicographically
     smallest contract.
     """
-    options = options or OptimizerOptions()
-    tau, eq, payoff, kkt = _best_ascent(problem, _seed_contracts(problem, options.starts), options, _PAYMENTS)
+    tau, eq, payoff, kkt = _best_ascent(problem, _seed_contracts(problem), _PAYMENTS)
 
     contract = Contract(tau)
     return OptimalContractResult(
@@ -679,9 +670,7 @@ def _share_kkt(payoff, x: float, share, value: float) -> float:
     return float(slope / ds)
 
 
-def optimize_quadratic_binary(
-    network: Network, p: SuccessProbability, options: OptimizerOptions | None = None
-) -> OptimalContractResult:
+def optimize_quadratic_binary(network: Network, p: SuccessProbability) -> OptimalContractResult:
     """Closed-form optimal contract for the quadratic-network environment.
 
     Enumerates candidate active sets, takes the best balance rate, and
@@ -697,7 +686,7 @@ def optimize_quadratic_binary(
         candidates = optimal_active_set(network)
     except ActiveSetError as exc:
         warnings.warn(f"no usable active set ({exc}); falling back to the gradient optimizer")
-        return optimize_general(quadratic_binary_problem(network, p), options=options)
+        return optimize_general(quadratic_binary_problem(network, p))
 
     best = candidates[0]
     agents = np.array(best.agents, dtype=int)
@@ -716,8 +705,13 @@ def optimize_quadratic_binary(
             y = _performance_map(float(p.slope), s, s * rate)
             return (1.0 - s) * float(p.value(y)) if y <= y_max else -np.inf
 
-        root = total_share_root(1.0, p.slope, 1.0 / rate) if rate > 0.0 else 0.5
-        if np.isfinite(payoff_of_share(root)):
+        try:
+            root = total_share_root(1.0, p.slope, 1.0 / rate) if rate > 0.0 else 0.5
+        except ModelError:
+            # Just below slope * rate = 1 the cubic's value at s = 1 can round
+            # to >= 0, so its bracket fails; the search below covers that case.
+            root = None
+        if root is not None and np.isfinite(payoff_of_share(root)):
             s_star, residual_at = root, (payoff_of_share, root, None)
     if residual_at is None:
         def share(y):

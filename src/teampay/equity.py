@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contract_opt import OptimizerOptions, _best_ascent, _Parametrization, optimize_general
+from . import contract_opt
+from .contract_opt import _best_ascent, _Parametrization, optimize_general
 from .diagnostics import ACTIVITY_TOL, _FirstOrderObjects
 from .equilibrium import solve_equilibrium_general
 from .model import Contract, EquilibriumResult, EquityContract, ModelError, Problem
@@ -114,12 +115,7 @@ def _balance_values(problem: Problem, sigma: np.ndarray, eq: EquilibriumResult) 
     return vals
 
 
-def optimize_equity(
-    problem: Problem,
-    options: OptimizerOptions | None = None,
-    *,
-    compare_unrestricted: bool = True,
-) -> EquityResult:
+def optimize_equity(problem: Problem, *, compare_unrestricted: bool = True) -> EquityResult:
     """Multi-start projected gradient ascent on the equity payoff
     ``(1 - sum(sigma)) * sum_s v_s P_s(Y*)``: the unrestricted optimizer's
     projected Barzilai-Borwein ascent and multi-start driver, run in shares.
@@ -128,17 +124,18 @@ def optimize_equity(
     agents is the optimality diagnostic) and, by default, the unrestricted
     optimizer's payoff side by side.
     """
-    options = options or OptimizerOptions()
     n = problem.n
+    # Read at call time, so that the start count is the gradient optimizer's.
+    starts = contract_opt._STARTS
 
     seeds = [np.full(n, x / n) for x in (0.3, 0.1, 0.6)]
-    for i in range(max(0, options.starts - len(seeds))):
+    for i in range(max(0, starts - len(seeds))):
         s = np.full(n, 0.02 / n)
         s[i % n] = 0.4
         seeds.append(s)
-    seeds = seeds[: options.starts]
+    seeds = seeds[:starts]
 
-    sigma, eq, payoff, kkt = _best_ascent(problem, seeds, options, _shares(problem))
+    sigma, eq, payoff, kkt = _best_ascent(problem, seeds, _shares(problem))
 
     vals = _balance_values(problem, sigma, eq)
     positive = np.flatnonzero(sigma > ACTIVITY_TOL)
@@ -153,7 +150,7 @@ def optimize_equity(
 
     unrestricted = None
     if compare_unrestricted:
-        unrestricted = optimize_general(problem, options=options).principal_payoff
+        unrestricted = optimize_general(problem).principal_payoff
 
     return EquityResult(
         contract=EquityContract(sigma),

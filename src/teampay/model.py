@@ -666,8 +666,6 @@ class SoftmaxOutcomeModel:
 class Utility:
     """Strictly increasing concave money utility on t >= 0."""
 
-    inada: bool = False
-
     def value(self, t):
         raise NotImplementedError
 
@@ -677,8 +675,6 @@ class Utility:
 
 @dataclass(frozen=True)
 class LinearUtility(Utility):
-    inada = False
-
     def value(self, t):
         return np.asarray(t, dtype=float) + 0.0
 
@@ -688,8 +684,6 @@ class LinearUtility(Utility):
 
 @dataclass(frozen=True)
 class SqrtUtility(Utility):
-    inada = True
-
     def value(self, t):
         return np.sqrt(np.asarray(t, dtype=float))
 
@@ -704,7 +698,6 @@ class PowerUtility(Utility):
     """``u(t) = t ** eta`` with ``eta`` in (0, 1); unbounded marginal at 0."""
 
     eta: float
-    inada = True
 
     def value(self, t):
         return np.power(np.asarray(t, dtype=float), self.eta)
@@ -717,8 +710,6 @@ class PowerUtility(Utility):
 
 @dataclass(frozen=True)
 class Log1pUtility(Utility):
-    inada = False
-
     def value(self, t):
         return np.log1p(np.asarray(t, dtype=float))
 
@@ -741,8 +732,6 @@ class PowerCost:
 
     def curvature(self, a):
         a = np.asarray(a, dtype=float)
-        if self.exponent == 2.0:
-            return self.scale * np.ones_like(a) + 0.0 * a
         return self.scale * (self.exponent - 1.0) * np.power(a, self.exponent - 2.0)
 
 

@@ -44,6 +44,8 @@ _MAX_SWEEPS = 5000
 _GRID_POINTS = 1024
 # Equilibrium tolerance of the exhaustive search's contracts.
 _GRID_TOL = 1e-8
+# Most payment cells the exhaustive search enumerates.
+_DIM_CAP = 6
 # Value comparisons cannot rank actions closer than ~sqrt(machine eps)
 # around a flat payoff maximum, so requested tolerances are clamped at
 # this resolution floor; the returned residual stays honest.
@@ -290,19 +292,13 @@ def principal_payoff(problem: Problem, contract: Contract, performance: float) -
     return float(np.dot(revenues - contract.payments.sum(axis=0), probs))
 
 
-def brute_force_optimal_contract(
-    problem: Problem,
-    grid_resolution: float,
-    bounds,
-    *,
-    dim_cap: int = 6,
-) -> tuple[Contract, float]:
+def brute_force_optimal_contract(problem: Problem, grid_resolution: float, bounds) -> tuple[Contract, float]:
     """Exhaustive payoff search over a Cartesian grid of contracts.
 
     ``bounds`` is ``(lo, hi)`` arrays (or scalars) with shape (n, S).  A
     binary problem with zero failure revenue searches success payments only
     (paying at failure is never optimal there), with failure payments pinned
-    at ``lo``; any other problem searches every cell.  More than ``dim_cap``
+    at ``lo``; any other problem searches every cell.  More than ``_DIM_CAP``
     searched cells raise :class:`OracleError`.  Ties break to the
     lexicographically smallest contract.  The grid runs through the batched
     best-response iteration ``_BATCH`` contracts at a time, each from zero
@@ -318,9 +314,9 @@ def brute_force_optimal_contract(
         free_coords = [(i, 1) for i in range(n)]
     else:
         free_coords = [(i, s) for i in range(n) for s in range(S)]
-    if len(free_coords) > dim_cap:
+    if len(free_coords) > _DIM_CAP:
         raise OracleError(
-            f"{len(free_coords)} free payment coordinates exceed the enumeration cap {dim_cap}; "
+            f"{len(free_coords)} free payment coordinates exceed the enumeration cap {_DIM_CAP}; "
             "use the gradient optimizer instead"
         )
 

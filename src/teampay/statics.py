@@ -10,15 +10,11 @@ from __future__ import annotations
 import io
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .contract_opt import (
-    OptimalContractResult,
-    OptimizationError,
-    OptimizerOptions,
-    optimize_quadratic_binary,
-)
+from .contract_opt import OptimalContractResult, OptimizationError, optimize_quadratic_binary
 from .equilibrium import EquilibriumError
 from .model import CapExceededError, LinearCappedSuccess, ModelError, Network, SuccessProbability
 
@@ -31,6 +27,7 @@ __all__ = [
     "sweep",
     "sweep_to_csv",
     "parse_parameter",
+    "network_along",
 ]
 
 
@@ -164,26 +161,25 @@ def parse_parameter(parameter: str, n: int):
     return ("edge", (i, j))
 
 
-def sweep(
-    network: Network,
-    p: SuccessProbability,
-    parameter: str,
-    grid,
-    *,
-    options: OptimizerOptions | None = None,
-) -> SweepCurve:
+def network_along(network: Network, parameter: str):
+    """The network at each value of a sweep parameter, as a function of the
+    value: ``beta`` scales every link weight, a link name sets that weight."""
+    kind, edge = parse_parameter(parameter, network.n)
+    return network.with_scale if kind == "beta" else partial(network.with_edge, *edge)
+
+
+def sweep(network: Network, p: SuccessProbability, parameter: str, grid) -> SweepCurve:
     """Re-optimize the contract at each grid value of the parameter."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0):
         raise StaticsError("grid must be a nonempty strictly increasing vector")
-    kind, edge = parse_parameter(parameter, network.n)
-    options = options or OptimizerOptions()
+    network_at = network_along(network, parameter)
     n = network.n
 
     def run(value: float):
-        net = network.with_scale(value) if kind == "beta" else network.with_edge(*edge, value)
+        net = network_at(value)
         try:
-            opt = optimize_quadratic_binary(net, p, options)
+            opt = optimize_quadratic_binary(net, p)
         except (OptimizationError, EquilibriumError, CapExceededError, ModelError) as exc:
             return None, str(exc)
         return opt, None

@@ -35,6 +35,18 @@ FIGURE = {
 }
 
 
+# On the (1, 2) pair, whose share rate is 1, slope * rate falls just below 1
+# and the share cubic's value at s = 1 rounds to >= 0.
+KNIFE_EDGE = {
+    "n": 3,
+    "production": {"type": "quadratic_network", "weights": [[0, 1, 0.8], [1, 0, 2], [0.8, 2, 0]]},
+    "outcomes": {"type": "binary_success",
+                 "success": {"type": "linear_capped", "slope": 0.9999999999999999}},
+    "utilities": {"type": "linear"},
+    "costs": {"type": "power"},
+}
+
+
 @pytest.fixture()
 def files(tmp_path):
     problem = tmp_path / "problem.json"
@@ -87,10 +99,30 @@ def test_malformed_json_exits_one(files, capsys):
     assert err["error"]["type"] == "input"
 
 
+# Tuning values that are module constants, not flags, on the subcommands
+# that used to take them.
+RETIRED_FLAGS = [
+    ("equilibrium", "--tol"),
+    ("optimize", "--starts"),
+    ("optimize", "--tol"),
+    ("statics", "--tol"),
+    ("sweep", "--tol"),
+    ("equity", "--starts"),
+    ("equity", "--tol"),
+    ("verify", "--dim-cap"),
+    ("verify", "--starts"),
+    ("verify", "--tol"),
+]
+
+
 def test_unknown_flag_exits_one(files, capsys):
-    _, problem, _, _ = files
-    assert run(["validate", str(problem), "--bogus"]) == 1
-    capsys.readouterr()
+    _, problem, _, contract = files
+    required = {"equilibrium": ["--contract", str(contract)], "sweep": ["--param", "G23", "--grid", "0:1:0.5"]}
+    for command, flag in [("validate", "--bogus"), *RETIRED_FLAGS]:
+        assert run([command, str(problem), *required.get(command, []), flag, "1"]) == 1, (command, flag)
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert err["type"] == "usage", (command, flag)
+        assert f"unrecognized arguments: {flag} 1" in err["message"], (command, flag)
 
 
 def test_equilibrium_zero_contract(files, capsys):
@@ -356,3 +388,18 @@ def test_statics_grid(files, capsys):
     assert out["parameter"] == "G23"
     assert len(out["points"]) == 3
     assert out["points"][0]["G23"] == 0.2
+
+
+def test_knife_edge_share_cubic_takes_the_performance_search(tmp_path, capsys):
+    path = tmp_path / "knife_edge.json"
+    path.write_text(json.dumps(KNIFE_EDGE))
+    assert run(["optimize", str(path), "--method", "quadratic"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["active_set"] == [1, 2]
+    # The slope-1 instance's optimum, which the cubic's guard sends to the search.
+    assert out["principal_payoff"] == pytest.approx(0.5773502691877008, abs=1e-9)
+    assert run(["statics", str(path), "--param", "G12", "--grid", "0.9:1.1:0.1"]) == 0
+    assert all("error" not in point for point in json.loads(capsys.readouterr().out)["points"])
+    assert run(["sweep", str(path), "--param", "G12", "--grid", "0.9:1.1:0.1"]) == 0
+    captured = capsys.readouterr()
+    assert "nan" not in captured.out and not captured.err

@@ -341,7 +341,7 @@ def test_clique_search_stops_at_its_node_budget():
 
 
 def test_fallback_warning_names_the_bound_that_stopped_the_search(monkeypatch):
-    monkeypatch.setattr(contract_opt, "optimize_general", lambda problem, options=None: "fallback")
+    monkeypatch.setattr(contract_opt, "optimize_general", lambda problem: "fallback")
     net = random_symmetric_network(np.random.default_rng(0), 17)
     with pytest.warns(UserWarning, match=r"no usable active set \(active-set enumeration of a weighted "
                                          r"network capped at 16 agents"):
@@ -701,14 +701,14 @@ def test_fast_path_trials_compute_no_tangent_prediction(monkeypatch):
     assert not calls
 
 
-def test_softmax_sqrt_ascents_converge_at_a_tight_tolerance():
+def test_softmax_sqrt_ascents_converge_at_a_tight_tolerance(monkeypatch):
     # Barzilai-Borwein projected ascent alone reaches a KKT residual of 1e-12,
     # in payments and in equity shares.
     problem = softmax_instance([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0],
                                clique(2), tp.SqrtUtility())
-    options = tp.OptimizerOptions(tol=1e-12)
-    assert tp.optimize_general(problem, options=options).kkt_residual <= 1e-12
-    assert tp.optimize_equity(problem, options, compare_unrestricted=False).kkt_residual <= 1e-12
+    monkeypatch.setattr(contract_opt, "_KKT_TOL", 1e-12)
+    assert tp.optimize_general(problem).kkt_residual <= 1e-12
+    assert tp.optimize_equity(problem, compare_unrestricted=False).kkt_residual <= 1e-12
 
 
 @settings(max_examples=40, deadline=None)
@@ -729,10 +729,11 @@ def test_optimizer_outputs_are_within_their_residual_tolerances(n, seed, zeros, 
         problem = quadratic_problem(net, outcomes)
         closed = tp.optimize_quadratic_binary(net, outcomes)
         results.append((closed.kkt_residual, closed.max_balance_residual))
-    options = tp.OptimizerOptions(starts=2)
-    general = tp.optimize_general(problem, options)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(contract_opt, "_STARTS", 2)
+        general = tp.optimize_general(problem)
+        equity_pay = tp.optimize_equity(problem, compare_unrestricted=False)
     results.append((general.kkt_residual, general.max_balance_residual))
-    equity_pay = tp.optimize_equity(problem, options, compare_unrestricted=False)
     results.append((equity_pay.kkt_residual, equity_pay.balance_residual))
     for kkt, balance in results:
         assert kkt <= 1e-6
@@ -787,7 +788,7 @@ def test_line_search_rejects_trials_that_fail_the_global_check(monkeypatch, para
     limit = float(var.contract(x0).payments.sum())
     marked = _failing_check_when(monkeypatch, lambda c: float(c.payments.sum()) > limit)
     monkeypatch.setattr(contract_opt, "_ASCENT_STEPS", 20)
-    x, eq, _, _, _ = contract_opt._ascend(problem, x0, tp.OptimizerOptions(), var)
+    x, eq, _, _, _ = contract_opt._ascend(problem, x0, var)
     assert marked  # the ascent tried to pay more, and those trials failed the check
     assert float(var.contract(x).payments.sum()) <= limit
     assert eq.global_check_passed
@@ -795,5 +796,6 @@ def test_line_search_rejects_trials_that_fail_the_global_check(monkeypatch, para
 
 def test_optimizer_accepts_no_equilibrium_that_fails_the_global_check(monkeypatch):
     _failing_check_when(monkeypatch, lambda c: True)
+    monkeypatch.setattr(contract_opt, "_STARTS", 2)
     with pytest.raises(tp.OptimizationError):
-        tp.optimize_general(_softmax_linear(), tp.OptimizerOptions(starts=2))
+        tp.optimize_general(_softmax_linear())

@@ -78,9 +78,25 @@ def test_equity_ascent_halves_steps_whose_trial_reaches_the_cap():
     # the cap 1/0.9; such a trial must halve the step, not end the start.
     problem = quadratic_problem(clique(2), tp.LinearCappedSuccess(0.9))
     sigma, _, payoff, kkt, converged = contract_opt._ascend(
-        problem, np.array([0.15, 0.15]), tp.OptimizerOptions(), equity._shares(problem)
+        problem, np.array([0.15, 0.15]), equity._shares(problem)
     )
     assert converged
     assert kkt <= 1e-8
     assert payoff == pytest.approx(0.3159117539121128, abs=1e-12)
     assert sigma[0] == pytest.approx(sigma[1], abs=1e-9)
+
+
+@pytest.mark.parametrize("starts", [2, 8])
+def test_equity_climbs_the_gradient_optimizers_start_count(monkeypatch, starts):
+    # One patch of the start count covers both optimizers.
+    seen = []
+
+    def record(problem, seeds, var):
+        seen.append(len(seeds))
+        raise tp.OptimizationError("recorded")
+
+    monkeypatch.setattr(contract_opt, "_STARTS", starts)
+    monkeypatch.setattr(equity, "_best_ascent", record)
+    with pytest.raises(tp.OptimizationError, match="recorded"):
+        tp.optimize_equity(quadratic_problem(clique(2)))
+    assert seen == [starts]

@@ -155,10 +155,11 @@ def test_brute_force_zero_revenue_pays_nothing():
     assert payoff == pytest.approx(0.0, abs=1e-12)
 
 
-def test_brute_force_dimensionality_guard():
+def test_brute_force_dimensionality_guard(monkeypatch):
+    monkeypatch.setattr(oracle, "_DIM_CAP", 3)
     problem = quadratic_problem(clique(4))
-    with pytest.raises(tp.OracleError):
-        tp.brute_force_optimal_contract(problem, 0.1, (0.0, 0.5), dim_cap=3)
+    with pytest.raises(tp.OracleError, match="exceed the enumeration cap 3"):
+        tp.brute_force_optimal_contract(problem, 0.1, (0.0, 0.5))
 
 
 def test_finite_diff_square():
