@@ -37,8 +37,8 @@ pay2 = curve.payments[:, 1]
 drop = np.flatnonzero(np.diff(pay2) < -1e-9)
 print("agent-2 payment falls on grid intervals starting at:", curve.grid[drop])
 
-# Closed-form derivatives at one point of the grid, including the optimal
-# total share's own response (available under a linear success curve).
+# Link derivatives at one point of the grid, including the optimal total
+# share's own response.
 mid = network.with_edge(1, 2, 0.3)
 opt = tp.optimize_quadratic_binary(mid, p)
 ds = tp.dshare_dlink(mid, p, opt)

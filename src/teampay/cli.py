@@ -151,6 +151,14 @@ def _separable_production(problem: Problem, cls, method: str, kind: str):
     return problem.production
 
 
+def _network_along(network, param: str):
+    """``statics.network_along``, with a bad parameter name as an input error."""
+    try:
+        return network_along(network, param)
+    except StaticsError as exc:
+        raise _CliError(str(exc), 1) from exc
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
@@ -242,7 +250,6 @@ def _statics_point(network, p) -> dict:
         "active_set": list(opt.active_set),
         "payments": opt.contract.payments[:, 1].tolist(),
         "dshare_dlink": shares.tensor.tolist(),
-        "includes_share_response": shares.includes_share_response,
         "dperformance_dlink": perf.tolist(),
     }
 
@@ -251,12 +258,12 @@ def _cmd_statics(args) -> int:
     problem = _load_problem(args.problem)
     _require_valid(problem)
     network, p = _quadratic_binary_parts(problem)
+    network_at = None if args.param is None else _network_along(network, args.param)
     if args.grid is None:
         print(dump_json(_statics_point(network, p)))
         return 0
-    if args.param is None:
+    if network_at is None:
         raise _CliError("--grid needs --param to know which parameter varies", 1)
-    network_at = network_along(network, args.param)
     rows = []
     for value in _parse_grid(args.grid):
         net = network_at(float(value))
@@ -274,6 +281,7 @@ def _cmd_sweep(args) -> int:
     problem = _load_problem(args.problem)
     _require_valid(problem)
     network, p = _quadratic_binary_parts(problem)
+    _network_along(network, args.param)
     curve = sweep(network, p, args.param, _parse_grid(args.grid))
     text = sweep_to_csv(curve)
     if args.out:

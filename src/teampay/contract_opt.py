@@ -142,17 +142,23 @@ class ActiveSetCandidate:
 # ---------------------------------------------------------------------------
 
 
-def quadratic_binary_problem(network: Network, p: SuccessProbability, standalone=None) -> Problem:
-    """The canonical environment: quadratic-network production, success or
+def _binary_linear_unit_problem(production, p: SuccessProbability) -> Problem:
+    """Every closed form's environment around ``production``: success or
     failure outcome, linear money utility, unit quadratic effort costs."""
-    n = network.n
+    n = production.n
     return Problem(
         n=n,
-        production=QuadraticNetworkProduction(network, standalone),
+        production=production,
         outcomes=BinaryOutcomeModel(p),
         utilities=tuple(LinearUtility() for _ in range(n)),
         costs=tuple(PowerCost(1.0, 2.0) for _ in range(n)),
     )
+
+
+def quadratic_binary_problem(network: Network, p: SuccessProbability, standalone=None) -> Problem:
+    """The canonical environment: quadratic-network production in
+    ``_binary_linear_unit_problem``."""
+    return _binary_linear_unit_problem(QuadraticNetworkProduction(network, standalone), p)
 
 
 def _is_binary_linear_unit(problem: Problem) -> bool:
@@ -323,6 +329,11 @@ def _ascend(problem: Problem, x0: np.ndarray, var: _Parametrization, known=None)
     stalls, or after ``_ASCENT_STEPS`` steps.  Returns ``(x, eq,
     payoff, kkt, converged)``.
 
+    A stall counts as converged when the first trial's predicted gain was
+    within the payoff's rounding: the step the curvature allows can raise
+    the payoff by no amount it resolves, so the KKT residual sits at its
+    noise floor, and ``kkt`` reports that floor.
+
     Each line-search trial that goes to the general solver is solved warm
     from the tangent prediction ``a - J^{-1} dF``
     (``_FirstOrderObjects.tangent_profile``), with ``J`` the first-order
@@ -362,11 +373,15 @@ def _ascend(problem: Problem, x0: np.ndarray, var: _Parametrization, known=None)
                     step = min(max(bb, 1e-12), 1e3)
         prev = (x.copy(), grad.copy())
         accepted = False
-        for _ in range(_MAX_BACKTRACKS):
+        flat = False  # the first trial's predicted gain is below the payoff's rounding
+        for backtrack in range(_MAX_BACKTRACKS):
             trial = var.project(x + step * grad)
             delta = trial - x
             if not np.any(delta):
                 break
+            gain = float(np.sum(grad * delta))
+            if backtrack == 0:
+                flat = gain <= np.finfo(float).eps * (1.0 + abs(payoff))
             contract = var.contract(trial)
             try:
                 eq_t = _solve_eq_checked(problem, contract, partial(first_order.tangent_profile, contract.payments))
@@ -374,14 +389,14 @@ def _ascend(problem: Problem, x0: np.ndarray, var: _Parametrization, known=None)
                 step *= 0.5
                 continue
             pay_t = var.payoff(problem, trial, eq_t)
-            if pay_t >= payoff + _ARMIJO * float(np.sum(grad * delta)):
+            if pay_t >= payoff + _ARMIJO * gain:
                 x, eq, payoff = trial, eq_t, pay_t
                 step = min(step * 1.3, 1e3)
                 accepted = True
                 break
             step *= 0.5
         if not accepted:
-            return x, eq, payoff, kkt, False
+            return x, eq, payoff, kkt, flat
     kkt = _kkt_residual(x, var.gradient(problem, x, eq)[1])
     return x, eq, payoff, kkt, kkt <= _KKT_TOL
 
@@ -566,7 +581,13 @@ def optimal_active_set(network: Network, *, cap: int = 16) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _balanced_share(y, rate: float, p: SuccessProbability):
+def _performance_ceiling(p: SuccessProbability) -> float:
+    """Highest equilibrium performance the quadratic-binary share search
+    reaches: just below a linear success probability's cap, else ``_Y_CEIL``."""
+    return p.cap * (1.0 - 1e-12) if isinstance(p, LinearCappedSuccess) else _Y_CEIL
+
+
+def _balanced_share(y, rate, p: SuccessProbability):
     """Total share of the balanced-equity contract (neighborhood equity
     ``lam = s * rate``) whose equilibrium performance is ``y``.
 
@@ -576,7 +597,8 @@ def _balanced_share(y, rate: float, p: SuccessProbability):
     ``2 rate y = 1/(1 - x)^2 - 1``, so ``x = 1 - 1/r`` with
     ``r = sqrt(1 + 2 rate y)`` and ``s = x / (rate c) = 2y / (r (1 + r) c)``,
     which is ``y / c`` at rate 0.  Every ``y >= 0`` has ``x < 1``, so the
-    spectral condition holds all along the curve.
+    spectral condition holds all along the curve.  Vectorised over ``y`` and
+    ``rate``.
     """
     r = np.sqrt(1.0 + 2.0 * rate * y)
     return 2.0 * y / (r * (1.0 + r) * p.deriv(y))
@@ -693,7 +715,7 @@ def optimize_quadratic_binary(network: Network, p: SuccessProbability) -> Optima
     rate = best.share_rate
     n = network.n
     linear = isinstance(p, LinearCappedSuccess)
-    y_max = p.cap * (1.0 - 1e-12) if linear else _Y_CEIL
+    y_max = _performance_ceiling(p)
 
     residual_at = None  # (payoff, x, share) for the optimality residual
     if linear and p.slope * rate < 1.0:
@@ -841,13 +863,7 @@ def _separable_closed_form(production, p, direction: np.ndarray, method: str) ->
         actions = actions_at(y_star, t_star)
     tau = t_star * d_hat
 
-    problem = Problem(
-        n=n,
-        production=production,
-        outcomes=BinaryOutcomeModel(p),
-        utilities=tuple(LinearUtility() for _ in range(n)),
-        costs=tuple(PowerCost(1.0, 2.0) for _ in range(n)),
-    )
+    problem = _binary_linear_unit_problem(production, p)
     payments = np.zeros((n, 2))
     payments[:, 1] = tau
     contract = Contract(payments)

@@ -1,8 +1,10 @@
 """Comparative statics around optimal quadratic-binary contracts.
 
-Closed-form derivatives of optimal payments and of equilibrium performance
-with respect to link weights, plus grid sweeps that re-optimize the
-contract at every parameter value and emit a stable CSV.
+Derivatives of optimal payments and of equilibrium performance with respect
+to link weights: closed form at a fixed total share, with the optimal
+share's response taken by implicit differentiation of the optimizer's own
+performance payoff; plus grid sweeps that re-optimize the contract at every
+parameter value and emit a stable CSV.
 """
 
 from __future__ import annotations
@@ -14,9 +16,10 @@ from functools import partial
 
 import numpy as np
 
-from .contract_opt import OptimalContractResult, OptimizationError, optimize_quadratic_binary
+from .contract_opt import (OptimalContractResult, OptimizationError, _balanced_share, _performance_ceiling,
+                           optimize_quadratic_binary)
 from .equilibrium import EquilibriumError
-from .model import CapExceededError, LinearCappedSuccess, ModelError, Network, SuccessProbability
+from .model import CapExceededError, ModelError, Network, SuccessProbability
 
 __all__ = [
     "StaticsError",
@@ -38,26 +41,43 @@ class StaticsError(RuntimeError):
 @dataclass(frozen=True)
 class ShareDerivatives:
     """``tensor[i, j, k]`` is the derivative of agent i's optimal payment in
-    the (j, k) link weight; entries involving inactive agents are zero and
-    the j == k diagonal is structurally zero.  ``includes_share_response``
-    records whether the optimal total share's own adjustment (available in
-    closed form under a linear success probability) is folded in."""
+    the (j, k) link weight, the optimal total share's own response included;
+    entries involving inactive agents are zero and the j == k diagonal is
+    structurally zero."""
 
     tensor: np.ndarray
     active: tuple
-    includes_share_response: bool
+
+
+def _share_response(p: SuccessProbability, y: float, rate: float) -> float:
+    """Derivative in the share rate of the optimal total share
+    ``s(y*, rate)`` (``_balanced_share``), where ``y*`` maximizes the
+    optimizer's payoff ``Pi(y) = (1 - s(y, rate)) P(y)`` up to the
+    performance ceiling.  At an interior ``y*``, ``dy*/d rate = -Pi_y,rate /
+    Pi_yy``; at the ceiling ``y*`` stays put.  The partials are central
+    differences with steps ``1e-4 y`` and ``1e-4 rate``."""
+    h = min(1e-4 * y, _performance_ceiling(p) - y)
+    hr = 1e-4 * rate
+    step = np.array([-1.0, 0.0, 1.0])
+    ys = y + h * step
+    s = _balanced_share(ys[:, None], rate + hr * step, p)
+    s_rate = (s[1, 2] - s[1, 0]) / (2.0 * hr)
+    # The search resolves a maximum at the ceiling to 1e-11 of it.
+    if h <= 1e-9 * y:
+        return s_rate
+    pay = (1.0 - s) * p.value(ys)[:, None]
+    pi_yy = (pay[2, 1] - 2.0 * pay[1, 1] + pay[0, 1]) / h**2
+    pi_yr = (pay[2, 2] - pay[2, 0] - pay[0, 2] + pay[0, 0]) / (4.0 * h * hr)
+    s_y = (s[2, 1] - s[0, 1]) / (2.0 * h)
+    return s_rate - s_y * pi_yr / pi_yy
 
 
 def dshare_dlink(network: Network, p: SuccessProbability, opt: OptimalContractResult) -> ShareDerivatives:
-    """Closed-form derivative of each active agent's optimal payment with
-    respect to each active link weight.
-
-    The balanced-equity structure gives payments ``tau = lam * Ginv @ 1`` on
-    the active set; differentiating the inverse and the equity level yields
-    the formula.  Under a linear success probability the optimal total
-    share's response enters through the share cubic; otherwise the
-    share-fixed partial is reported (``includes_share_response`` False).
-    """
+    """Derivative of each active agent's optimal payment in each active link
+    weight.  Payments are ``tau = s * rate * t`` on the active set, with
+    ``t = Ginv @ 1``, ``rate = 1 / sum(t)`` and ``s`` the optimal total share;
+    differentiating the inverse gives ``d rate / d G_jk = 2 t_j t_k rate^2``,
+    and ``s`` follows the rate as ``_share_response`` says."""
     agents = np.asarray(opt.active_set, dtype=int)
     if agents.size < 2:
         raise StaticsError("link derivatives need at least two active agents")
@@ -73,21 +93,13 @@ def dshare_dlink(network: Network, p: SuccessProbability, opt: OptimalContractRe
     if lam is None or lam <= 0.0:
         raise StaticsError("optimum does not carry a balanced equity constant")
     t = tau / lam
-    kstar = float(np.sum(t))
+    rate = lam / s
 
     # Only distinct endpoints j != k name a link: the j == k diagonal is 0.
     link = ~np.eye(agents.size, dtype=bool)
-    # Equity level at fixed total share: lam = s / kstar with
-    # d kstar / d G_jk = -2 t_j t_k.
-    dlam = 2.0 * tau[:, None] * tau[None, :] / s
-
-    include_share_response = isinstance(p, LinearCappedSuccess)
-    if include_share_response:
-        kappa = p.slope
-        dp_ds = -3.0 * kappa**2 * s**2 + 6.0 * kappa * kstar * s - 4.0 * kstar**2
-        dp_dk = 3.0 * kappa * s**2 - 8.0 * kstar * s + 4.0 * kstar
-        ds = (dp_dk / dp_ds) * 2.0 * t[:, None] * t[None, :]
-        dlam += ds / kstar
+    # d lam = (s + rate * ds/d rate) d rate, since lam = s * rate.
+    drate = 2.0 * rate**2 * t[:, None] * t[None, :]
+    dlam = (s + rate * _share_response(p, opt.equilibrium.performance, rate)) * drate
 
     # block[i, j, k] = -Ginv_ik tau_j - Ginv_ij tau_k + dlam_jk tau_i / lam
     block = (
@@ -98,11 +110,7 @@ def dshare_dlink(network: Network, p: SuccessProbability, opt: OptimalContractRe
     n = network.n
     tensor = np.zeros((n, n, n))
     tensor[np.ix_(agents, agents, agents)] = np.where(link[None, :, :], block, 0.0)
-    return ShareDerivatives(
-        tensor=tensor,
-        active=tuple(int(i) for i in agents),
-        includes_share_response=include_share_response,
-    )
+    return ShareDerivatives(tensor=tensor, active=tuple(int(i) for i in agents))
 
 
 def dperformance_dlink(p: SuccessProbability, opt: OptimalContractResult) -> np.ndarray:
@@ -175,17 +183,6 @@ def sweep(network: Network, p: SuccessProbability, parameter: str, grid) -> Swee
         raise StaticsError("grid must be a nonempty strictly increasing vector")
     network_at = network_along(network, parameter)
     n = network.n
-
-    def run(value: float):
-        net = network_at(value)
-        try:
-            opt = optimize_quadratic_binary(net, p)
-        except (OptimizationError, EquilibriumError, CapExceededError, ModelError) as exc:
-            return None, str(exc)
-        return opt, None
-
-    results = [run(v) for v in grid]
-
     m = grid.size
     payments = np.full((m, n), np.nan)
     principal = np.full(m, np.nan)
@@ -193,11 +190,14 @@ def sweep(network: Network, p: SuccessProbability, parameter: str, grid) -> Swee
     perf = np.full(m, np.nan)
     active_sets = []
     errors = []
-    for row, (opt, err) in enumerate(results):
-        errors.append(err)
-        if opt is None:
+    for row, value in enumerate(grid):
+        try:
+            opt = optimize_quadratic_binary(network_at(value), p)
+        except (OptimizationError, EquilibriumError, CapExceededError, ModelError) as exc:
+            errors.append(str(exc))
             active_sets.append(())
             continue
+        errors.append(None)
         tau = opt.contract.payments[:, 1]
         payments[row] = tau
         principal[row] = opt.principal_payoff

@@ -286,7 +286,7 @@ def test_statics_command(files, capsys):
     _, _, figure, _ = files
     assert run(["statics", str(figure)]) == 0
     out = json.loads(capsys.readouterr().out)
-    assert out["includes_share_response"] is True
+    assert list(out) == ["active_set", "payments", "dshare_dlink", "dperformance_dlink"]
     tensor = np.asarray(out["dshare_dlink"], dtype=float)
     assert tensor.shape == (3, 3, 3)
 
@@ -388,6 +388,21 @@ def test_statics_grid(files, capsys):
     assert out["parameter"] == "G23"
     assert len(out["points"]) == 3
     assert out["points"][0]["G23"] == 0.2
+
+
+@pytest.mark.parametrize("command, param, message", [
+    ("sweep", "G9", "cannot parse parameter 'G9'"),
+    ("statics", "bogus", "cannot parse parameter 'bogus'"),
+    ("statics", "G44", "link 'G44' is out of range for 3 agents"),
+])
+def test_bad_parameter_is_an_input_error(files, capsys, command, param, message):
+    _, _, figure, _ = files
+    assert run([command, str(figure), "--param", param, "--grid", "0:1:0.5"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "input"
+    assert message in err["message"]
 
 
 def test_knife_edge_share_cubic_takes_the_performance_search(tmp_path, capsys):

@@ -4,7 +4,7 @@ import tracemalloc
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import teampay as tp
@@ -715,6 +715,9 @@ def test_softmax_sqrt_ascents_converge_at_a_tight_tolerance(monkeypatch):
 @given(n=st.integers(2, 4), seed=st.integers(0, 2**32 - 1), zeros=st.floats(0.0, 0.6),
        outcomes=st.sampled_from([KAPPA_HALF, tp.LinearCappedSuccess(0.3), tp.LogisticSuccess(0.6, -0.1),
                                  "softmax_sqrt"]))
+# Both starts stall in the line search at KKT 1.1e-8 and 4.6e-8, where the
+# payoff is flat to rounding; a stall there is the optimum, not a failure.
+@example(n=4, seed=4, zeros=0.15625, outcomes="softmax_sqrt")
 def test_optimizer_outputs_are_within_their_residual_tolerances(n, seed, zeros, outcomes):
     # Every optimizer output meets its KKT tolerance and, where a balance
     # report exists, its balance tolerance: the closed form (on binary

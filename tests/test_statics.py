@@ -1,7 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 import teampay as tp
+from teampay import contract_opt
 
 from helpers import KAPPA_HALF, clique, random_symmetric_network
 
@@ -30,7 +35,6 @@ def test_share_derivative_matches_reoptimization_fd():
     net = asym_triangle()
     opt = tp.optimize_quadratic_binary(net, KAPPA_HALF)
     ds = tp.dshare_dlink(net, KAPPA_HALF, opt)
-    assert ds.includes_share_response
     h = 1e-4
     for j, k in [(0, 1), (0, 2), (1, 2)]:
         up = tp.optimize_quadratic_binary(net.with_edge(j, k, net.weights[j, k] + h), KAPPA_HALF)
@@ -49,7 +53,28 @@ def test_share_derivative_symmetric_on_symmetric_clique():
     assert ds.tensor[:, 0, 1] == pytest.approx(ds.tensor[:, 1, 0])
 
 
-def _dshare_dlink_loops(network, p, opt, include_share_response):
+def _share_response_loops(p, y, rate):
+    """Reference: the optimal share's derivative in the share rate, from one
+    scalar evaluation of the optimizer's share and payoff per stencil point."""
+    h = min(1e-4 * y, contract_opt._performance_ceiling(p) - y)
+    hr = 1e-4 * rate
+
+    def share(dy, dr):
+        return contract_opt._balanced_share(y + h * dy, rate + hr * dr, p)
+
+    def payoff(dy, dr):
+        return (1.0 - share(dy, dr)) * p.value(y + h * dy)
+
+    s_rate = (share(0.0, 1.0) - share(0.0, -1.0)) / (2.0 * hr)
+    if h <= 1e-9 * y:
+        return s_rate  # at the performance ceiling, y* does not move
+    pi_yy = (payoff(1.0, 0.0) - 2.0 * payoff(0.0, 0.0) + payoff(-1.0, 0.0)) / h**2
+    pi_yr = (payoff(1.0, 1.0) - payoff(1.0, -1.0) - payoff(-1.0, 1.0) + payoff(-1.0, -1.0)) / (4.0 * h * hr)
+    s_y = (share(1.0, 0.0) - share(-1.0, 0.0)) / (2.0 * h)
+    return s_rate - s_y * pi_yr / pi_yy
+
+
+def _dshare_dlink_loops(network, p, opt):
     """Reference: the element-by-element loops of the link-derivative formula."""
     agents = np.asarray(opt.active_set, dtype=int)
     ginv = np.linalg.inv(network.matrix[np.ix_(agents, agents)])
@@ -57,21 +82,14 @@ def _dshare_dlink_loops(network, p, opt, include_share_response):
     s = float(np.sum(tau))
     lam = opt.balance_constant
     t = tau / lam
-    kstar = float(np.sum(t))
+    rate = lam / s
+    response = _share_response_loops(p, opt.equilibrium.performance, rate)
     m = agents.size
     dlam = np.zeros((m, m))
     for j in range(m):
         for k in range(m):
             if j != k:
-                dlam[j, k] = 2.0 * tau[j] * tau[k] / s
-    if include_share_response:
-        kappa = p.slope
-        dp_ds = -3.0 * kappa**2 * s**2 + 6.0 * kappa * kstar * s - 4.0 * kstar**2
-        dp_dk = 3.0 * kappa * s**2 - 8.0 * kstar * s + 4.0 * kstar
-        for j in range(m):
-            for k in range(m):
-                if j != k:
-                    dlam[j, k] += (dp_dk / dp_ds) * 2.0 * t[j] * t[k] / kstar
+                dlam[j, k] = (s + rate * response) * (2.0 * rate**2 * t[j] * t[k])
     tensor = np.zeros((network.n,) * 3)
     for i_pos, i in enumerate(agents):
         for j_pos, j in enumerate(agents):
@@ -85,7 +103,8 @@ def _dshare_dlink_loops(network, p, opt, include_share_response):
     return tensor
 
 
-@pytest.mark.parametrize("p", [KAPPA_HALF, tp.PowerSuccess(2.0)], ids=["linear", "power"])
+@pytest.mark.parametrize("p", [KAPPA_HALF, tp.PowerSuccess(2.0), tp.LinearCappedSuccess(1.5)],
+                         ids=["linear", "power", "linear_at_cap"])
 def test_share_derivative_arrays_match_the_elementwise_loops(p):
     rng = np.random.default_rng(3)
     for net in (asym_triangle(), figure_network(0.4), clique(4),
@@ -94,8 +113,72 @@ def test_share_derivative_arrays_match_the_elementwise_loops(p):
         if len(opt.active_set) < 2:
             continue
         ds = tp.dshare_dlink(net, p, opt)
-        expected = _dshare_dlink_loops(net, p, opt, ds.includes_share_response)
+        expected = _dshare_dlink_loops(net, p, opt)
         assert np.array_equal(ds.tensor, expected)
+
+
+H = 1e-3  # link step of the re-optimization references
+
+
+def _reoptimized_fd(net, p, j, k, h):
+    """Central difference of re-optimized payments in the (j, k) weight at
+    step ``h``, with the optima at -h and +h."""
+    opts = [tp.optimize_quadratic_binary(net.with_edge(j, k, net.weights[j, k] + d), p) for d in (-h, h)]
+    fd = (opts[1].contract.payments[:, 1] - opts[0].contract.payments[:, 1]) / (2 * h)
+    return fd, opts
+
+
+def _at_ceiling(p, opt):
+    return opt.equilibrium.performance >= contract_opt._performance_ceiling(p) * (1.0 - 1e-9)
+
+
+@pytest.mark.parametrize("weights, p, link", [
+    # Optimum at the cap: the performance search, not the share cubic, sets the share.
+    ([[0, 1.5], [1.5, 0]], tp.LinearCappedSuccess(0.9), (0, 1)),
+    # The share cubic's bracket fails here and the search takes over (at the cap).
+    ([[0, 1, 0.8], [1, 0, 2], [0.8, 2, 0]], tp.LinearCappedSuccess(0.9999999999999999), (1, 2)),
+    # No share cubic: the interior optimum of the performance search.
+    ([[0, 1, 0.8], [1, 0, 0.6], [0.8, 0.6, 0]], tp.PowerSuccess(2.0), (0, 1)),
+], ids=["clique_at_cap", "knife_edge", "power_triangle"])
+def test_share_derivative_matches_reoptimization_off_the_share_cubic(weights, p, link):
+    net = tp.Network(np.array(weights, dtype=float))
+    opt = tp.optimize_quadratic_binary(net, p)
+    ds = tp.dshare_dlink(net, p, opt).tensor[:, link[0], link[1]]
+    fd, opts = _reoptimized_fd(net, p, *link, H)
+    assert all(o.active_set == opt.active_set for o in opts)
+    assert np.max(np.abs(ds - fd)) <= 1e-4 * np.max(np.abs(fd))
+
+
+@settings(max_examples=40, deadline=None)
+# A nearly singular active subnetwork: the plain central difference at H is
+# 2e-3 off on link (1, 2) by truncation alone (2e-5 at H / 10).
+@example(n=5, seed=95, p=tp.LinearCappedSuccess(0.5))
+@given(n=st.integers(3, 5), seed=st.integers(0, 2**32 - 1), p=st.one_of(
+    st.floats(0.2, 0.9).map(tp.LinearCappedSuccess),  # optimum below the cap
+    st.floats(1.5, 4.0).map(tp.LinearCappedSuccess),  # optimum at the cap
+    st.floats(0.5, 4.0).map(tp.PowerSuccess),
+    st.builds(tp.LogisticSuccess, st.floats(0.1, 0.3), st.floats(-0.1, 0.0)),
+))
+def test_share_derivative_matches_reoptimization_on_random_networks(n, seed, p):
+    net = random_symmetric_network(np.random.default_rng(seed), n)
+    opt = tp.optimize_quadratic_binary(net, p)
+    assume(len(opt.active_set) >= 2)
+    ds = tp.dshare_dlink(net, p, opt).tensor
+    tau = opt.contract.payments[:, 1]
+    for j, k in itertools.combinations(opt.active_set, 2):
+        fd_h, opts_h = _reoptimized_fd(net, p, j, k, H)
+        fd_2h, opts_2h = _reoptimized_fd(net, p, j, k, 2 * H)
+        # A step across a change of active set, or across the cap kink, has
+        # no derivative to match.
+        assume(all(o.active_set == opt.active_set for o in opts_h + opts_2h))
+        assume(all(_at_ceiling(p, o) == _at_ceiling(p, opt) for o in opts_h + opts_2h))
+        # Richardson extrapolation cancels the h^2 truncation term.
+        fd = (4.0 * fd_h - fd_2h) / 3.0
+        # The golden search resolves each payment to about sqrt(eps) of its
+        # size, so fd carries noise of up to ~2e-5 max(tau) (measured); on
+        # links whose derivative is small next to the payments, that term
+        # dominates a bound relative to fd alone.
+        assert np.max(np.abs(ds[:, j, k] - fd)) <= 1e-3 * np.max(np.abs(fd)) + 1e-4 * np.max(tau)
 
 
 def test_own_link_derivative_initially_negative_in_figure_setup():
