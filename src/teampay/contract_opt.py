@@ -17,6 +17,7 @@ only the optimum's contract is solved, as a check.
 from __future__ import annotations
 
 import itertools
+import math
 import warnings
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -71,8 +72,12 @@ _MAX_BACKTRACKS = 60   # step halvings per line search
 _PRESCAN = 257         # geometric grid points of the 1-D performance search
 _Y_FLOOR = 1e-10       # first grid point of the performance search
 _Y_CEIL = 1e8          # highest performance searched without a success cap
-_GOLDEN_TOL = 1e-11    # bracket width, relative to its upper end, at which the search stops
-_GOLDEN_STEPS = 100    # golden-section step budget; 53 take any bracket [lo >= 0, hi] to _GOLDEN_TOL
+_ZOOM_POINTS = 65      # linear grid points per zoom of the 1-D performance search
+_ZOOM_TOL = 1e-11      # bracket width, relative to the prescan bracket's upper end, at which the search stops
+# Zooms of the performance search: each keeps the two grid intervals around
+# the best point, so shrinks the bracket at least (_ZOOM_POINTS - 1) / 2 times,
+# and this many take any prescan bracket [lo >= 0, hi] to _ZOOM_TOL * hi.
+_ZOOMS = math.ceil(math.log(1.0 / _ZOOM_TOL) / math.log((_ZOOM_POINTS - 1) / 2.0))
 _CHUNK = 1024          # subsets per batched solve of the active-set enumeration
 _SHARE_ROOT_TOL = 1e-13  # Brent bracket width at which the share cubic's root stops
 _SHARE_ROOT_STEPS = 100  # Brent step budget of the share cubic's root
@@ -83,9 +88,7 @@ _STARTS = 8            # deterministic seeds climbed by the projected ascent
 
 
 class OptimizationError(RuntimeError):
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
+    pass
 
 
 class ActiveSetError(RuntimeError):
@@ -155,10 +158,10 @@ def _binary_linear_unit_problem(production, p: SuccessProbability) -> Problem:
     )
 
 
-def quadratic_binary_problem(network: Network, p: SuccessProbability, standalone=None) -> Problem:
+def quadratic_binary_problem(network: Network, p: SuccessProbability) -> Problem:
     """The canonical environment: quadratic-network production in
     ``_binary_linear_unit_problem``."""
-    return _binary_linear_unit_problem(QuadraticNetworkProduction(network, standalone), p)
+    return _binary_linear_unit_problem(QuadraticNetworkProduction(network), p)
 
 
 def _is_binary_linear_unit(problem: Problem) -> bool:
@@ -404,11 +407,10 @@ def _ascend(problem: Problem, x0: np.ndarray, var: _Parametrization, known=None)
 def _best_ascent(problem: Problem, seeds, var: _Parametrization):
     """Projected ascent from every distinct seed.  The best converged local
     optimum wins, with payoff ties broken toward the lexicographically
-    smallest variable; returns ``(x, eq, payoff, kkt)``.  When no start
-    converges, ``OptimizationError`` carries the best unconverged run."""
+    smallest variable; returns ``(x, eq, payoff, kkt)``.  Raises
+    ``OptimizationError`` when no start converges."""
     runs = []
     failures = []
-    best_effort = None
     seen_seeds = []
     for x0 in seeds:
         if any(np.array_equal(x0, s) for s in seen_seeds):
@@ -419,16 +421,11 @@ def _best_ascent(problem: Problem, seeds, var: _Parametrization):
         except (EquilibriumError, DiagnosticsError, ModelError) as exc:
             failures.append(str(exc))
             continue
-        if best_effort is None or payoff > best_effort[2]:
-            best_effort = (x, eq, payoff, kkt)
         if converged:
             runs.append((x, eq, payoff, kkt, True))
 
     if not runs:
-        raise OptimizationError(
-            f"no start converged to tolerance (failures: {failures[:3]})",
-            best=best_effort,
-        )
+        raise OptimizationError(f"no start converged to tolerance (failures: {failures[:3]})")
 
     best_pay = max(r[2] for r in runs)
     ties = [r for r in runs if r[2] >= best_pay - 1e-12]
@@ -623,53 +620,34 @@ def _payoff_along(share, p: SuccessProbability, y_max: float, stable=None):
     return payoff
 
 
-def _golden_max(f, lo: float, hi: float, tol: float) -> float:
-    """Golden-section maximizer of ``f`` on ``[lo, hi]``: the bracket's
-    midpoint once its width is at most ``tol``.  Raises
-    :class:`OptimizationError` when ``_GOLDEN_STEPS`` steps do not get there
-    (a ``tol`` below the spacing of doubles near the maximizer never does)."""
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - phi * (hi - lo)
-    x2 = lo + phi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
-    steps = 0
-    while hi - lo > tol:
-        if steps == _GOLDEN_STEPS:
-            raise OptimizationError(
-                f"golden-section search did not narrow its bracket to {tol:.3g} "
-                f"within its budget of {_GOLDEN_STEPS} steps"
-            )
-        steps += 1
-        if f1 >= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - phi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + phi * (hi - lo)
-            f2 = f(x2)
-    return 0.5 * (lo + hi)
-
-
 def _performance_search(payoff, y_max: float, zero_payoff: float) -> float:
     """Maximizer over the equilibrium performance of a payoff from
-    ``_payoff_along``: a geometric prescan of ``(0, y_max]``, then
-    golden-section refinement around the best grid point; a maximum at the
-    first grid point is refined down to 0.  Paying nothing earns
-    ``zero_payoff``, and performance 0 wins when that is no less."""
+    ``_payoff_along``: a geometric prescan of ``[_Y_FLOOR, y_max]``, then
+    linear zooms into the two grid intervals around the best point until
+    the bracket is at most ``_ZOOM_TOL`` of the prescan bracket's upper end,
+    whose midpoint is returned; a maximum at the first prescan point is
+    refined down to 0.  Paying nothing earns ``zero_payoff``, and
+    performance 0 wins when that is no less."""
     grid = np.geomspace(_Y_FLOOR, y_max, _PRESCAN)
     k = int(np.argmax(payoff(grid)))
     lo = grid[k - 1] if k > 0 else 0.0
     hi = grid[min(_PRESCAN - 1, k + 1)]
-    y = _golden_max(payoff, lo, hi, _GOLDEN_TOL * hi)
+    tol = _ZOOM_TOL * hi
+    for _ in range(_ZOOMS):
+        grid = np.linspace(lo, hi, _ZOOM_POINTS)
+        k = int(np.argmax(payoff(grid)))
+        lo, hi = grid[max(k - 1, 0)], grid[min(k + 1, _ZOOM_POINTS - 1)]
+        if hi - lo <= tol:
+            break
+    y = 0.5 * (lo + hi)
     return 0.0 if zero_payoff >= payoff(y) else float(y)
 
 
 def _share_kkt(payoff, x: float, share, value: float) -> float:
     """Finite-difference optimality residual, in the total share, of a 1-D
     payoff in ``x`` at ``x``, where the payoff is ``value``.  ``share(x)`` is
-    the total share, increasing in ``x``, and the residual follows the chain
-    rule ``dpi/ds = (dpi/dx) / (ds/dx)``; with ``share`` None, ``x`` is the
+    the total share, monotone in ``x``, and the residual follows the chain
+    rule ``|dpi/ds| = |dpi/dx| / |ds/dx|``; with ``share`` None, ``x`` is the
     share itself."""
     h = max(1e-7, 1e-7 * x)
     up = payoff(x + h)
@@ -688,7 +666,7 @@ def _share_kkt(payoff, x: float, share, value: float) -> float:
             # Past the cap kink: x is an upper-bound optimum, so only a
             # payoff falling towards it from the left violates optimality.
             hi, slope = x, max(0.0, -(value - down) / h)
-    ds = 1.0 if share is None else (share(hi) - share(lo)) / (hi - lo)
+    ds = 1.0 if share is None else abs(share(hi) - share(lo)) / (hi - lo)
     return float(slope / ds)
 
 
@@ -847,8 +825,7 @@ def _separable_closed_form(production, p, direction: np.ndarray, method: str) ->
     n = direction.size
     d_hat = direction / float(np.sum(direction))
     share, actions_at = _separable_curve(production, p, d_hat)
-    cap = p.cap if isinstance(p, LinearCappedSuccess) else np.inf
-    y_max = min(cap * (1.0 - 1e-9), _Y_CEIL)
+    y_max = _performance_ceiling(p)
 
     def stable(y, t):
         return _second_order_ok(production, p, y, t[..., None] * d_hat, actions_at(y, t))

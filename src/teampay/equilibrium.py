@@ -38,11 +38,7 @@ __all__ = [
 
 
 class EquilibriumError(RuntimeError):
-    """Solver failed; ``best`` carries the last iterate when available."""
-
-    def __init__(self, message: str, best=None):
-        super().__init__(message)
-        self.best = best
+    """An equilibrium solver failed."""
 
 
 def spectral_radius(m) -> float:
@@ -538,7 +534,7 @@ def solve_equilibrium_general(problem: Problem, contract: Contract, init=None, *
     while residual is None:
         if sweeps == _MAX_SWEEPS:
             raise EquilibriumError(
-                f"best-response iteration did not converge in {_MAX_SWEEPS} sweeps", best=a
+                f"best-response iteration did not converge in {_MAX_SWEEPS} sweeps"
             )
         sweeps += 1
         br = np.array([_best_response(problem, u_levels, i, a, a_max) for i in range(n)])
@@ -549,8 +545,7 @@ def solve_equilibrium_general(problem: Problem, contract: Contract, init=None, *
             # lies in a continuum: there is no interior equilibrium to find.
             raise EquilibriumError(
                 f"best responses reach the success-probability cap {problem.outcomes.success.cap:.6g} "
-                f"on consecutive sweeps (performance {y_br:.17g}): no interior equilibrium",
-                best=a,
+                f"on consecutive sweeps (performance {y_br:.17g}): no interior equilibrium"
             )
         close = float(np.max(np.abs(br - a))) <= tol
         candidate = br if close else _newton_snap(problem, u_levels, br)

@@ -219,11 +219,25 @@ def test_share_search_reaches_below_its_first_grid_point():
     assert result.kkt_residual <= 1e-6
 
 
-def test_golden_section_search_stops_at_its_step_budget():
-    # A zero tolerance is below any bracket doubles can hold, so only the
-    # step budget ends the search.
-    with pytest.raises(tp.OptimizationError, match="budget of 100 steps"):
-        contract_opt._golden_max(lambda y: -(y - 0.3) ** 2, 0.0, 1.0, 0.0)
+def test_performance_search_resolves_an_interior_maximizer_to_its_zoom_tolerance():
+    # A kinked payoff has no rounding plateau at its maximizer, so the final
+    # bracket holds 0.3; it is at most 1e-11 of the prescan bracket's upper
+    # end (0.34), and its midpoint lies within half that width of 0.3.
+    y = contract_opt._performance_search(lambda y: -np.abs(y - 0.3), 1.0, -np.inf)
+    assert abs(y - 0.3) <= 0.5e-11 * 0.34
+
+
+@pytest.mark.parametrize("net, p", [
+    (clique(2, 1.5), tp.LinearCappedSuccess(0.9)),
+    (tp.Network([[0.0, 1.0, 0.8], [1.0, 0.0, 0.6], [0.8, 0.6, 0.0]]), tp.LinearCappedSuccess(2.0)),
+], ids=["clique", "triangle"])
+def test_ceiling_optimum_lands_just_below_the_performance_ceiling(net, p):
+    # The share cubic's root would pass the cap, so the search's optimum sits
+    # at the ceiling.  The search stops short of it, where the equilibrium
+    # solve of its contract still succeeds.
+    result = tp.optimize_quadratic_binary(net, p)
+    ceiling = contract_opt._performance_ceiling(p)
+    assert ceiling * (1.0 - 1e-11) <= result.equilibrium.performance < ceiling
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +471,53 @@ def test_ces_strong_complements_approach_equal_pay():
     result = tp.closed_form_ces([1.0, 4.0], -20.0, 1.0, CES_P)
     tau = result.contract.payments[:, 1]
     assert tau[1] / tau[0] == pytest.approx(4.0 ** (1.0 / 21.0), abs=1e-10)
+
+
+def test_ces_optimum_at_the_cap_reaches_the_performance_ceiling():
+    # The payoff rises all the way to the cap, so the optimum sits at the
+    # ceiling that the quadratic closed form shares.
+    p = tp.LinearCappedSuccess(2.0)
+    result = tp.closed_form_ces([1.0, 4.0], 0.5, 1.0, p)
+    assert result.equilibrium.performance == pytest.approx(contract_opt._performance_ceiling(p), rel=1e-11)
+    assert result.equilibrium.performance < p.cap
+
+
+def test_cobb_douglas_kkt_residual_keeps_its_sign_where_the_share_falls():
+    # Factor shares summing past 2 make the share fall as performance rises.
+    # The optimum sits at the cap, with residual +0.0; halfway there the
+    # payoff still rises, a violation the residual reports as positive.
+    p = tp.LinearCappedSuccess(5.0)
+    gamma = np.array([1.5, 1.0])
+    result = tp.closed_form_cobb_douglas(gamma, p)
+    assert result.kkt_residual == 0.0 and not np.signbit(result.kkt_residual)
+    share, _ = contract_opt._separable_curve(tp.CobbDouglasProduction(gamma), p, gamma / gamma.sum())
+    payoff = contract_opt._payoff_along(share, p, contract_opt._performance_ceiling(p))
+    y = 0.5 * result.equilibrium.performance
+    assert share(y) > share(result.equilibrium.performance)
+    assert contract_opt._share_kkt(payoff, y, share, float(payoff(y))) > 1.0
+
+
+@pytest.mark.parametrize("solve", [
+    lambda: tp.closed_form_cobb_douglas([1.0, 2.0], CD_P),
+    lambda: tp.closed_form_ces([1.0, 4.0], 0.5, 1.0, CES_P),
+], ids=["cobb_douglas", "ces"])
+def test_separable_closed_form_evaluates_its_payoff_at_most_12_times(solve, monkeypatch):
+    # One prescan, at most 8 zooms, the optimum against paying nothing, and
+    # the two finite differences of the optimality residual.
+    calls = [0]
+    along = contract_opt._payoff_along
+
+    def counting(*args):
+        payoff = along(*args)
+
+        def counted(y):
+            calls[0] += 1
+            return payoff(y)
+        return counted
+
+    monkeypatch.setattr(contract_opt, "_payoff_along", counting)
+    solve()
+    assert calls[0] <= 12
 
 
 def test_ces_rejects_rho_at_least_one():

@@ -174,8 +174,9 @@ def test_share_derivative_matches_reoptimization_on_random_networks(n, seed, p):
         assume(all(_at_ceiling(p, o) == _at_ceiling(p, opt) for o in opts_h + opts_2h))
         # Richardson extrapolation cancels the h^2 truncation term.
         fd = (4.0 * fd_h - fd_2h) / 3.0
-        # The golden search resolves each payment to about sqrt(eps) of its
-        # size, so fd carries noise of up to ~2e-5 max(tau) (measured); on
+        # The performance search ranks payoffs equal within rounding near
+        # its maximum and resolves each payment only to about sqrt(eps) of
+        # its size: fd carries noise of up to ~2e-5 max(tau) (measured); on
         # links whose derivative is small next to the payments, that term
         # dominates a bound relative to fd alone.
         assert np.max(np.abs(ds[:, j, k] - fd)) <= 1e-3 * np.max(np.abs(fd)) + 1e-4 * np.max(tau)
