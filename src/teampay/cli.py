@@ -10,6 +10,8 @@ input error, 2 solver failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import sys
@@ -70,7 +72,8 @@ def format_float(x: float) -> str:
 
 def dump_json(obj) -> str:
     """Deterministic JSON with 17-significant-digit floats; NaN maps to null
-    and infinities to signed string sentinels."""
+    and infinities to signed string sentinels.  A dataclass instance renders
+    as the object of its fields, in declaration order."""
 
     def render(o):
         if o is None or isinstance(o, bool):
@@ -86,6 +89,8 @@ def dump_json(obj) -> str:
             return format_float(x)
         if isinstance(o, str):
             return json.dumps(o)
+        if dataclasses.is_dataclass(o) and not isinstance(o, type):
+            return render({f.name: getattr(o, f.name) for f in dataclasses.fields(o)})
         if isinstance(o, dict):
             inner = ",".join(f"{json.dumps(str(k))}:{render(v)}" for k, v in o.items())
             return "{" + inner + "}"
@@ -191,7 +196,7 @@ def _cmd_equilibrium(args) -> int:
         eq = solve_equilibrium_general(problem, contract)
     else:
         eq = _solve_eq(problem, contract)
-    print(dump_json(eq.to_dict()))
+    print(dump_json(eq))
     return 0
 
 
@@ -201,7 +206,7 @@ def _cmd_diagnose(args) -> int:
     contract = _load_contract(args.contract, problem)
     eq = _solve_eq(problem, contract)
     report = compute_balance_report(problem, contract, eq)
-    print(dump_json(report.to_dict()))
+    print(dump_json(report))
     return 0
 
 
@@ -219,7 +224,7 @@ def _cmd_optimize(args) -> int:
         result = closed_form_ces(prod.shares, prod.rho, prod.returns, problem.outcomes.success)
     else:
         result = optimize_general(problem)
-    print(dump_json(result.to_dict()))
+    print(dump_json(result))
     return 0
 
 
@@ -229,16 +234,7 @@ def _cmd_active_set(args) -> int:
     network, _ = _quadratic_binary_parts(problem)
     bound = {} if args.cap is None else {"cap": args.cap}
     candidates = optimal_active_set(network, **bound)
-    print(dump_json({
-        "candidates": [
-            {
-                "agents": list(c.agents),
-                "share_rate": c.share_rate,
-                "direction": c.direction.tolist(),
-            }
-            for c in candidates
-        ]
-    }))
+    print(dump_json({"candidates": candidates}))
     return 0
 
 
@@ -344,6 +340,8 @@ def _cmd_verify(args) -> int:
     return 0 if ok else 2
 
 
+# parse_args leaves the parser unchanged, so one build serves every call.
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="teampay", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -107,24 +107,6 @@ class OptimalContractResult:
     neighborhood_action_constant: float | None = None
     max_balance_residual: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "contract": {"payments": [[float(x) for x in row] for row in self.contract.payments]},
-            "equilibrium": self.equilibrium.to_dict(),
-            "principal_payoff": float(self.principal_payoff),
-            "active_set": [int(i) for i in self.active_set],
-            "kkt_residual": float(self.kkt_residual),
-            "method": self.method,
-            "balance_constant": None if self.balance_constant is None else float(self.balance_constant),
-            "neighborhood_action_constant": (
-                None if self.neighborhood_action_constant is None
-                else float(self.neighborhood_action_constant)
-            ),
-            "max_balance_residual": (
-                None if self.max_balance_residual is None else float(self.max_balance_residual)
-            ),
-        }
-
 
 @dataclass(frozen=True)
 class ActiveSetCandidate:
@@ -858,9 +840,7 @@ def _separable_closed_form(production, p, direction: np.ndarray, method: str) ->
         active_set=tuple(range(n)) if t_star > 0.0 else (),
         kkt_residual=_share_kkt(payoff_of_performance, y_star, share, payoff),
         method=method,
-        # With no one paid there is no balance to report, and the separable
-        # gradients are undefined at zero actions.
-        max_balance_residual=_balance_residual_or_none(problem, contract, eq) if t_star > 0.0 else None,
+        max_balance_residual=_balance_residual_or_none(problem, contract, eq),
     )
 
 

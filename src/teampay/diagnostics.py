@@ -82,23 +82,6 @@ class BalanceReport:
         vals = self.balance_residuals[np.isfinite(self.balance_residuals)]
         return float(np.max(vals)) if vals.size else 0.0
 
-    def to_dict(self) -> dict:
-        return {
-            "active_agents": [int(i) for i in self.active_agents],
-            "curvature": self.curvature.tolist(),
-            "alpha": self.alpha.tolist(),
-            "hessian": self.hessian.tolist(),
-            "payment_utility": self.payment_utility.tolist(),
-            "centrality": self.centrality.tolist(),
-            "centrality_all": self.centrality_all.tolist(),
-            "dY_dtau": self.dY_dtau.tolist(),
-            "l_factor": float(self.l_factor),
-            "d_vector": self.d_vector.tolist(),
-            "lambda_by_outcome": self.lambda_by_outcome.tolist(),
-            "balance_residuals": self.balance_residuals.tolist(),
-            "D_term": float(self.D_term),
-        }
-
 
 @dataclass(frozen=True)
 class RatioCheck:

@@ -11,7 +11,7 @@ nonnegative with a sum of at most 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,19 +54,9 @@ class EquityResult:
     unrestricted_payoff: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "shares": [float(x) for x in self.contract.shares],
-            "equilibrium": self.equilibrium.to_dict(),
-            "principal_payoff": float(self.principal_payoff),
-            "balance_values": (
-                None if self.balance_values is None else [float(x) for x in self.balance_values]
-            ),
-            "balance_residual": None if self.balance_residual is None else float(self.balance_residual),
-            "kkt_residual": float(self.kkt_residual),
-            "unrestricted_payoff": (
-                None if self.unrestricted_payoff is None else float(self.unrestricted_payoff)
-            ),
-        }
+        # The JSON names the contract by its shares.
+        return {"shares": self.contract.shares,
+                **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "contract"}}
 
 
 def _project_shares(sigma: np.ndarray) -> np.ndarray:
@@ -105,14 +95,10 @@ def _balance_values(problem: Problem, sigma: np.ndarray, eq: EquilibriumResult) 
     if obj.l_vanishes:
         return None
     v = problem.outcomes.revenues
-    vals = np.zeros(problem.n)
-    for i in range(problem.n):
-        # Zero-revenue outcomes have structurally pinned payments; their
-        # (possibly unbounded) marginal utilities contribute nothing.
-        with np.errstate(invalid="ignore"):
-            terms = np.where(v > 0.0, obj.dprobs * v * problem.utilities[i].marginal(sigma[i] * v), 0.0)
-        vals[i] = obj.products_all[i] * float(np.nansum(terms))
-    return vals
+    # Zero-revenue outcomes have structurally pinned payments; their
+    # (possibly unbounded) marginal utilities contribute nothing.
+    with np.errstate(invalid="ignore"):
+        return obj.products_all * np.nansum(np.where(v > 0.0, obj.dprobs * v * obj.u_marginals, 0.0), axis=1)
 
 
 def optimize_equity(problem: Problem, *, compare_unrestricted: bool = True) -> EquityResult:

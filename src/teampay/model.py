@@ -151,11 +151,11 @@ class ProductionFunction:
     ``value`` accepts batched inputs with shape ``(..., n)``.  ``gradient``
     and ``hessian`` operate on a single point and raise :class:`DomainError`
     where derivatives are singular (Cobb-Douglas / CES at a zero action).
-    ``partial``/``partial2`` are the single-coordinate versions used by
-    best-response solvers; they tolerate zeros in the *other* coordinates.
-    The concrete families' ``partial``/``partial2`` also accept a batch of
-    points ``(..., n)`` and return shape ``(...)`` (a float for one point);
-    their domain checks apply to every point of the batch.
+    Each family also defines ``partial``/``partial2``, the single-coordinate
+    versions used by best-response solvers; they tolerate zeros in the
+    *other* coordinates, accept a batch of points ``(..., n)`` and return
+    shape ``(...)`` (a float for one point), and their domain checks apply
+    to every point of the batch.
     """
 
     n: int
@@ -168,12 +168,6 @@ class ProductionFunction:
 
     def hessian(self, a) -> np.ndarray:
         raise NotImplementedError
-
-    def partial(self, a: np.ndarray, i: int) -> float:
-        return float(self.gradient(a)[i])
-
-    def partial2(self, a: np.ndarray, i: int) -> float:
-        return float(self.hessian(a)[i, i])
 
 
 @dataclass(frozen=True)
@@ -820,17 +814,6 @@ class EquilibriumResult:
     def __post_init__(self):
         object.__setattr__(self, "actions", _vector(self.actions, "actions"))
         object.__setattr__(self, "probs", _vector(self.probs, "probs"))
-
-    def to_dict(self) -> dict:
-        return {
-            "actions": [float(x) for x in self.actions],
-            "performance": float(self.performance),
-            "probs": [float(x) for x in self.probs],
-            "iterations": int(self.iterations),
-            "residual": float(self.residual),
-            "spectral_margin": None if self.spectral_margin is None else float(self.spectral_margin),
-            "global_check_passed": self.global_check_passed,
-        }
 
 
 # ---------------------------------------------------------------------------

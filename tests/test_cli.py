@@ -1,5 +1,6 @@
 import json
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -289,6 +290,73 @@ def test_statics_command(files, capsys):
     assert list(out) == ["active_set", "payments", "dshare_dlink", "dperformance_dlink"]
     tensor = np.asarray(out["dshare_dlink"], dtype=float)
     assert tensor.shape == (3, 3, 3)
+
+
+EQUILIBRIUM_KEYS = ["actions", "performance", "probs", "iterations", "residual",
+                    "spectral_margin", "global_check_passed"]
+OPTIMIZE_KEYS = ["contract", "equilibrium", "principal_payoff", "active_set", "kkt_residual", "method",
+                 "balance_constant", "neighborhood_action_constant", "max_balance_residual"]
+RESULT_KEYS = {
+    "equilibrium": EQUILIBRIUM_KEYS,
+    "diagnose": ["active_agents", "curvature", "alpha", "hessian", "payment_utility", "centrality",
+                 "centrality_all", "dY_dtau", "l_factor", "d_vector", "lambda_by_outcome",
+                 "balance_residuals", "D_term"],
+    "optimize": OPTIMIZE_KEYS,
+    "equity": ["shares", "equilibrium", "principal_payoff", "balance_values", "balance_residual",
+               "kkt_residual", "unrestricted_payoff"],
+    "active-set": ["candidates"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ("equilibrium", "{figure}", "--contract", "{paid}"),
+    ("diagnose", "{figure}", "--contract", "{paid}"),
+    ("optimize", "{figure}", "--method", "quadratic"),
+    ("optimize", "{figure}", "--method", "general"),
+    ("equity", "{figure}", "--no-compare"),
+    ("active-set", "{figure}"),
+], ids=["equilibrium", "diagnose", "optimize-quadratic", "optimize-general", "equity", "active-set"])
+def test_result_keys_follow_the_documented_order(files, capsys, argv):
+    tmp, _, figure, _ = files
+    paid = tmp / "paid3.json"
+    paid.write_text(json.dumps({"payments": [[0, 0.2], [0, 0.15], [0, 0.1]]}))
+    assert run([a.format(figure=figure, paid=paid) for a in argv]) == 0
+    out = json.loads(capsys.readouterr().out)
+    assert list(out) == RESULT_KEYS[argv[0]]
+    if "equilibrium" in out:
+        assert list(out["equilibrium"]) == EQUILIBRIUM_KEYS
+    if "contract" in out:
+        assert list(out["contract"]) == ["payments"]
+    if "candidates" in out:
+        assert all(list(c) == ["agents", "share_rate", "direction"] for c in out["candidates"])
+
+
+@dataclass(frozen=True)
+class _Inner:
+    weight: float
+    flag: bool
+
+
+@dataclass(frozen=True)
+class _Outer:
+    # Declared out of alphabetical order, so the rendered order is the declaration's.
+    values: np.ndarray
+    inner: _Inner
+    missing: float | None
+    agents: tuple
+    ok: bool
+
+
+def test_dump_json_renders_a_dataclass_as_its_fields():
+    obj = _Outer(np.array([np.nan, np.inf, -np.inf, -0.0, 1.5]), _Inner(0.25, False), None, (0, 2), True)
+    fields = {"values": obj.values, "inner": {"weight": 0.25, "flag": False}, "missing": None,
+              "agents": (0, 2), "ok": True}
+    assert dump_json(obj) == dump_json(fields) == (
+        '{"values":[null,"inf","-inf",-0.0,1.5],"inner":{"weight":0.25,"flag":false},'
+        '"missing":null,"agents":[0,2],"ok":true}'
+    )
+    with pytest.raises(TypeError):
+        dump_json(_Outer)
 
 
 def test_byte_determinism(files, capsys):

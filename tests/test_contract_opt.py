@@ -399,15 +399,19 @@ def test_cobb_douglas_cross_check_against_general_optimizer():
 
 
 def test_cobb_douglas_pays_nothing_when_no_positive_share_beats_it():
-    # No positive total share has a stable interior equilibrium here; paying
-    # nothing leaves the dormant profile, worth P(0).
-    result = tp.closed_form_cobb_douglas([1.0, 2.0], tp.LogisticSuccess(0.7, -0.3))
-    assert result.principal_payoff == pytest.approx(0.6055324872205857, abs=1e-12)
-    assert not np.any(result.contract.payments)
-    assert np.all(result.equilibrium.actions == 0.0)
-    assert result.active_set == ()
-    assert result.kkt_residual == 0.0
-    assert result.max_balance_residual is None
+    # No positive total share has a stable interior equilibrium here, under
+    # Cobb-Douglas and under CES; paying nothing leaves the dormant profile,
+    # worth P(0).  No balance report exists there: no agent is active, and the
+    # CES gradient is undefined at zero actions.
+    success = tp.LogisticSuccess(0.7, -0.3)
+    for result in (tp.closed_form_cobb_douglas([1.0, 2.0], success),
+                   tp.closed_form_ces([1.0, 4.0], -1.0, 1.0, success)):
+        assert result.principal_payoff == pytest.approx(0.6055324872205857, abs=1e-12)
+        assert not np.any(result.contract.payments)
+        assert np.all(result.equilibrium.actions == 0.0)
+        assert result.active_set == ()
+        assert result.kkt_residual == 0.0
+        assert result.max_balance_residual is None
 
 
 def test_general_optimizer_pays_nothing_at_a_dormant_cobb_douglas_optimum():
