@@ -23,6 +23,7 @@ from .contract_opt import (
     OptimizationError,
     _is_binary_linear_unit,
     _is_quadratic_binary,
+    _quadratic_closed_form,
     _solve_eq,
     closed_form_ces,
     closed_form_cobb_douglas,
@@ -239,7 +240,7 @@ def _cmd_active_set(args) -> int:
 
 
 def _statics_point(network, p) -> dict:
-    opt = optimize_quadratic_binary(network, p)
+    opt = _quadratic_closed_form(network, p)
     shares = dshare_dlink(network, p, opt)
     perf = dperformance_dlink(p, opt)
     return {

@@ -20,7 +20,7 @@ import itertools
 import math
 import warnings
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 
 import numpy as np
@@ -653,7 +653,17 @@ def _share_kkt(payoff, x: float, share, value: float) -> float:
 
 
 def optimize_quadratic_binary(network: Network, p: SuccessProbability) -> OptimalContractResult:
-    """Closed-form optimal contract for the quadratic-network environment.
+    """``_quadratic_closed_form`` plus its ``max_balance_residual`` certificate (a fallback has its own)."""
+    opt = _quadratic_closed_form(network, p)
+    if opt.method != "quadratic_closed_form":
+        return opt
+    problem = quadratic_binary_problem(network, p)
+    return replace(opt, max_balance_residual=_balance_residual_or_none(problem, opt.contract, opt.equilibrium))
+
+
+def _quadratic_closed_form(network: Network, p: SuccessProbability) -> OptimalContractResult:
+    """Closed-form optimal contract for the quadratic-network environment,
+    without the balance certificate ``max_balance_residual``.
 
     Enumerates candidate active sets, takes the best balance rate, and
     maximizes the exact principal payoff over the total share.  Under a
@@ -721,8 +731,7 @@ def optimize_quadratic_binary(network: Network, p: SuccessProbability) -> Optima
     payments = np.zeros((n, 2))
     payments[:, 1] = tau
     contract = Contract(payments)
-    problem = quadratic_binary_problem(network, p)
-    payoff = _principal_payoff(problem, contract, eq.probs)
+    payoff = _principal_payoff(quadratic_binary_problem(network, p), contract, eq.probs)
     return OptimalContractResult(
         contract=contract,
         equilibrium=eq,
@@ -732,7 +741,6 @@ def optimize_quadratic_binary(network: Network, p: SuccessProbability) -> Optima
         method="quadratic_closed_form",
         balance_constant=float(s_star * rate),
         neighborhood_action_constant=float(np.mean(action_levels)) if agents.size > 1 else 0.0,
-        max_balance_residual=_balance_residual_or_none(problem, contract, eq),
     )
 
 

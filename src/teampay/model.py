@@ -1111,27 +1111,27 @@ def _cost_to_dict(c: PowerCost) -> dict:
     return {"type": "power", "scale": c.scale, "exponent": c.exponent}
 
 
+def _per_agent(entries, n: int, where: str, parse) -> tuple:
+    """One parsed entry per agent; a single object shared by every agent is
+    parsed once, as entry 0."""
+    shared = isinstance(entries, dict)
+    if shared:
+        entries = [entries] * n
+    if len(entries) != n:
+        raise SchemaError(f"{where}: expected {n} entries, got {len(entries)}")
+    if shared:
+        return tuple(parse(e, f"{where}[0]") for e in entries[:1]) * n
+    return tuple(parse(e, f"{where}[{i}]") for i, e in enumerate(entries))
+
+
 def problem_from_dict(d: dict) -> Problem:
     """Strict parser for the problem schema; rejects unknown fields."""
     _take(d, "problem", ["n", "production", "outcomes", "utilities", "costs"])
     n = int(d["n"])
     production = _production_from_dict(d["production"], "production")
     outcomes = _outcomes_from_dict(d["outcomes"], "outcomes")
-
-    utilities = d["utilities"]
-    if isinstance(utilities, dict):
-        utilities = [utilities] * n
-    if len(utilities) != n:
-        raise SchemaError(f"utilities: expected {n} entries, got {len(utilities)}")
-    utilities = tuple(_utility_from_dict(u, f"utilities[{i}]") for i, u in enumerate(utilities))
-
-    costs = d["costs"]
-    if isinstance(costs, dict):
-        costs = [costs] * n
-    if len(costs) != n:
-        raise SchemaError(f"costs: expected {n} entries, got {len(costs)}")
-    costs = tuple(_cost_from_dict(c, f"costs[{i}]") for i, c in enumerate(costs))
-
+    utilities = _per_agent(d["utilities"], n, "utilities", _utility_from_dict)
+    costs = _per_agent(d["costs"], n, "costs", _cost_from_dict)
     return Problem(n=n, production=production, outcomes=outcomes, utilities=utilities, costs=costs)
 
 

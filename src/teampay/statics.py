@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .contract_opt import (OptimalContractResult, OptimizationError, _balanced_share, _performance_ceiling,
-                           optimize_quadratic_binary)
+                           _quadratic_closed_form)
 from .equilibrium import EquilibriumError
 from .model import CapExceededError, ModelError, Network, SuccessProbability
 
@@ -177,7 +177,8 @@ def network_along(network: Network, parameter: str):
 
 
 def sweep(network: Network, p: SuccessProbability, parameter: str, grid) -> SweepCurve:
-    """Re-optimize the contract at each grid value of the parameter."""
+    """Re-optimize the contract at each grid value of the parameter by
+    ``_quadratic_closed_form``, which skips the unreported balance certificate."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0):
         raise StaticsError("grid must be a nonempty strictly increasing vector")
@@ -192,7 +193,7 @@ def sweep(network: Network, p: SuccessProbability, parameter: str, grid) -> Swee
     errors = []
     for row, value in enumerate(grid):
         try:
-            opt = optimize_quadratic_binary(network_at(value), p)
+            opt = _quadratic_closed_form(network_at(value), p)
         except (OptimizationError, EquilibriumError, CapExceededError, ModelError) as exc:
             errors.append(str(exc))
             active_sets.append(())

@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+import types
 
 import networkx as nx
 import numpy as np
@@ -355,11 +356,13 @@ def test_clique_search_stops_at_its_node_budget():
 
 
 def test_fallback_warning_names_the_bound_that_stopped_the_search(monkeypatch):
-    monkeypatch.setattr(contract_opt, "optimize_general", lambda problem: "fallback")
+    # The fallback result carries its own balance certificate, so it comes back unchanged.
+    fallback = types.SimpleNamespace(method="general")
+    monkeypatch.setattr(contract_opt, "optimize_general", lambda problem: fallback)
     net = random_symmetric_network(np.random.default_rng(0), 17)
     with pytest.warns(UserWarning, match=r"no usable active set \(active-set enumeration of a weighted "
                                          r"network capped at 16 agents"):
-        assert tp.optimize_quadratic_binary(net, KAPPA_HALF) == "fallback"
+        assert tp.optimize_quadratic_binary(net, KAPPA_HALF) is fallback
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import teampay as tp
+from teampay import model
 from teampay.model import SchemaError, problem_from_dict, problem_to_dict
 
 from helpers import PRODUCTION_FAMILIES, clique, quadratic_problem, random_production, random_symmetric_network
@@ -355,7 +357,7 @@ def test_parser_rejects_unknown_fields():
         problem_from_dict(d)
 
 
-def test_parser_broadcasts_single_utility_and_cost():
+def test_parser_broadcasts_single_utility_and_cost(monkeypatch):
     d = {
         "n": 3,
         "production": {"type": "cobb_douglas", "shares": [1.0, 1.0, 1.0]},
@@ -363,6 +365,15 @@ def test_parser_broadcasts_single_utility_and_cost():
         "utilities": {"type": "sqrt"},
         "costs": {"type": "power", "scale": 2.0},
     }
+    seen = []
+    parse = model._cost_from_dict
+    monkeypatch.setattr(model, "_cost_from_dict", lambda c, where: seen.append(where) or parse(c, where))
     problem = problem_from_dict(d)
     assert len(problem.utilities) == 3
     assert all(isinstance(u, tp.SqrtUtility) for u in problem.utilities)
+    # A shared entry is parsed once, and its errors name it entry 0.
+    assert seen == ["costs[0]"] and problem.costs == (tp.PowerCost(2.0),) * 3
+    for field, entry, message in (("utilities", {"type": "power"}, "utilities[0]: missing fields ['eta']"),
+                                  ("costs", {"type": "power", "zz": 1}, "costs[0]: unknown fields ['zz']")):
+        with pytest.raises(SchemaError, match=re.escape(message)):
+            problem_from_dict({**d, field: entry})

@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import teampay as tp
-from teampay import contract_opt
+from teampay import cli, contract_opt
 
 from helpers import KAPPA_HALF, clique, random_symmetric_network
 
@@ -287,6 +288,56 @@ def test_sweep_csv_format():
     cells = lines[1].split(",")
     assert float(cells[0]) == 0.5
     assert int(cells[-1]) == 0b11
+
+
+def test_sweep_and_statics_grid_build_no_balance_report(monkeypatch, tmp_path, capsys):
+    balance_reports = []
+    report = contract_opt.compute_balance_report
+    monkeypatch.setattr(contract_opt, "compute_balance_report",
+                        lambda *args: balance_reports.append(args) or report(*args))
+    curve = tp.sweep(figure_network(), KAPPA_HALF, "G23", cli._parse_grid("0:1:0.02"))
+    assert curve.grid.size == 51 and not any(curve.errors)
+    path = tmp_path / "figure.json"
+    path.write_text(json.dumps(tp.problem_to_dict(contract_opt.quadratic_binary_problem(figure_network(), KAPPA_HALF))))
+    assert cli.run(["statics", str(path), "--param", "G23", "--grid", "0.2:0.6:0.2"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["points"]) == 3
+    assert balance_reports == []
+    opt = tp.optimize_quadratic_binary(figure_network(0.6), KAPPA_HALF)
+    assert len(balance_reports) == 1 and opt.max_balance_residual is not None
+
+
+def _bits(x) -> bytes:
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 5), seed=st.integers(0, 2**32 - 1),
+       parameter=st.sampled_from(["beta", "G12", "G13", "G23"]),
+       grid=st.lists(st.floats(0.1, 1.2), min_size=1, max_size=3, unique=True).map(sorted),
+       p=st.one_of(st.floats(0.2, 0.9).map(tp.LinearCappedSuccess), st.floats(1.5, 4.0).map(tp.LinearCappedSuccess),
+                   st.floats(0.5, 4.0).map(tp.PowerSuccess)))
+def test_sweep_rows_are_the_certified_optima_bit_for_bit(n, seed, parameter, grid, p):
+    net = random_symmetric_network(np.random.default_rng(seed), n)
+    curve = tp.sweep(net, p, parameter, grid)
+    network_at = tp.statics.network_along(net, parameter)
+    for row, value in enumerate(curve.grid):
+        at = network_at(value)
+        if curve.errors[row] is not None:
+            with pytest.raises(Exception) as exc:
+                tp.optimize_quadratic_binary(at, p)
+            assert str(exc.value) == curve.errors[row]
+            continue
+        opt = tp.optimize_quadratic_binary(at, p)
+        tau = opt.contract.payments[:, 1]
+        eq = opt.equilibrium
+        assert _bits(curve.payments[row]) == _bits(tau)
+        assert _bits(curve.principal_payoffs[row]) == _bits(opt.principal_payoff)
+        assert _bits(curve.performance[row]) == _bits(eq.performance)
+        assert _bits(curve.agent_payoffs[row]) == _bits(eq.probs[1] * tau - 0.5 * eq.actions**2)
+        assert curve.active_sets[row] == opt.active_set
+        problem = contract_opt.quadratic_binary_problem(at, p)
+        residual = contract_opt._balance_residual_or_none(problem, opt.contract, eq)
+        assert repr(opt.max_balance_residual) == repr(residual)
 
 
 def test_parse_parameter_forms():
