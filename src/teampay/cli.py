@@ -165,16 +165,22 @@ def _network_along(network, param: str):
         raise _CliError(str(exc), 1) from exc
 
 
+# Most points a --grid may hold; each point is one optimization.
+_MAX_GRID_POINTS = 1_000_000
+
+
 def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
         raise _CliError(f"cannot parse grid {spec!r}; expected lo:hi:step", 1) from exc
-    if step <= 0 or hi < lo:
-        raise _CliError(f"bad grid bounds {spec!r}", 1)
+    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)) or step <= 0 or hi < lo:
+        raise _CliError(f"bad grid bounds {spec!r}: lo <= hi and step > 0 must be finite", 1)
     # The slack keeps a grid whose last step lands on hi up to rounding (0:1:0.02).
-    count = int(np.floor((hi - lo) / step + 1e-9)) + 1
-    return lo + step * np.arange(count)
+    span = (hi - lo) / step + 1e-9
+    if not span < _MAX_GRID_POINTS:
+        raise _CliError(f"grid {spec!r} has more than {_MAX_GRID_POINTS} points", 1)
+    return lo + step * np.arange(int(np.floor(span)) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +307,10 @@ def _cmd_equity(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if not (math.isfinite(args.step) and args.step > 0):
+        raise _CliError(f"--step must be finite and positive, got {args.step!r}", 1)
+    if not (math.isfinite(args.bound) and args.bound >= 0):
+        raise _CliError(f"--bound must be finite and non-negative, got {args.bound!r}", 1)
     problem = _load_problem(args.problem)
     _require_valid(problem)
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import teampay as tp
+from teampay import cli
 from teampay.cli import dump_json, run
 
 from helpers import KAPPA_HALF, random_production
@@ -447,6 +448,38 @@ def test_verify_command(files, capsys):
         "payoff_at_least_grid_best",
         "grid_argmax_near_optimum",
     }
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--step", "0"), ("--step", "nan"), ("--step", "-0.02"), ("--step", "inf"),
+    ("--bound", "nan"), ("--bound", "-1"), ("--bound", "inf"),
+])
+def test_verify_rejects_a_bad_step_or_bound_before_any_solve(files, capsys, monkeypatch, flag, value):
+    _, problem, _, _ = files
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("verify solved before checking its flags")
+
+    monkeypatch.setattr(cli, "optimize_quadratic_binary", no_solve)
+    monkeypatch.setattr(cli, "optimize_general", no_solve)
+    assert run(["verify", str(problem), flag, value]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "input"
+    assert err["message"].startswith(flag)
+
+
+@pytest.mark.parametrize("spec", ["0:1:nan", "0:inf:0.5", "nan:1:0.1", "0:1:1e-300", "0:1e308:1e-10"])
+@pytest.mark.parametrize("command", ["sweep", "statics"])
+def test_bad_grid_is_an_input_error(files, capsys, command, spec):
+    _, _, figure, _ = files
+    assert run([command, str(figure), "--param", "G23", "--grid", spec]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "input"
+    assert repr(spec) in err["message"]
 
 
 def test_statics_grid(files, capsys):

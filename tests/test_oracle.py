@@ -135,6 +135,23 @@ def test_brute_force_scan_evaluation_count_and_memory(monkeypatch):
     assert peak <= 1_000_000
 
 
+ONE_AGENT_SOFTMAX = softmax_instance([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0],
+                                     tp.Network([[0.0]]), tp.SqrtUtility())
+
+
+@pytest.mark.parametrize("problem, step", [(quadratic_problem(clique(2)), 0.1), (ONE_AGENT_SOFTMAX, 0.3)],
+                         ids=["binary_2clique", "softmax_1agent"])
+def test_brute_force_search_does_not_depend_on_the_batch_size(monkeypatch, problem, step):
+    # Rows never mix, and the full-grid scan keeps the first maximum across
+    # blocks of any width, so the batch size changes no bit of the result.
+    results = []
+    for batch in (1, 7, 64, 128):
+        monkeypatch.setattr(oracle, "_BATCH", batch)
+        contract, payoff = tp.brute_force_optimal_contract(problem, step, (0.0, 0.6))
+        results.append((contract.payments.tobytes(), np.float64(payoff).tobytes()))
+    assert results.count(results[0]) == len(results)
+
+
 def test_brute_force_single_agent_closed_form():
     problem = quadratic_problem(tp.Network([[0.0]]))
     contract, payoff = tp.brute_force_optimal_contract(problem, 0.01, (0.0, 1.0))
