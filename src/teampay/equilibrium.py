@@ -25,7 +25,6 @@ from .model import (
     Network,
     Problem,
     SuccessProbability,
-    _agent_costs,
     _dot_last,
 )
 
@@ -260,20 +259,22 @@ def default_action_bound(contract: Contract) -> float:
     return 10.0 * (float(np.max(contract.payments, axis=1).sum()) + 1.0)
 
 
-def _profiles(a: np.ndarray, agents, ai) -> np.ndarray:
-    """Copies of the profile ``a``, each with the action of one agent of
-    ``agents`` set to the matching entry of ``ai``; ``agents`` and ``ai``
-    broadcast together, and the result has shape ``broadcast + a.shape``."""
-    agents, ai = np.asarray(agents), np.asarray(ai, dtype=float)
-    return np.where(np.arange(a.size) == agents[..., None], ai[..., None], a)
+def _profiles(a: np.ndarray, i: int, ai: np.ndarray) -> np.ndarray:
+    """Copies of the profile ``a`` with agent i's action set to each entry of
+    ``ai``: shape ``ai.shape + a.shape``."""
+    pts = np.empty(ai.shape + a.shape)
+    pts[...] = a
+    pts[..., i] = ai
+    return pts
 
 
-def _agent_payoffs(problem: Problem, u_levels: np.ndarray, agents, a: np.ndarray, ai) -> np.ndarray:
-    """Expected utility of agents ``agents`` at own actions ``ai`` (broadcast
-    together), the others acting as in ``a``."""
-    y = problem.production.value(_profiles(a, agents, ai))
+def _agent_payoff(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, ai) -> np.ndarray:
+    """Expected utility of agent i along a batch of own actions ``ai``."""
+    ai = np.asarray(ai, dtype=float)
+    pts = _profiles(a, i, ai)
+    y = problem.production.value(pts)
     probs = problem.outcomes.probs(y)
-    return _dot_last(probs, u_levels[agents]) - _agent_costs(problem, agents, ai, 0)
+    return probs @ u_levels[i] - problem.costs[i].value(ai)
 
 
 def _past_cap(outcomes, y, rel: float = 0.0) -> np.ndarray:
@@ -285,130 +286,107 @@ def _past_cap(outcomes, y, rel: float = 0.0) -> np.ndarray:
     return np.zeros(np.shape(y), dtype=bool)
 
 
-def _foc(problem: Problem, u_levels: np.ndarray, agents, a: np.ndarray, ai):
-    """First-order conditions of agents ``agents`` at own actions ``ai``
-    (broadcast together), the others acting as in ``a``:
+def _foc(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, ai):
+    """First-order condition of agent i along a batch of own actions ``ai``:
     ``g = (sum_s P_s' u_is) dY/da_i - C_i'`` and its slope ``g'``, each of
-    the broadcast shape.  Past a probability cap the curve is flat, so the
-    outcome slopes are zero there (the kink itself carries no equilibrium;
-    converged solutions are re-checked against the true range)."""
-    agents, ai = np.asarray(agents), np.asarray(ai, dtype=float)
-    pts = _profiles(a, agents, ai)
+    ``ai``'s shape.  Past a probability cap the curve is flat, so the outcome
+    slopes are zero there (the kink itself carries no equilibrium; converged
+    solutions are re-checked against the true range)."""
+    ai = np.asarray(ai, dtype=float)
+    pts = _profiles(a, i, ai)
     y = problem.production.value(pts)
     past = _past_cap(problem.outcomes, y)
     _, dp, d2p = problem.outcomes.probs_derivs(np.where(past, 0.0, y))
-    u = u_levels[agents]
-    sens = np.where(past, 0.0, _dot_last(dp, u))
-    curve = np.where(past, 0.0, _dot_last(d2p, u))
-    dy = problem.production.partial(pts, agents)
-    d2y = problem.production.partial2(pts, agents)
+    sens = np.where(past, 0.0, _dot_last(dp, u_levels[i]))
+    curve = np.where(past, 0.0, _dot_last(d2p, u_levels[i]))
+    dy = problem.production.partial(pts, i)
+    d2y = problem.production.partial2(pts, i)
+    cost = problem.costs[i]
     return (
-        sens * dy - _agent_costs(problem, agents, ai, 1),
-        curve * dy * dy + sens * d2y - _agent_costs(problem, agents, ai, 2),
+        sens * dy - cost.marginal(ai),
+        curve * dy * dy + sens * d2y - cost.curvature(ai),
     )
 
 
 _NEWTON_STOP = 4.0 * np.finfo(float).eps  # relative step at which Newton has converged
-_NEWTON_STEPS = 100   # Newton step budget of one bracket
 _SNAP_STEPS = 6       # full-system Newton steps per corrector call
 _DAMPING = 0.5        # weight of the best-response profile in a damped step
 _MAX_SWEEPS = 10_000  # best-response sweep budget
 _CHECK_GRID = 64      # payoff-grid points of the global best-response check
 
 
-def _probe_grid(a_max: float) -> np.ndarray:
-    """The own actions at which a best response looks for sign changes of
-    the first-order condition: 24 geometric points from 1e-11 and 12 linear
-    points from ``a_max / 12``, both ending at ``a_max``, which they share,
-    so 35 in all."""
-    return np.unique(np.concatenate([
+def _refine_root(problem, u_levels, i, a, lo, hi, start=None) -> float:
+    """Safeguarded Newton for the first-order condition inside a bracket with
+    g(lo) > 0 >= g(hi), from ``start`` when it lies strictly inside the
+    bracket and from the bracket's midpoint otherwise: a step that leaves the
+    bracket takes its midpoint.  Stops at an exact zero of g, or once the
+    step is within four ulps of the iterate, which is as close as double
+    precision resolves a root."""
+    x = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
+    for _ in range(100):
+        gx, slope = (float(v) for v in _foc(problem, u_levels, i, a, x))
+        if gx == 0.0:
+            return x
+        if gx > 0.0:
+            lo = x
+        else:
+            hi = x
+        if slope < 0.0:
+            x_new = x - gx / slope
+            if not (lo < x_new < hi):
+                x_new = 0.5 * (lo + hi)
+        else:
+            x_new = 0.5 * (lo + hi)
+        if abs(x_new - x) <= _NEWTON_STOP * max(1.0, abs(x)):
+            return x_new
+        x = x_new
+        if hi - lo <= 1e-16 * max(1.0, hi):
+            break
+    return x
+
+
+def _best_response(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, a_max: float,
+                   start=None) -> float:
+    """Agent i's best response: probe for sign changes of the first-order
+    condition, then safeguarded Newton in each bracket (from ``start`` in
+    the bracket that holds it, see :func:`_refine_root`); multiple roots are
+    resolved by comparing payoffs.
+    """
+    probes = np.unique(np.concatenate([
         np.geomspace(1e-11, a_max, 24),
         np.linspace(a_max / 12.0, a_max, 12),
     ]))
+    gains, _ = _foc(problem, u_levels, i, a, probes)
 
+    brackets = []
+    for k in range(len(probes) - 1):
+        if gains[k] > 0.0 >= gains[k + 1]:
+            brackets.append((probes[k], probes[k + 1]))
+    if not brackets:
+        if gains[0] <= 0.0:
+            return 0.0
+        # gain positive everywhere on the probe range: cost eventually wins,
+        # so the bound itself is binding; report it and let the caller's
+        # residual check flag the anomaly.
+        return float(a_max)
 
-def _refine_roots(problem, u_levels, a, owner, lo, hi, start) -> np.ndarray:
-    """Safeguarded Newton for the first-order conditions of agents ``owner``
-    inside brackets with g(lo) > 0 >= g(hi), all brackets in one call per
-    step, each from its agent's ``start`` when that lies strictly inside the
-    bracket and from the bracket's midpoint otherwise: a step that leaves
-    its bracket takes the bracket's midpoint.  A bracket stops at an exact
-    zero of g, or once its step is within four ulps of the iterate, which is
-    as close as double precision resolves a root."""
-    x = 0.5 * (lo + hi)
-    if start is not None:
-        inside = (lo < start) & (start < hi)
-        x[inside] = start[inside]
-    roots = np.empty(x.size)
-    slot = np.arange(x.size)
-    for _ in range(_NEWTON_STEPS):
-        if not slot.size:
-            break
-        g, slope = _foc(problem, u_levels, owner, a, x)
-        up = g > 0.0
-        lo, hi = np.where(up, x, lo), np.where(up, hi, x)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = x - g / slope
-        x_new = np.where((slope < 0.0) & (lo < step) & (step < hi), step, 0.5 * (lo + hi))
-        zero = g == 0.0
-        roots[slot] = np.where(zero, x, x_new)
-        done = (zero | (np.abs(x_new - x) <= _NEWTON_STOP * np.maximum(1.0, np.abs(x)))
-                | (hi - lo <= 1e-16 * np.maximum(1.0, hi)))
-        x = x_new
-        if done.any():
-            keep = ~done
-            slot, owner, x, lo, hi = slot[keep], owner[keep], x[keep], lo[keep], hi[keep]
-    return roots
+    roots = [_refine_root(problem, u_levels, i, a, lo, hi, start) for lo, hi in brackets]
 
-
-def _best_responses(problem: Problem, u_levels: np.ndarray, a: np.ndarray, probes: np.ndarray,
-                    start=None) -> np.ndarray:
-    """Every agent's best response to ``a``: the first-order conditions of
-    all agents on the probe grid ``probes`` (which ends at the action bound)
-    in one call, then safeguarded Newton in every bracket of a sign change
-    (from the agent's ``start`` in the bracket that holds it, see
-    :func:`_refine_roots`); an agent with several candidates, the roots and
-    zero where the condition starts nonpositive, takes the one of highest
-    payoff, the first on ties.  An agent whose condition is positive at
-    every probe takes the bound itself; the caller's residual check flags
-    that anomaly, since cost eventually wins."""
-    n = problem.n
-    agents = np.arange(n)
-    gains, _ = _foc(problem, u_levels, agents[:, None], a, probes)
-    owner, k = np.nonzero((gains[:, :-1] > 0.0) & (gains[:, 1:] <= 0.0))
-    roots = _refine_roots(problem, u_levels, a, owner, probes[k], probes[k + 1],
-                          None if start is None else start[owner])
-    corner = gains[:, 0] <= 0.0
-    out = np.where(corner, 0.0, probes[-1])
-    if not owner.size:
-        return out
-    # One row of candidates per agent: zero where the condition starts
-    # nonpositive, then the roots from the lowest bracket up, so that a tie
-    # goes to the first.  Short rows repeat their first candidate, which
-    # leaves np.argmax's first maximum in place.
-    counts = np.bincount(owner, minlength=n)
-    zero = corner & (counts > 0)
-    total = counts + zero
-    table = np.zeros((n, int(total.max())))
-    table[owner, zero[owner] + np.arange(owner.size) - (np.cumsum(counts) - counts)[owner]] = roots
-    table = np.where(np.arange(table.shape[1]) < total[:, None], table, table[:, :1])
-    out[total == 1] = table[total == 1, 0]
-    multi = total > 1
-    if multi.any():
-        choices = table[multi]
-        payoffs = _agent_payoffs(problem, u_levels, agents[multi, None], a, choices)
-        out[multi] = choices[np.arange(choices.shape[0]), np.argmax(payoffs, axis=1)]
-    return out
+    candidates = [0.0] + roots if gains[0] <= 0.0 else roots
+    if len(candidates) == 1:
+        return float(candidates[0])
+    payoffs = [float(_agent_payoff(problem, u_levels, i, a, x)) for x in candidates]
+    return float(candidates[int(np.argmax(payoffs))])
 
 
 def _foc_residual(problem: Problem, u_levels: np.ndarray, a: np.ndarray) -> float:
-    """Largest first-order-condition violation at ``a``: ``|g|`` at an
-    interior action, and at a corner ``max(0, g)`` near zero, since only
-    upward deviations matter there; NaN values are ignored."""
-    interior = a > 0.0
-    g, _ = _foc(problem, u_levels, np.arange(problem.n), a, np.where(interior, a, 1e-9))
-    violation = np.where(interior, np.abs(g), np.maximum(0.0, g))
-    return float(np.fmax.reduce(violation, initial=0.0))
+    res = 0.0
+    for i in range(problem.n):
+        interior = a[i] > 0.0
+        g, _ = _foc(problem, u_levels, i, a, a[i] if interior else 1e-9)
+        # At a corner only upward deviations matter.
+        res = max(res, abs(float(g)) if interior else max(0.0, float(g)))
+    return res
 
 
 class _FirstOrder(NamedTuple):
@@ -433,7 +411,7 @@ class _FirstOrder(NamedTuple):
 def _first_order(problem: Problem, u_levels: np.ndarray, a: np.ndarray, support: np.ndarray) -> _FirstOrder:
     """Evaluate the first-order system at ``a`` (see :class:`_FirstOrder`);
     raises :class:`DomainError` where a derivative is undefined."""
-    agents = np.arange(problem.n)
+    n = problem.n
     probs, dp, d2p = problem.outcomes.probs_derivs(float(problem.production.value(a)))
     sens, bend = _dot_last(u_levels, dp), _dot_last(u_levels, d2p)
     if np.any(a):
@@ -441,9 +419,10 @@ def _first_order(problem: Problem, u_levels: np.ndarray, a: np.ndarray, support:
     else:
         # The dormant profile, where the Cobb-Douglas gradient is singular but
         # every own partial is defined.
-        grad = problem.production.partial(a, agents)
-    marginal = _agent_costs(problem, agents, a, 1)
-    curv = _agent_costs(problem, agents, a, 2)
+        grad = np.array([float(problem.production.partial(a, i)) for i in range(n)])
+    marginal, curv = np.array([
+        (float(cost.marginal(x)), float(cost.curvature(x))) for cost, x in zip(problem.costs, a)
+    ]).T
     hess, jac = None, np.zeros((0, 0))
     if support.size:
         hess = problem.production.hessian(a)
@@ -487,7 +466,7 @@ def _newton_snap(problem: Problem, u_levels: np.ndarray, a: np.ndarray):
 
 
 def _accepted_residual(problem: Problem, u_levels: np.ndarray, candidate: np.ndarray | None,
-                       probes: np.ndarray, tol: float) -> float | None:
+                       a_max: float, tol: float) -> float | None:
     """The first-order-condition residual of ``candidate`` when it is an
     equilibrium within ``tol``, else None (also for no candidate): the
     residual is at most ``tol``, and every agent's best response, re-derived
@@ -499,7 +478,9 @@ def _accepted_residual(problem: Problem, u_levels: np.ndarray, candidate: np.nda
     residual = _foc_residual(problem, u_levels, candidate)
     if residual > tol:
         return None
-    full = _best_responses(problem, u_levels, candidate, probes, start=candidate)
+    full = np.array([
+        _best_response(problem, u_levels, i, candidate, a_max, start=candidate[i]) for i in range(problem.n)
+    ])
     return residual if float(np.max(np.abs(full - candidate))) <= tol else None
 
 
@@ -514,12 +495,10 @@ def solve_equilibrium_general(problem: Problem, contract: Contract, init=None, *
     solve ends without a sweep (``iterations`` is 0).  Otherwise the sweeps
     start at ``init``, or at every action 0.1 when ``init`` is None.
 
-    Each sweep takes every agent's best response to the same profile
-    (``_best_responses``): the first-order conditions of all agents on 35
-    probes in one call, then one safeguarded Newton over every bracket of a
-    sign change of every agent, one call per step, each bracket stopping at
-    machine precision, and one payoff call to rank the candidates of the
-    agents that have several.  When the sweep moves the
+    Each sweep takes every agent's best response: the first-order condition
+    on 35 probes in one batched call (``np.unique`` merges the end point
+    ``a_max`` that both probe ranges share), each sign change refined by
+    safeguarded Newton to machine precision.  When the sweep moves the
     profile by more than ``tol``, full-system Newton on the first-order
     conditions of the best-response profile's support (``_newton_snap``)
     proposes a candidate; otherwise the best-response profile is the
@@ -530,8 +509,7 @@ def solve_equilibrium_general(problem: Problem, contract: Contract, init=None, *
     the sweep gap is within ``tol``).  ``iterations`` counts the sweeps,
     the accepting one included.  The accepted profile's actions are then
     compared against a coarse payoff grid (``_CHECK_GRID`` points on
-    [0, a_max]), every agent in one payoff call, and the outcome recorded in
-    ``global_check_passed``.  Raises
+    [0, a_max]) and the outcome recorded in ``global_check_passed``.  Raises
     :class:`EquilibriumError` after ``_MAX_SWEEPS`` sweeps, or as soon as the
     best-response profile's performance reaches a linear success
     probability's cap (within 1e-9 relative) on two consecutive sweeps: at
@@ -547,13 +525,12 @@ def solve_equilibrium_general(problem: Problem, contract: Contract, init=None, *
         problem.utilities[i].value(contract.payments[i]) for i in range(n)
     ])
     a_max = default_action_bound(contract)
-    probes = _probe_grid(a_max)
     a = np.full(n, 0.1) if init is None else np.asarray(init, dtype=float).copy()
     a = np.clip(a, 0.0, a_max)
 
     sweeps = 0
     candidate = None if init is None else _newton_snap(problem, u_levels, a)
-    residual = _accepted_residual(problem, u_levels, candidate, probes, tol)
+    residual = _accepted_residual(problem, u_levels, candidate, a_max, tol)
     at_cap = 0
     while residual is None:
         if sweeps == _MAX_SWEEPS:
@@ -561,7 +538,7 @@ def solve_equilibrium_general(problem: Problem, contract: Contract, init=None, *
                 f"best-response iteration did not converge in {_MAX_SWEEPS} sweeps"
             )
         sweeps += 1
-        br = _best_responses(problem, u_levels, a, probes)
+        br = np.array([_best_response(problem, u_levels, i, a, a_max) for i in range(n)])
         y_br = problem.production.value(br)
         at_cap = at_cap + 1 if _past_cap(problem.outcomes, y_br, rel=1e-9) else 0
         if at_cap == 2:
@@ -573,7 +550,7 @@ def solve_equilibrium_general(problem: Problem, contract: Contract, init=None, *
             )
         close = float(np.max(np.abs(br - a))) <= tol
         candidate = br if close else _newton_snap(problem, u_levels, br)
-        residual = _accepted_residual(problem, u_levels, candidate, probes, tol)
+        residual = _accepted_residual(problem, u_levels, candidate, a_max, tol)
         if residual is None:
             a = br if close else (1.0 - _DAMPING) * a + _DAMPING * br
     a = candidate
@@ -581,13 +558,13 @@ def solve_equilibrium_general(problem: Problem, contract: Contract, init=None, *
     y = float(problem.production.value(a))
     probs, _, _ = problem.outcomes.probs_derivs(y)
 
-    # Column 0 is each agent's own action, the rest the check grid.
-    own_and_grid = np.empty((n, _CHECK_GRID + 1))
-    own_and_grid[:, 0] = a
-    own_and_grid[:, 1:] = np.linspace(0.0, a_max, _CHECK_GRID)
-    payoffs = _agent_payoffs(problem, u_levels, np.arange(n)[:, None], a, own_and_grid)
-    here = payoffs[:, 0]
-    passed = not np.any(np.max(payoffs[:, 1:], axis=1) > here + 1e-9 * (1.0 + np.abs(here)))
+    passed = True
+    grid = np.linspace(0.0, a_max, _CHECK_GRID)
+    for i in range(n):
+        here = float(_agent_payoff(problem, u_levels, i, a, a[i]))
+        best_grid = float(np.max(_agent_payoff(problem, u_levels, i, a, grid)))
+        if best_grid > here + 1e-9 * (1.0 + abs(here)):
+            passed = False
 
     return EquilibriumResult(
         actions=a,

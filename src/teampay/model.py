@@ -12,7 +12,6 @@ structural problems (asymmetric networks, bad parameters) are reported by
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -95,24 +94,6 @@ def _dot_last(x, y):
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
-def _agent_costs(problem: "Problem", i, a, order: int):
-    """``C_i(a)`` (``order`` 0), ``C_i'(a)`` (1) or ``C_i''(a)`` (2) for
-    agent indices ``i`` broadcast against own actions ``a``: each distinct
-    cost's own method on its agents' actions, so every value rounds as the
-    one-agent call does."""
-    method = ("value", "marginal", "curvature")[order]
-    a = np.asarray(a, dtype=float)
-    shape = np.broadcast(i, a).shape
-    if len(problem._cost_groups) == 1:
-        out = getattr(problem.costs[0], method)(a)
-        return out if np.shape(out) == shape else np.broadcast_to(out, shape)
-    a, out = np.broadcast_to(a, shape), np.empty(shape)
-    for cost, members in problem._cost_groups:
-        mine = np.broadcast_to(members[i], shape)
-        out[mine] = getattr(cost, method)(a[mine])
-    return out
-
-
 # ---------------------------------------------------------------------------
 # network
 # ---------------------------------------------------------------------------
@@ -170,13 +151,11 @@ class ProductionFunction:
     ``value`` accepts batched inputs with shape ``(..., n)``.  ``gradient``
     and ``hessian`` operate on a single point and raise :class:`DomainError`
     where derivatives are singular (Cobb-Douglas / CES at a zero action).
-    Each family also defines ``partial``/``partial2``, the own derivatives
-    ``dY/da_i`` and ``d2Y/da_i2`` used by best-response solvers; they
-    tolerate zeros in the *other* coordinates, accept a batch of points
-    ``(..., n)`` and an agent index ``i`` or an integer array of them that
-    broadcasts against the batch ``(...)``, return the broadcast shape (a
-    float for one point and one agent), and their domain checks apply to
-    every point of the batch.
+    Each family also defines ``partial``/``partial2``, the single-coordinate
+    versions used by best-response solvers; they tolerate zeros in the
+    *other* coordinates, accept a batch of points ``(..., n)`` and return
+    shape ``(...)`` (a float for one point), and their domain checks apply
+    to every point of the batch.
     """
 
     n: int
@@ -243,7 +222,7 @@ class QuadraticNetworkProduction(ProductionFunction):
         return out if np.ndim(out) else float(out)
 
     def partial2(self, a, i):
-        shape = np.shape(a)[:-1] if np.ndim(i) == 0 else np.broadcast_shapes(np.shape(a)[:-1], np.shape(i))
+        shape = np.shape(a)[:-1]
         return np.zeros(shape) if shape else 0.0
 
 
@@ -294,34 +273,18 @@ def _cobb_douglas_own(g, a, i, order: int):
     ``c * a_i**(g_i - order) * prod_{j != i} a_j**g_j`` with ``c = g_i`` or
     ``g_i (g_i - 1)``; zero wherever another coordinate is zero."""
     a = np.asarray(a, dtype=float)
-    # Agent i's factor is an exact 1, so the others multiply as on their own.
-    rest = np.prod(np.where(np.arange(g.size) != np.asarray(i)[..., None], a ** g, 1.0), axis=-1)
-    own = _own(a, i)
+    others = np.arange(g.size) != i
+    rest = np.prod(a[..., others] ** g[others], axis=-1)
+    own = a[..., i]
     live = rest != 0.0
     if (live & (own <= 0)).any():
         raise DomainError("cobb_douglas partial requires a positive own action")
     coef = g[i] if order == 1 else g[i] * (g[i] - 1.0)
-    # An array power also for one point, so a point and a batch round alike,
-    # and one per distinct exponent, taken as a scalar: numpy rounds scalar
-    # exponents such as 2, 0.5 and -1 by exact shortcuts that an array
-    # exponent skips, so a batch of agents rounds as one agent does.
-    exponent = (g - order)[i]
-    values = set(np.ravel(exponent).tolist())
-    own_power = np.zeros(np.shape(own))
-    for e in values:
-        np.power(own, e, out=own_power, where=live if len(values) == 1 else live & (exponent == e))
+    # An array power also for one point, so a point and a batch round alike.
+    own_power = np.zeros(np.shape(rest))
+    np.power(own, g[i] - order, out=own_power, where=live)
     out = coef * own_power * rest
     return out if np.ndim(out) else float(out)
-
-
-def _own(a, i):
-    """Own actions ``a[..., i]`` of agent indices ``i`` broadcast against
-    the batch ``a.shape[:-1]``: for an array of indices, each a sum of one
-    action and zeros, which is exact."""
-    i = np.asarray(i)
-    if i.ndim == 0:
-        return a[..., i]
-    return np.where(np.arange(a.shape[-1]) == i[..., None], a, 0.0).sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -400,7 +363,7 @@ def _ces_own_and_basis(production: CESProduction, a, i):
     infinite only where another action is zero and ``rho < 0``; there the
     powers ``s ** (returns / rho - m)`` in the partials are exactly 0."""
     a = np.asarray(a, dtype=float)
-    own = np.asarray(_own(a, i))
+    own = np.asarray(a[..., i])
     if (own <= 0).any():
         raise DomainError("ces partial requires a positive own action")
     return own, np.asarray(production._basis(a))
@@ -480,21 +443,18 @@ class PolynomialProduction(ProductionFunction):
 
 
 def _polynomial_own(terms, a, i, order: int):
-    """Own derivative of order 1 or 2 at a point or a batch of points: the
-    terms in which agent i's power is at least ``order``, differentiated."""
+    """Own derivative of order 1 or 2 at a point or a batch of points."""
     a = np.asarray(a, dtype=float)
-    i = np.asarray(i)
-    own_axis = np.arange(a.shape[-1]) == i[..., None]
-    total = np.zeros(np.broadcast_shapes(a.shape[:-1], i.shape))
+    total = np.zeros(a.shape[:-1])
     for coef, powers in terms:
-        own = powers[i]
-        present = own >= order
-        scale = coef * own
+        if powers[i] < order:
+            continue
+        mono = powers.copy()
+        mono[i] -= order
+        scale = coef * powers[i]
         if order == 2:
-            scale = scale * (own - 1)
-        # A term without agent i keeps its powers, so nothing divides by zero.
-        mono = powers - order * (own_axis & present[..., None])
-        total = np.where(present, total + scale * PolynomialProduction._mono(a, mono), total)
+            scale = scale * (powers[i] - 1)
+        total = total + scale * PolynomialProduction._mono(a, mono)
     return total if np.ndim(total) else float(total)
 
 
@@ -787,16 +747,6 @@ class Problem:
     def __post_init__(self):
         object.__setattr__(self, "utilities", tuple(self.utilities))
         object.__setattr__(self, "costs", tuple(self.costs))
-
-    @functools.cached_property
-    def _cost_groups(self) -> tuple:
-        """Each distinct cost with the mask of its agents, so that a batch of
-        agents evaluates each cost once."""
-        agents = {}
-        for k, cost in enumerate(self.costs):
-            agents.setdefault(cost, []).append(k)
-        return tuple((cost, np.bincount(members, minlength=len(self.costs)) > 0)
-                     for cost, members in agents.items())
 
     @property
     def n_outcomes(self) -> int:

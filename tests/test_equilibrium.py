@@ -400,117 +400,6 @@ def test_batched_foc_matches_a_loop_of_single_actions(family, outcome, n, seed):
             for value, (ref, size) in zip(values, formula(y_k)):
                 assert abs(value - ref) <= 1e-14 * size
 
-    # A batch of agents: row j holds agent j's conditions along the same
-    # actions, bit for bit as agent j's own batch.
-    g_all, slope_all = _foc(problem, u_levels, np.arange(n)[:, None], a, ai)
-    assert g_all.shape == slope_all.shape == (n, ai.size)
-    for j in range(n):
-        g_j, slope_j = _foc(problem, u_levels, j, a, ai)
-        assert np.array_equal(g_all[j], g_j, equal_nan=True)
-        assert np.array_equal(slope_all[j], slope_j, equal_nan=True)
-
-
-def _one_best_response(problem, u_levels, i, a, probes, start=None) -> float:
-    """Agent i's best response on its own: the probe scan of agent i alone,
-    then scalar safeguarded Newton in each bracket and one payoff call per
-    candidate, as the batched pass does for every agent at once."""
-    gains, _ = _foc(problem, u_levels, i, a, probes)
-    brackets = [(lo, hi) for lo, hi, g_lo, g_hi in zip(probes, probes[1:], gains, gains[1:])
-                if g_lo > 0.0 >= g_hi]
-    if not brackets:
-        return 0.0 if gains[0] <= 0.0 else float(probes[-1])
-    roots = []
-    for lo, hi in brackets:
-        x = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
-        for _ in range(100):
-            g, slope = (float(v) for v in _foc(problem, u_levels, i, a, x))
-            if g == 0.0:
-                break
-            lo, hi = (x, hi) if g > 0.0 else (lo, x)
-            step = x - g / slope if slope < 0.0 else math.nan
-            x_new = step if lo < step < hi else 0.5 * (lo + hi)
-            done = (abs(x_new - x) <= 4.0 * np.finfo(float).eps * max(1.0, abs(x))
-                    or hi - lo <= 1e-16 * max(1.0, hi))
-            x = x_new
-            if done:
-                break
-        roots.append(x)
-    candidates = ([0.0] if gains[0] <= 0.0 else []) + roots
-    payoffs = [float(equilibrium._agent_payoffs(problem, u_levels, i, a, x)) for x in candidates]
-    return candidates[int(np.argmax(payoffs))]
-
-
-@settings(max_examples=60, deadline=None)
-@given(family=st.sampled_from(PRODUCTION_FAMILIES), outcome=st.sampled_from(FOC_OUTCOMES),
-       n=st.integers(1, 4), warm=st.booleans(), seed=st.integers(0, 2**32 - 1))
-# Agents with several candidates, which random draws rarely give: two and one
-# (zero and a root, one root), and none, none and three.
-@example(family="polynomial", outcome="softmax", n=2, warm=False, seed=243)
-@example(family="ces", outcome="softmax", n=3, warm=True, seed=82)
-def test_batched_best_responses_match_a_loop_of_single_agents(family, outcome, n, warm, seed):
-    """One pass takes every agent's best response in one probe call, one
-    Newton call per step and one payoff call; agent by agent, the same scan
-    and refinement give the same responses.  Batched and single points may
-    round Y an ulp apart, which moves a root by far less than 1e-9; two
-    responses further apart than 1e-6 are different candidates, which must
-    tie in payoff."""
-    rng = np.random.default_rng(seed)
-    if outcome == "softmax":
-        outcomes = tp.SoftmaxOutcomeModel([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0])
-    elif outcome == "linear_capped":
-        outcomes = tp.BinaryOutcomeModel(tp.LinearCappedSuccess(0.2))
-    else:
-        outcomes = tp.BinaryOutcomeModel(
-            tp.LogisticSuccess(0.7, -0.3) if outcome == "logistic" else tp.PowerSuccess(2.0))
-    utility = tp.SqrtUtility() if rng.uniform() < 0.5 else tp.LinearUtility()
-    # Costs differ across agents, exponents included, so one batch mixes them.
-    problem = tp.Problem(
-        n=n, production=random_production(family, n, rng), outcomes=outcomes, utilities=(utility,) * n,
-        costs=tuple(tp.PowerCost(float(rng.uniform(0.5, 2.0)), float(rng.choice([2.0, 2.5, 3.0])))
-                    for _ in range(n)),
-    )
-    contract = tp.Contract(np.cumsum(rng.uniform(0.05, 1.0, size=(n, outcomes.n_outcomes)), axis=1))
-    u_levels = np.array([utility.value(row) for row in contract.payments])
-    probes = equilibrium._probe_grid(equilibrium.default_action_bound(contract))
-    a = rng.uniform(0.1, 2.0, size=n)
-    start = a if warm else None
-    try:
-        loop = [_one_best_response(problem, u_levels, i, a, probes, None if start is None else start[i])
-                for i in range(n)]
-    except tp.DomainError:
-        with pytest.raises(tp.DomainError):
-            equilibrium._best_responses(problem, u_levels, a, probes, start)
-        return
-    batch = equilibrium._best_responses(problem, u_levels, a, probes, start)
-    for i in range(n):
-        gap = abs(batch[i] - loop[i]) / (1.0 + abs(loop[i]))
-        if gap > 1e-9:
-            assert gap > 1e-6
-            here, there = equilibrium._agent_payoffs(problem, u_levels, i, a, np.array([batch[i], loop[i]]))
-            assert abs(here - there) <= 1e-12 * (1.0 + abs(there))
-
-
-def test_warm_solve_on_forty_agents_takes_every_agent_in_each_call(monkeypatch):
-    # Residual check, probe scan and Newton each evaluate all 40 agents in
-    # one call: 3 calls, against 120 when each agent had its own (3n).
-    n = 40
-    rng = np.random.default_rng(7)
-    problem = softmax_instance([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0],
-                               random_symmetric_network(rng, n, 0.6 / n), tp.SqrtUtility())
-    contract = tp.Contract(np.tile([0.0, 0.14, 0.52], (n, 1)))
-    cold = tp.solve_equilibrium_general(problem, contract)
-    calls = [0]
-    foc = equilibrium._foc
-
-    def counted(*args):
-        calls[0] += 1
-        return foc(*args)
-
-    monkeypatch.setattr(equilibrium, "_foc", counted)
-    warm = tp.solve_equilibrium_general(problem, tp.Contract(1.001 * contract.payments), init=cold.actions)
-    assert warm.iterations == 0 and warm.global_check_passed
-    assert calls[0] <= 10
-
 
 # ---------------------------------------------------------------------------
 # linear success probability: one solve per equilibrium
