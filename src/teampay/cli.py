@@ -46,7 +46,7 @@ from .model import (
     validate_contract,
     validate_problem,
 )
-from .oracle import OracleError, best_response_iterate, brute_force_optimal_contract, principal_payoff
+from .oracle import OracleError, best_response_iterate, brute_force_optimal_contract, contract_grid_size, principal_payoff
 from .statics import StaticsError, dperformance_dlink, dshare_dlink, network_along, sweep, sweep_to_csv
 
 __all__ = ["run", "main"]
@@ -165,7 +165,8 @@ def _network_along(network, param: str):
         raise _CliError(str(exc), 1) from exc
 
 
-# Most points a --grid may hold; each point is one optimization.
+# Most points a --grid may hold (each point is one optimization), and most
+# contracts in verify's payment grid (each one equilibrium search).
 _MAX_GRID_POINTS = 1_000_000
 
 
@@ -313,6 +314,10 @@ def _cmd_verify(args) -> int:
         raise _CliError(f"--bound must be finite and non-negative, got {args.bound!r}", 1)
     problem = _load_problem(args.problem)
     _require_valid(problem)
+    contracts = contract_grid_size(problem, args.step, (0.0, args.bound))
+    if not contracts <= _MAX_GRID_POINTS:
+        raise _CliError(f"--step {args.step!r} and --bound {args.bound!r} give a grid of {contracts:.4g} contracts, "
+                        f"more than {_MAX_GRID_POINTS}", 1)
 
     if _is_quadratic_binary(problem) and np.all(problem.production.standalone == 1.0):
         network, p = _quadratic_binary_parts(problem)

@@ -317,14 +317,19 @@ _CHECK_GRID = 64      # payoff-grid points of the global best-response check
 
 def _refine_root(problem, u_levels, i, a, lo, hi, start=None) -> float:
     """Safeguarded Newton for the first-order condition inside a bracket with
-    g(lo) > 0 >= g(hi), from ``start`` when it lies strictly inside the
-    bracket and from the bracket's midpoint otherwise: a step that leaves the
-    bracket takes its midpoint.  Stops at an exact zero of g, or once the
-    step is within four ulps of the iterate, which is as close as double
+    g(lo) > 0 >= g(hi), from ``start = (x, g(x), g'(x))`` when ``x`` lies
+    strictly inside the bracket (the caller's evaluation is the first
+    iterate) and from the bracket's midpoint otherwise: a step that leaves
+    the bracket takes its midpoint.  Stops at an exact zero of g, or once
+    the step is within four ulps of the iterate, which is as close as double
     precision resolves a root."""
-    x = start if start is not None and lo < start < hi else 0.5 * (lo + hi)
+    if start is not None and lo < start[0] < hi:
+        x, known = start[0], start[1:]
+    else:
+        x, known = 0.5 * (lo + hi), None
     for _ in range(100):
-        gx, slope = (float(v) for v in _foc(problem, u_levels, i, a, x))
+        gx, slope = known or (float(v) for v in _foc(problem, u_levels, i, a, x))
+        known = None
         if gx == 0.0:
             return x
         if gx > 0.0:
@@ -345,48 +350,42 @@ def _refine_root(problem, u_levels, i, a, lo, hi, start=None) -> float:
     return x
 
 
-def _best_response(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, a_max: float,
-                   start=None) -> float:
-    """Agent i's best response: probe for sign changes of the first-order
-    condition, then safeguarded Newton in each bracket (from ``start`` in
-    the bracket that holds it, see :func:`_refine_root`); multiple roots are
-    resolved by comparing payoffs.
-    """
-    probes = np.unique(np.concatenate([
+def _probe_grid(a_max: float) -> np.ndarray:
+    """The best responses' 35 probe actions on (0, a_max]: 24 geometric
+    from 1e-11 and 12 linear from a_max / 12, the shared end point merged."""
+    return np.unique(np.concatenate([
         np.geomspace(1e-11, a_max, 24),
         np.linspace(a_max / 12.0, a_max, 12),
     ]))
-    gains, _ = _foc(problem, u_levels, i, a, probes)
 
-    brackets = []
-    for k in range(len(probes) - 1):
-        if gains[k] > 0.0 >= gains[k + 1]:
-            brackets.append((probes[k], probes[k + 1]))
-    if not brackets:
+
+def _best_response(problem: Problem, u_levels: np.ndarray, i: int, a: np.ndarray, probes: np.ndarray,
+                   gains=None, start=None) -> float:
+    """Agent i's best response: sign changes of the first-order condition
+    over ``probes`` (from :func:`_probe_grid`; ``gains`` holds the condition
+    there when the caller has evaluated it), then safeguarded Newton in each
+    bracket (from ``start`` in the bracket that holds it, see
+    :func:`_refine_root`); multiple roots are resolved by comparing payoffs.
+    """
+    if gains is None:
+        gains, _ = _foc(problem, u_levels, i, a, probes)
+
+    cuts = np.flatnonzero((gains[:-1] > 0.0) & (gains[1:] <= 0.0))
+    if not cuts.size:
         if gains[0] <= 0.0:
             return 0.0
         # gain positive everywhere on the probe range: cost eventually wins,
-        # so the bound itself is binding; report it and let the caller's
-        # residual check flag the anomaly.
-        return float(a_max)
+        # so the bound itself (the last probe) is binding; report it and let
+        # the caller's residual check flag the anomaly.
+        return float(probes[-1])
 
-    roots = [_refine_root(problem, u_levels, i, a, lo, hi, start) for lo, hi in brackets]
+    roots = [_refine_root(problem, u_levels, i, a, probes[k], probes[k + 1], start) for k in cuts]
 
     candidates = [0.0] + roots if gains[0] <= 0.0 else roots
     if len(candidates) == 1:
         return float(candidates[0])
     payoffs = [float(_agent_payoff(problem, u_levels, i, a, x)) for x in candidates]
     return float(candidates[int(np.argmax(payoffs))])
-
-
-def _foc_residual(problem: Problem, u_levels: np.ndarray, a: np.ndarray) -> float:
-    res = 0.0
-    for i in range(problem.n):
-        interior = a[i] > 0.0
-        g, _ = _foc(problem, u_levels, i, a, a[i] if interior else 1e-9)
-        # At a corner only upward deviations matter.
-        res = max(res, abs(float(g)) if interior else max(0.0, float(g)))
-    return res
 
 
 class _FirstOrder(NamedTuple):
@@ -426,12 +425,10 @@ def _first_order(problem: Problem, u_levels: np.ndarray, a: np.ndarray, support:
     hess, jac = None, np.zeros((0, 0))
     if support.size:
         hess = problem.production.hessian(a)
-        g = grad[support]
-        jac = (
-            np.outer(bend[support] * g, g)
-            + sens[support][:, None] * hess[np.ix_(support, support)]
-            - np.diag(curv[support])
-        )
+        # Every agent active is the usual case: slices, no fancy indexing.
+        idx, block = (slice(None), hess) if support.size == n else (support, hess[np.ix_(support, support)])
+        g = grad[idx]
+        jac = np.outer(bend[idx] * g, g) + sens[idx][:, None] * block - np.diag(curv[idx])
     return _FirstOrder(probs, dp, sens, bend, grad, curv, sens * grad - marginal, hess, jac)
 
 
@@ -466,22 +463,36 @@ def _newton_snap(problem: Problem, u_levels: np.ndarray, a: np.ndarray):
 
 
 def _accepted_residual(problem: Problem, u_levels: np.ndarray, candidate: np.ndarray | None,
-                       a_max: float, tol: float) -> float | None:
+                       probes: np.ndarray, tol: float) -> float | None:
     """The first-order-condition residual of ``candidate`` when it is an
     equilibrium within ``tol``, else None (also for no candidate): the
     residual is at most ``tol``, and every agent's best response, re-derived
     from the full probe scan with each bracket's Newton started at the
     agent's own action when the bracket holds it, lies within ``tol`` of
-    that action."""
+    that action.
+
+    One batched first-order evaluation per agent, over ``probes`` plus the
+    agent's own action (1e-9 for an agent at the corner, where only upward
+    deviations count), serves the whole test: its last entry is the agent's
+    residual, checked for every agent before any Newton step, its probe
+    entries are the bracket scan, and its own-action entry is the first
+    Newton iterate."""
     if candidate is None:
         return None
-    residual = _foc_residual(problem, u_levels, candidate)
+    residual = 0.0
+    scans = []
+    for i in range(problem.n):
+        interior = candidate[i] > 0.0
+        g, slope = _foc(problem, u_levels, i, candidate, np.append(probes, candidate[i] if interior else 1e-9))
+        own = float(g[-1])
+        residual = max(residual, abs(own) if interior else max(0.0, own))
+        scans.append((g[:-1], (candidate[i], own, float(slope[-1])) if interior else None))
     if residual > tol:
         return None
-    full = np.array([
-        _best_response(problem, u_levels, i, candidate, a_max, start=candidate[i]) for i in range(problem.n)
-    ])
-    return residual if float(np.max(np.abs(full - candidate))) <= tol else None
+    for i, (gains, start) in enumerate(scans):
+        if not abs(_best_response(problem, u_levels, i, candidate, probes, gains, start) - candidate[i]) <= tol:
+            return None
+    return residual
 
 
 def solve_equilibrium_general(problem: Problem, contract: Contract, init=None, *,
@@ -489,11 +500,13 @@ def solve_equilibrium_general(problem: Problem, contract: Contract, init=None, *
     """Damped simultaneous best-response iteration with a Newton corrector,
     for arbitrary problems.
 
-    A warm start ``init`` is corrected before any sweep: full-system Newton
-    on the first-order conditions of ``init``'s support (``_newton_snap``)
-    proposes a candidate, and when the acceptance test below accepts it the
-    solve ends without a sweep (``iterations`` is 0).  Otherwise the sweeps
-    start at ``init``, or at every action 0.1 when ``init`` is None.
+    The best responses' probe grid (:func:`_probe_grid`) depends only on
+    the action bound, so it is built once per solve.  A warm start ``init``
+    is corrected before any sweep: full-system Newton on the first-order
+    conditions of ``init``'s support (``_newton_snap``) proposes a
+    candidate, and when the acceptance test below accepts it the solve ends
+    without a sweep (``iterations`` is 0).  Otherwise the sweeps start at
+    ``init``, or at every action 0.1 when ``init`` is None.
 
     Each sweep takes every agent's best response: the first-order condition
     on 35 probes in one batched call (``np.unique`` merges the end point
@@ -504,16 +517,18 @@ def solve_equilibrium_general(problem: Problem, contract: Contract, init=None, *
     proposes a candidate; otherwise the best-response profile is the
     candidate.  A candidate is accepted only when its first-order-condition
     residual is within ``tol`` and a full best-response pass moves no agent
-    by more than ``tol``; otherwise the profile takes the damped step
-    ``(1 - _DAMPING) a + _DAMPING br`` (the best-response profile itself once
-    the sweep gap is within ``tol``).  ``iterations`` counts the sweeps,
-    the accepting one included.  The accepted profile's actions are then
-    compared against a coarse payoff grid (``_CHECK_GRID`` points on
-    [0, a_max]) and the outcome recorded in ``global_check_passed``.  Raises
-    :class:`EquilibriumError` after ``_MAX_SWEEPS`` sweeps, or as soon as the
-    best-response profile's performance reaches a linear success
-    probability's cap (within 1e-9 relative) on two consecutive sweeps: at
-    the kink efforts form a continuum and no interior equilibrium exists.
+    by more than ``tol`` (:func:`_accepted_residual`: the pass's own
+    first-order evaluations supply the residual); otherwise the profile
+    takes the damped step ``(1 - _DAMPING) a + _DAMPING br`` (the
+    best-response profile itself once the sweep gap is within ``tol``).
+    ``iterations`` counts the sweeps, the accepting one included.  The
+    accepted profile's actions are then compared against a coarse payoff
+    grid (``_CHECK_GRID`` points on [0, a_max]) and the outcome recorded in
+    ``global_check_passed``.  Raises :class:`EquilibriumError` after
+    ``_MAX_SWEEPS`` sweeps, or as soon as the best-response profile's
+    performance reaches a linear success probability's cap (within 1e-9
+    relative) on two consecutive sweeps: at the kink efforts form a
+    continuum and no interior equilibrium exists.
     """
     n = problem.n
     if contract.payments.shape != (n, problem.n_outcomes):
@@ -525,12 +540,13 @@ def solve_equilibrium_general(problem: Problem, contract: Contract, init=None, *
         problem.utilities[i].value(contract.payments[i]) for i in range(n)
     ])
     a_max = default_action_bound(contract)
+    probes = _probe_grid(a_max)
     a = np.full(n, 0.1) if init is None else np.asarray(init, dtype=float).copy()
     a = np.clip(a, 0.0, a_max)
 
     sweeps = 0
     candidate = None if init is None else _newton_snap(problem, u_levels, a)
-    residual = _accepted_residual(problem, u_levels, candidate, a_max, tol)
+    residual = _accepted_residual(problem, u_levels, candidate, probes, tol)
     at_cap = 0
     while residual is None:
         if sweeps == _MAX_SWEEPS:
@@ -538,7 +554,7 @@ def solve_equilibrium_general(problem: Problem, contract: Contract, init=None, *
                 f"best-response iteration did not converge in {_MAX_SWEEPS} sweeps"
             )
         sweeps += 1
-        br = np.array([_best_response(problem, u_levels, i, a, a_max) for i in range(n)])
+        br = np.array([_best_response(problem, u_levels, i, a, probes) for i in range(n)])
         y_br = problem.production.value(br)
         at_cap = at_cap + 1 if _past_cap(problem.outcomes, y_br, rel=1e-9) else 0
         if at_cap == 2:
@@ -550,21 +566,23 @@ def solve_equilibrium_general(problem: Problem, contract: Contract, init=None, *
             )
         close = float(np.max(np.abs(br - a))) <= tol
         candidate = br if close else _newton_snap(problem, u_levels, br)
-        residual = _accepted_residual(problem, u_levels, candidate, a_max, tol)
+        residual = _accepted_residual(problem, u_levels, candidate, probes, tol)
         if residual is None:
             a = br if close else (1.0 - _DAMPING) * a + _DAMPING * br
     a = candidate
 
     y = float(problem.production.value(a))
-    probs, _, _ = problem.outcomes.probs_derivs(y)
+    probs = problem.outcomes.probs(y)
 
     passed = True
     grid = np.linspace(0.0, a_max, _CHECK_GRID)
     for i in range(n):
-        here = float(_agent_payoff(problem, u_levels, i, a, a[i]))
-        best_grid = float(np.max(_agent_payoff(problem, u_levels, i, a, grid)))
-        if best_grid > here + 1e-9 * (1.0 + abs(here)):
+        # One payoff call per agent: the grid, then the agent's own action.
+        payoffs = _agent_payoff(problem, u_levels, i, a, np.append(grid, a[i]))
+        here = float(payoffs[-1])
+        if float(np.max(payoffs[:-1])) > here + 1e-9 * (1.0 + abs(here)):
             passed = False
+            break
 
     return EquilibriumResult(
         actions=a,

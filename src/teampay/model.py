@@ -185,6 +185,8 @@ class QuadraticNetworkProduction(ProductionFunction):
         n = self.network.n
         standalone = np.ones(n) if self.standalone is None else self.standalone
         object.__setattr__(self, "standalone", _vector(standalone, "standalone"))
+        # Two copies of standalone as columns, for the linear term of value.
+        object.__setattr__(self, "_linear", np.stack([self.standalone, self.standalone], axis=1))
 
     @property
     def n(self) -> int:
@@ -193,21 +195,28 @@ class QuadraticNetworkProduction(ProductionFunction):
     def value(self, a):
         """``Y`` at one point ``(n,)`` (a float) or at a batch ``(..., n)``.
 
-        The quadratic term is one BLAS product ``a @ G`` and one last-axis
+        The points are the rows of one matrix, so each BLAS product, ``a @ G``
+        and the linear term (the first column of ``a`` times two copies of
+        ``standalone``), is one gemm for a batch of any shape and one gemv
+        for a single point; the quadratic term ends in a row-wise
         contraction with ``a``.  Rounding: at n = 2 (zero diagonal, any
-        weights) the result is bit for bit the i-major sum
+        weights) the quadratic term is bit for bit the i-major sum
         ``sum_ij (a_i G_ij) a_j``, since both add the same two rounded
         products.  From n = 3, on weighted and on 0/1 networks, the
         additions run in another order than that sum's and the result can
         differ from it by a few ulps (relative gaps up to 5e-15 over random
-        points at n = 50 and 200).  From n = 4 a batch can also differ in
-        the last bits from a loop of single points, because a stack of
-        ``a @ G`` goes through gemm and one point through gemv; batch and
-        loop agree to a relative 1e-14.
+        points at n = 50 and 200).  Up to n = 3 a batch row equals the
+        single point bit for bit, whatever ``standalone`` holds.  From n = 4
+        gemm and gemv can add in different orders, and batch and loop agree
+        to a relative 1e-14.  (``a @ standalone`` would be a gemv for a
+        batch but a dot for one point, which differ in the last bit already
+        at n = 2; a dot per batch row would match the point but costs
+        several times the gemm on the oracle's large batches.)
         """
         a = np.asarray(a, dtype=float)
-        quad = 0.5 * np.einsum("...i,...i->...", a @ self.network.matrix, a)
-        out = a @ self.standalone + quad
+        rows = a.reshape(-1, a.shape[-1])
+        quad = 0.5 * np.einsum("ij,ij->i", rows @ self.network.matrix, rows)
+        out = ((rows @ self._linear)[:, 0] + quad).reshape(a.shape[:-1])
         return out if out.ndim else float(out)
 
     def gradient(self, a):
@@ -646,9 +655,10 @@ class SoftmaxOutcomeModel:
         p = self.probs(y)
         mean = _dot_last(p, self.theta)
         centered = self.theta - mean[..., None]
-        var = _dot_last(p, centered**2)[..., None]
+        squared = centered**2
+        var = _dot_last(p, squared)[..., None]
         dp = p * centered
-        d2p = p * (centered**2 - var)
+        d2p = p * (squared - var)
         return p, dp, d2p
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "OracleError",
     "best_response_iterate",
     "brute_force_optimal_contract",
+    "contract_grid_size",
     "finite_diff",
 ]
 
@@ -300,6 +301,28 @@ def principal_payoff(problem: Problem, contract: Contract, performance: float) -
     return float(np.dot(revenues - contract.payments.sum(axis=0), probs))
 
 
+def _contract_grid(problem: Problem, grid_resolution: float, bounds):
+    """The exhaustive search's lower payment bounds (n, S), the payment
+    cells it searches, and each cell's grid point count."""
+    n, S = problem.n, problem.n_outcomes
+    lo = np.broadcast_to(np.asarray(bounds[0], dtype=float), (n, S)).copy()
+    hi = np.broadcast_to(np.asarray(bounds[1], dtype=float), (n, S)).copy()
+    if S == 2 and float(problem.outcomes.revenues[0]) == 0.0:
+        free_coords = [(i, 1) for i in range(n)]
+    else:
+        free_coords = [(i, s) for i in range(n) for s in range(S)]
+    # Float counts: a tiny resolution can overflow every integer type.
+    counts = [float(np.round(float(hi[i, s] - lo[i, s]) / grid_resolution)) + 1.0 for i, s in free_coords]
+    return lo, free_coords, counts
+
+
+def contract_grid_size(problem: Problem, grid_resolution: float, bounds) -> float:
+    """Number of contracts that :func:`brute_force_optimal_contract` would
+    enumerate with these arguments, as a float (inf past the float range).
+    Solves nothing."""
+    return math.prod(_contract_grid(problem, grid_resolution, bounds)[2])
+
+
 def brute_force_optimal_contract(problem: Problem, grid_resolution: float, bounds) -> tuple[Contract, float]:
     """Exhaustive payoff search over a Cartesian grid of contracts.
 
@@ -314,24 +337,15 @@ def brute_force_optimal_contract(problem: Problem, grid_resolution: float, bound
     init=np.zeros(n))``); contracts whose iteration does not converge are
     skipped.
     """
-    n, S = problem.n, problem.n_outcomes
-    lo = np.broadcast_to(np.asarray(bounds[0], dtype=float), (n, S)).copy()
-    hi = np.broadcast_to(np.asarray(bounds[1], dtype=float), (n, S)).copy()
-
-    if S == 2 and float(problem.outcomes.revenues[0]) == 0.0:
-        free_coords = [(i, 1) for i in range(n)]
-    else:
-        free_coords = [(i, s) for i in range(n) for s in range(S)]
+    n = problem.n
+    lo, free_coords, counts = _contract_grid(problem, grid_resolution, bounds)
     if len(free_coords) > _DIM_CAP:
         raise OracleError(
             f"{len(free_coords)} free payment coordinates exceed the enumeration cap {_DIM_CAP}; "
             "use the gradient optimizer instead"
         )
 
-    axes = []
-    for (i, s) in free_coords:
-        count = int(round((hi[i, s] - lo[i, s]) / grid_resolution)) + 1
-        axes.append(lo[i, s] + grid_resolution * np.arange(count))
+    axes = [lo[i, s] + grid_resolution * np.arange(int(count)) for (i, s), count in zip(free_coords, counts)]
 
     best_payoff = -np.inf
     best_payments = None

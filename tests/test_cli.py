@@ -470,6 +470,28 @@ def test_verify_rejects_a_bad_step_or_bound_before_any_solve(files, capsys, monk
     assert err["message"].startswith(flag)
 
 
+@pytest.mark.parametrize("step, bound", [("1e-300", "0.6"), ("1e-3", "1")])
+def test_verify_rejects_a_contract_grid_past_the_cap_before_any_solve(files, capsys, monkeypatch, step, bound):
+    # 1e-300 once ended in numpy's "Maximum allowed size exceeded"; 1e-3 on
+    # [0, 1] is 1001^2 contracts, just past the million-contract cap.
+    tmp, _, _, _ = files
+    path = tmp / "clique2.json"
+    path.write_text(json.dumps({**TRIANGLE_PENDANT, "n": 2, "production": {
+        "type": "quadratic_network", "weights": [[0, 1], [1, 0]]}}))
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("verify solved before checking its grid")
+
+    monkeypatch.setattr(cli, "optimize_quadratic_binary", no_solve)
+    monkeypatch.setattr(cli, "optimize_general", no_solve)
+    assert run(["verify", str(path), "--step", step, "--bound", bound]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "input"
+    assert "more than 1000000" in err["message"]
+
+
 @pytest.mark.parametrize("spec", ["0:1:nan", "0:inf:0.5", "nan:1:0.1", "0:1:1e-300", "0:1e308:1e-10"])
 @pytest.mark.parametrize("command", ["sweep", "statics"])
 def test_bad_grid_is_an_input_error(files, capsys, command, spec):

@@ -749,12 +749,13 @@ def test_softmax_general_optimize_bounds_outcome_derivative_calls(monkeypatch):
 
 def test_softmax_general_optimize_solves_trials_from_the_tangent_prediction(monkeypatch):
     # Each line-search trial starts Newton at the tangent prediction and is
-    # confirmed by one best-response pass, with no sweep: 1,745 derivative
-    # calls, against 4,238 when trials started at the old equilibrium and
-    # swept once before the Newton step.  The confirming pass starts each
-    # bracket's Newton at the candidate's own action; from the bracket
-    # midpoint it would make 2,795.
-    assert _softmax_sqrt_optimize_derivative_calls(monkeypatch) <= 2_200
+    # confirmed by one best-response pass, with no sweep: 1,080 derivative
+    # calls.  The pass evaluates each agent once, over the probes and the
+    # candidate's own action, and that evaluation is the agent's residual,
+    # its bracket scan and its bracket's first Newton iterate.  With separate
+    # evaluations for the three the count was 1,745; trials that started at
+    # the old equilibrium and swept once before the Newton step made 4,238.
+    assert _softmax_sqrt_optimize_derivative_calls(monkeypatch) <= 1_190
 
 
 def test_fast_path_trials_compute_no_tangent_prediction(monkeypatch):

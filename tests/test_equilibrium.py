@@ -560,6 +560,96 @@ def test_rejected_warm_start_falls_back_to_the_sweeps(start):
     assert np.max(np.abs(eq.actions - cold.actions)) <= 1e-11
 
 
+def _counted(monkeypatch, names):
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(equilibrium, name)
+
+        def counted(*args, _original=original, _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(equilibrium, name, counted)
+    return counts
+
+
+def test_warm_accepted_solve_makes_one_evaluation_per_agent(monkeypatch):
+    # The confirming pass evaluates each agent's first-order condition once,
+    # over the probes plus its own action: that call is the residual, the
+    # bracket scan and the first Newton iterate, which here already meets
+    # Newton's stop.  The global check is one payoff call per agent.
+    problem, stepped, _, predicted = _stepped_softmax_sqrt()
+    counts = _counted(monkeypatch, ("_probe_grid", "_foc", "_refine_root", "_agent_payoff"))
+    warm = tp.solve_equilibrium_general(problem, stepped, init=predicted, tol=1e-11)
+    assert warm.iterations == 0
+    assert counts == {"_probe_grid": 1, "_foc": problem.n, "_refine_root": problem.n,
+                      "_agent_payoff": problem.n}
+
+
+def test_swept_solve_builds_the_probe_grid_once(monkeypatch):
+    problem, stepped, _, _ = _stepped_softmax_sqrt()
+    counts = _counted(monkeypatch, ("_probe_grid",))
+    assert tp.solve_equilibrium_general(problem, stepped, init=np.array([50.0, 0.01]), tol=1e-11).iterations >= 1
+    assert counts["_probe_grid"] == 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(["quadratic", "cobb_douglas", "ces"]), outcome=st.sampled_from(FOC_OUTCOMES),
+       corner=st.sampled_from([None, 0, 1]), solved=st.booleans(), factor=st.sampled_from([0.5, 2.0, 1e3]),
+       seed=st.integers(0, 2**32 - 1))
+def test_confirming_pass_matches_a_loop_of_scalar_residuals(family, outcome, corner, solved, factor, seed):
+    """The confirming pass reads each agent's residual off its batched
+    evaluation; it equals a loop of scalar first-order evaluations bit for
+    bit at n = 2, and so does the verdict: the candidate is accepted exactly
+    when that residual is within ``tol`` and each best response, with its
+    Newton started from the scalar evaluation, lies within ``tol``."""
+    rng = np.random.default_rng(seed)
+    n = 2
+    if outcome == "softmax":
+        outcomes = tp.SoftmaxOutcomeModel([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0])
+    elif outcome == "linear_capped":
+        outcomes = tp.BinaryOutcomeModel(tp.LinearCappedSuccess(0.2))
+    else:
+        outcomes = tp.BinaryOutcomeModel(
+            tp.LogisticSuccess(0.7, -0.3) if outcome == "logistic" else tp.PowerSuccess(2.0))
+    utility = tp.SqrtUtility() if rng.uniform() < 0.5 else tp.LinearUtility()
+    problem = tp.Problem(
+        n=n, production=random_production(family, n, rng), outcomes=outcomes, utilities=(utility,) * n,
+        costs=tuple(tp.PowerCost(float(rng.uniform(0.5, 2.0)), float(rng.choice([2.0, 2.5]))) for _ in range(n)),
+    )
+    payments = np.cumsum(rng.uniform(0.05, 1.0, size=(n, outcomes.n_outcomes)), axis=1)
+    payments[:, 0] = 0.0
+    contract = tp.Contract(payments)
+    a = rng.uniform(0.1, 2.0, size=n)
+    if solved:
+        try:
+            a = tp.solve_equilibrium_general(problem, contract, tol=1e-12).actions.copy()
+        except tp.EquilibriumError:
+            assume(False)
+    if corner is not None:
+        a[corner] = 0.0
+    u_levels = np.array([utility.value(row) for row in payments])
+    probes = equilibrium._probe_grid(equilibrium.default_action_bound(contract))
+
+    residual, starts = 0.0, []
+    try:
+        for i in range(n):
+            interior = a[i] > 0.0
+            g, slope = (float(v) for v in _foc(problem, u_levels, i, a, a[i] if interior else 1e-9))
+            residual = max(residual, abs(g) if interior else max(0.0, g))
+            starts.append((a[i], g, slope) if interior else None)
+    except tp.DomainError:
+        assume(False)
+    assert equilibrium._accepted_residual(problem, u_levels, a, probes, math.inf) == residual
+
+    tol = factor * max(residual, 1e-13)
+    accepted = residual <= tol and all(
+        abs(equilibrium._best_response(problem, u_levels, i, a, probes, start=starts[i]) - a[i]) <= tol
+        for i in range(n)
+    )
+    assert equilibrium._accepted_residual(problem, u_levels, a, probes, tol) == (residual if accepted else None)
+
+
 @settings(max_examples=60, deadline=None)
 @given(family=st.sampled_from(PRODUCTION_FAMILIES), outcome=st.sampled_from(FOC_OUTCOMES),
        n=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))

@@ -183,9 +183,10 @@ def test_batched_partials_match_a_loop_of_single_points(family, n, k, seed):
 @given(n=st.integers(1, 8), k=st.integers(1, 6), seed=st.integers(0, 2**32 - 1))
 def test_quadratic_value_rounding_contract(n, k, seed):
     # Y(a) = s.a + 0.5 sum_ij (a_i G_ij) a_j.  A batch matches a loop of
-    # single points to a relative 1e-14 and the exact sum of its terms to
-    # 8 eps of their absolute sum.  At n = 2, whatever the two weights, it is
-    # bit for bit the i-major sum, which keeps the 2-clique outputs' bytes.
+    # single points to a relative 1e-14 (bit for bit up to n = 3) and the
+    # exact sum of its terms to 8 eps of their absolute sum.  At n = 2,
+    # whatever the two weights, it is bit for bit one dot product s.a per
+    # point plus the i-major sum, which keeps the 2-clique outputs' bytes.
     # Weights are nonnegative, as the model requires: with negative ones the
     # sum can cancel to below any relative bound.
     rng = np.random.default_rng(seed)
@@ -201,6 +202,8 @@ def test_quadratic_value_rounding_contract(n, k, seed):
     assert batch.shape == (2, k)
     loop = np.array([[prod.value(x) for x in row] for row in pts])
     np.testing.assert_allclose(batch, loop, rtol=1e-14, atol=0.0)
+    if n <= 3:
+        assert np.array_equal(batch, loop)
 
     g, s = network.matrix, prod.standalone
     for a, y in zip(pts.reshape(-1, n), batch.ravel()):
@@ -212,7 +215,19 @@ def test_quadratic_value_rounding_contract(n, k, seed):
         for i in range(2):
             for j in range(2):
                 quad = quad + (pts[..., i] * g[i, j]) * pts[..., j]
-        assert np.array_equal(batch, pts @ s + 0.5 * quad)
+        assert np.array_equal(batch, np.array([[a @ s for a in row] for row in pts]) + 0.5 * quad)
+
+
+def test_quadratic_value_of_a_point_is_its_batch_row_bit_for_bit():
+    # With a non-unit standalone, a linear term computed as one gemv over
+    # the batch differed in the last bit from the single point's dot product
+    # at 399 of these 2,000 points.
+    prod = tp.QuadraticNetworkProduction(tp.Network([[0.0, 0.49279058], [0.49279058, 0.0]]),
+                                         [1.02492198, 1.3221824])
+    pts = np.random.default_rng(0).uniform(0.1, 1.0, size=(1000, 2, 2))
+    batch = prod.value(pts)
+    single = np.array([[prod.value(a) for a in pair] for pair in pts])
+    assert np.array_equal(batch, single)
 
 
 @pytest.mark.parametrize("prod", [tp.CobbDouglasProduction([0.5, 0.8]), tp.CESProduction([1.0, 2.0], rho=-0.5)])
