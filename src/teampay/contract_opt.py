@@ -29,6 +29,7 @@ from .diagnostics import ACTIVITY_TOL, DiagnosticsError, _FirstOrderObjects, com
 from .equilibrium import (
     EquilibriumError,
     _performance_map,
+    _quadratic_equilibria,
     brentq,
     solve_equilibrium_general,
     solve_equilibrium_quadratic_binary,
@@ -49,6 +50,7 @@ from .model import (
     Problem,
     QuadraticNetworkProduction,
     SuccessProbability,
+    _only,
 )
 
 __all__ = [
@@ -78,7 +80,8 @@ _ZOOM_TOL = 1e-11      # bracket width, relative to the prescan bracket's upper 
 # the best point, so shrinks the bracket at least (_ZOOM_POINTS - 1) / 2 times,
 # and this many take any prescan bracket [lo >= 0, hi] to _ZOOM_TOL * hi.
 _ZOOMS = math.ceil(math.log(1.0 / _ZOOM_TOL) / math.log((_ZOOM_POINTS - 1) / 2.0))
-_CHUNK = 1024          # subsets per batched solve of the active-set enumeration
+_CHUNK = 1024          # (network, subset) rows per batched solve of the active-set enumeration
+_CAP = 16              # default agent cap of the weighted active-set enumeration (2**cap subsets)
 _SHARE_ROOT_TOL = 1e-13  # Brent bracket width at which the share cubic's root stops
 _SHARE_ROOT_STEPS = 100  # Brent step budget of the share cubic's root
 _ASCENT_STEPS = 4000   # projected-ascent step budget per start
@@ -479,12 +482,14 @@ def _maximum_cliques(adjacency: np.ndarray, budget: int) -> list:
     return sorted(set(best))
 
 
-def _balanced_candidates(g: np.ndarray, agents: np.ndarray) -> list:
-    """The subsets among the rows of ``agents`` (one subset of one size per
-    row) whose induced subnetwork is connected with diameter at most 2 and
-    solves ``G_S t = 1`` with ``t > 0``; one batched solve for all of them."""
+def _balanced_candidates(gs: np.ndarray, agents: np.ndarray) -> list:
+    """The (network, subset) pairs, over every network of the stack ``gs``
+    and every row of ``agents`` (one subset of one size per row), whose
+    induced subnetwork is connected with diameter at most 2 and solves
+    ``G_S t = 1`` with ``t > 0``; one batched solve for all of them.  Returns
+    (network index, candidate) pairs."""
     size = agents.shape[1]
-    sub = g[agents[:, :, None], agents[:, None, :]]
+    sub = gs[:, agents[:, :, None], agents[:, None, :]].reshape(-1, size, size)
     adj = sub > 0.0
     reach = adj | (adj @ adj)
     reach[:, np.arange(size), np.arange(size)] = True
@@ -494,20 +499,21 @@ def _balanced_candidates(g: np.ndarray, agents: np.ndarray) -> list:
     # is 0 exactly where the solve would raise, even when the determinant
     # itself would underflow.
     keep[keep] = np.linalg.slogdet(sub[keep])[0] != 0.0
-    agents, sub = agents[keep], sub[keep]
-    t = np.linalg.solve(sub, np.ones((len(agents), size, 1)))
+    rows, sub = np.flatnonzero(keep), sub[keep]
+    t = np.linalg.solve(sub, np.ones((len(rows), size, 1)))
     residual = np.max(np.abs(sub @ t - 1.0), axis=(1, 2))
     t = t[..., 0]
     ok = np.isfinite(t).all(axis=1) & (residual <= 1e-8) & (t.min(axis=1) > 1e-12)
-    agents, t = agents[ok], t[ok]
+    rows, t = rows[ok], t[ok]
     total = t.sum(axis=1)
     return [
-        ActiveSetCandidate(agents=tuple(row), share_rate=rate, direction=direction)
-        for row, rate, direction in zip(agents.tolist(), (1.0 / total).tolist(), t / total[:, None])
+        (net, ActiveSetCandidate(agents=tuple(row), share_rate=rate, direction=direction))
+        for net, row, rate, direction in zip((rows // len(agents)).tolist(), agents[rows % len(agents)].tolist(),
+                                             (1.0 / total).tolist(), t / total[:, None])
     ]
 
 
-def optimal_active_set(network: Network, *, cap: int = 16) -> list:
+def optimal_active_set(network: Network, *, cap: int = _CAP) -> list:
     """Ranked candidate active sets for the quadratic-binary environment.
 
     Unweighted (0/1) networks: the maximum cliques, with balance constant
@@ -521,38 +527,58 @@ def optimal_active_set(network: Network, *, cap: int = 16) -> list:
     earlier sets.  The ranking does not depend on the success probability,
     which only scales the share level in the downstream share searches.
     Raises ``ActiveSetError`` for a weighted network of more than ``cap``
-    agents and for a clique search past its node budget.
+    agents and for a clique search past its node budget.  A batch of one of
+    ``_ranked_active_sets``.
     """
-    n = network.n
-    g = network.matrix
+    return _only(_ranked_active_sets(network.matrix[None], cap))
 
-    candidates: list[ActiveSetCandidate] = []
-    if np.all(np.isin(g, (0.0, 1.0))):
-        # No search reaches 2**64 nodes; the bound keeps a huge cap from
-        # building a huge integer.
-        for clique in _maximum_cliques(g, 2 ** min(cap, 64)):
-            k = len(clique)
-            candidates.append(ActiveSetCandidate(
-                agents=tuple(int(i) for i in clique),
-                share_rate=(k - 1.0) / k,
-                direction=np.full(k, 1.0 / k),
-            ))
-        candidates.sort(key=lambda c: (len(c.agents), c.agents))
-        return candidates
 
+def _ranked_active_sets(gs: np.ndarray, cap: int) -> list:
+    """``optimal_active_set`` for every network of the stack ``gs`` (k, n, n):
+    per network its ranked candidates, or the ``ActiveSetError`` that stops
+    its search.  Each 0/1 network runs its own clique search; the weighted
+    ones are enumerated together, each subset size in calls of at most
+    ``_CHUNK`` (network, subset) rows while k is at most ``_CHUNK``."""
+    k, n = gs.shape[:2]
+    out = [None] * k
+    binary = np.all((gs == 0.0) | (gs == 1.0), axis=(1, 2))
+    for j in np.flatnonzero(binary):
+        try:
+            # No search reaches 2**64 nodes; the bound keeps a huge cap from
+            # building a huge integer.
+            cliques = _maximum_cliques(gs[j], 2 ** min(cap, 64))
+        except ActiveSetError as exc:
+            out[j] = exc
+            continue
+        # The cliques come sorted, all of one size.
+        out[j] = [
+            ActiveSetCandidate(agents=tuple(int(i) for i in clique), share_rate=(len(clique) - 1.0) / len(clique),
+                               direction=np.full(len(clique), 1.0 / len(clique)))
+            for clique in cliques
+        ]
+
+    weighted = np.flatnonzero(~binary)
+    if not weighted.size:
+        return out
     if n > cap:
-        raise ActiveSetError(
-            f"active-set enumeration of a weighted network capped at {cap} agents "
-            f"(2^{cap} subsets); use optimize_general"
-        )
-    candidates += [ActiveSetCandidate(agents=(i,), share_rate=0.0, direction=np.ones(1)) for i in range(n)]
+        for j in weighted:
+            out[j] = ActiveSetError(
+                f"active-set enumeration of a weighted network capped at {cap} agents "
+                f"(2^{cap} subsets); use optimize_general"
+            )
+        return out
+    for j in weighted:
+        out[j] = [ActiveSetCandidate(agents=(i,), share_rate=0.0, direction=np.ones(1)) for i in range(n)]
+    per_call = max(1, _CHUNK // weighted.size)
+    stack = gs[weighted]
     for size in range(2, n + 1):
         subsets = itertools.combinations(range(n), size)
-        while (agents := np.fromiter(itertools.islice(subsets, _CHUNK), dtype=(np.intp, size))).size:
-            candidates.extend(_balanced_candidates(g, agents))
-
-    candidates.sort(key=lambda c: (-c.share_rate, len(c.agents), c.agents))
-    return candidates
+        while (agents := np.fromiter(itertools.islice(subsets, per_call), dtype=(np.intp, size))).size:
+            for j, candidate in _balanced_candidates(stack, agents):
+                out[weighted[j]].append(candidate)
+    for j in weighted:
+        out[j].sort(key=lambda c: (-c.share_rate, len(c.agents), c.agents))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -672,22 +698,50 @@ def _quadratic_closed_form(network: Network, p: SuccessProbability) -> OptimalCo
     search runs over the equilibrium performance, whose balanced-equity
     share is explicit (``_balanced_share``).  Falls back to the gradient
     optimizer, with a warning that names the bound, when the active-set
-    search stops at its work bound.
+    search stops at its work bound.  A batch of one of
+    ``_quadratic_closed_forms``.
     """
-    try:
-        candidates = optimal_active_set(network)
-    except ActiveSetError as exc:
-        warnings.warn(f"no usable active set ({exc}); falling back to the gradient optimizer")
-        return optimize_general(quadratic_binary_problem(network, p))
+    return _only(_quadratic_closed_forms([network], p))
 
-    best = candidates[0]
-    agents = np.array(best.agents, dtype=int)
-    rate = best.share_rate
-    n = network.n
+
+def _quadratic_closed_forms(networks: list, p: SuccessProbability) -> list:
+    """``_quadratic_closed_form`` for networks of one size together: one
+    ranking of all their active sets (``_ranked_active_sets``), the optimal
+    share network by network, and one stacked solve of all their equilibria
+    (``_quadratic_equilibria``).  Returns per network its result, bit for bit
+    the one it gets alone, or the exception that stops it, which leaves the
+    other networks unaffected."""
+    gs = np.stack([network.matrix for network in networks])
+    out = [None] * len(networks)
+    shares = []  # (network index, best candidate, optimal share, where its residual is taken)
+    for j, ranked in enumerate(_ranked_active_sets(gs, _CAP)):
+        try:
+            if isinstance(ranked, ActiveSetError):
+                warnings.warn(f"no usable active set ({ranked}); falling back to the gradient optimizer")
+                out[j] = optimize_general(quadratic_binary_problem(networks[j], p))
+            else:
+                shares.append((j, ranked[0], *_optimal_share(ranked[0].share_rate, p)))
+        except Exception as exc:  # the network's own failure, whatever its type
+            out[j] = exc
+    taus = np.zeros((len(shares), gs.shape[1]))
+    for tau, (_, best, s_star, _) in zip(taus, shares):
+        tau[list(best.agents)] = s_star * best.direction
+    rows = [j for j, *_ in shares]
+    equilibria = _quadratic_equilibria(gs[rows], taus, p, np.ones(gs.shape[1]))
+    for (j, best, s_star, residual_at), tau, eq in zip(shares, taus, equilibria):
+        try:
+            out[j] = eq if isinstance(eq, Exception) else _closed_form_result(gs[j], p, best, s_star, tau, eq,
+                                                                               residual_at)
+        except Exception as exc:  # the network's own failure, whatever its type
+            out[j] = exc
+    return out
+
+
+def _optimal_share(rate: float, p: SuccessProbability) -> tuple:
+    """Optimal total share on an active set of balance rate ``rate``, and the
+    (payoff, x, share) at which ``_share_kkt`` takes its residual."""
     linear = isinstance(p, LinearCappedSuccess)
     y_max = _performance_ceiling(p)
-
-    residual_at = None  # (payoff, x, share) for the optimality residual
     if linear and p.slope * rate < 1.0:
         # The payoff's share derivative has the sign of the share cubic, so its
         # root is the optimum unless the performance there reaches the cap.
@@ -704,21 +758,22 @@ def _quadratic_closed_form(network: Network, p: SuccessProbability) -> OptimalCo
             # to >= 0, so its bracket fails; the search below covers that case.
             root = None
         if root is not None and np.isfinite(payoff_of_share(root)):
-            s_star, residual_at = root, (payoff_of_share, root, None)
-    if residual_at is None:
-        def share(y):
-            return _balanced_share(y, rate, p)
+            return root, (payoff_of_share, root, None)
 
-        payoff_of_performance = _payoff_along(share, p, y_max)
-        y_star = _performance_search(payoff_of_performance, y_max, float(p.value(0.0)))
-        s_star = float(share(y_star))
-        residual_at = (payoff_of_performance, y_star, share)
+    def share(y):
+        return _balanced_share(y, rate, p)
 
-    tau = np.zeros(n)
-    tau[agents] = s_star * best.direction
-    eq = solve_equilibrium_quadratic_binary(network, tau, p)
+    payoff_of_performance = _payoff_along(share, p, y_max)
+    y_star = _performance_search(payoff_of_performance, y_max, float(p.value(0.0)))
+    return float(share(y_star)), (payoff_of_performance, y_star, share)
 
-    g = network.matrix
+
+def _closed_form_result(g: np.ndarray, p: SuccessProbability, best: ActiveSetCandidate, s_star: float,
+                        tau: np.ndarray, eq: EquilibriumResult, residual_at: tuple) -> OptimalContractResult:
+    """The closed form's result at success payments ``tau``, the share
+    ``s_star`` along ``best``, once the balanced-neighborhood conditions hold
+    at its equilibrium ``eq`` on the network ``g``."""
+    agents = np.array(best.agents, dtype=int)
     sub = g[np.ix_(agents, agents)]
     equity_levels = sub @ tau[agents]
     action_levels = sub @ eq.actions[agents]
@@ -728,10 +783,11 @@ def _quadratic_closed_form(network: Network, p: SuccessProbability) -> OptimalCo
         if agents.size > 1 and spread / scale > 1e-6:
             raise OptimizationError(f"balanced neighborhood {name} violated (spread {spread:.3g})")
 
-    payments = np.zeros((n, 2))
+    payments = np.zeros((tau.size, 2))
     payments[:, 1] = tau
     contract = Contract(payments)
-    payoff = _principal_payoff(quadratic_binary_problem(network, p), contract, eq.probs)
+    # _principal_payoff's expression, without building the problem around the revenues
+    payoff = float((BinaryOutcomeModel(p).revenues - contract.payments.sum(axis=0)) @ eq.probs)
     return OptimalContractResult(
         contract=contract,
         equilibrium=eq,
@@ -739,7 +795,7 @@ def _quadratic_closed_form(network: Network, p: SuccessProbability) -> OptimalCo
         active_set=tuple(int(i) for i in agents) if s_star > 0.0 else (),
         kkt_residual=_share_kkt(*residual_at, payoff),
         method="quadratic_closed_form",
-        balance_constant=float(s_star * rate),
+        balance_constant=float(s_star * best.share_rate),
         neighborhood_action_constant=float(np.mean(action_levels)) if agents.size > 1 else 0.0,
     )
 

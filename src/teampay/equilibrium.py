@@ -26,6 +26,7 @@ from .model import (
     Problem,
     SuccessProbability,
     _dot_last,
+    _only,
 )
 
 __all__ = [
@@ -127,15 +128,24 @@ def brentq(f, a: float, b: float, *, xtol: float, maxiter: int = 100) -> tuple[f
 # ---------------------------------------------------------------------------
 
 
-def _candidate_actions(g: np.ndarray, tau: np.ndarray, standalone: np.ndarray, slope: float) -> np.ndarray:
-    """Solve [I - slope*T*G] a = slope * T * standalone for the action profile."""
-    n = tau.size
-    m = np.eye(n) - slope * (tau[:, None] * g)
-    rhs = slope * tau * standalone
+def _candidate_actions(gs: np.ndarray, taus: np.ndarray, standalone: np.ndarray, slopes: np.ndarray):
+    """Solve ``[I - slope T G] a = slope T standalone`` for every row's action
+    profile in one stacked solve, each row rounding as in a solve of its own.
+    Returns the profiles and a mask that is False where the system is
+    singular (that row of the profiles is NaN)."""
+    m = np.eye(taus.shape[1]) - slopes[:, None, None] * (taus[:, :, None] * gs)
+    rhs = (slopes[:, None] * taus * standalone)[..., None]
+    solved = np.ones(len(taus), dtype=bool)
     try:
-        return np.linalg.solve(m, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise EquilibriumError(f"singular best-response system: {exc}") from exc
+        return np.linalg.solve(m, rhs)[..., 0], solved
+    except np.linalg.LinAlgError:
+        # A stacked solve raises for the whole stack if one matrix is
+        # singular; the determinant's sign comes from the same LU
+        # factorization and is 0 exactly there.
+        solved = np.linalg.slogdet(m)[0] != 0.0
+        a = np.full(taus.shape, np.nan)
+        a[solved] = np.linalg.solve(m[solved], rhs[solved])[..., 0]
+        return a, solved
 
 
 def _performance_map(c, weights, modes) -> float:
@@ -189,64 +199,106 @@ def solve_equilibrium_quadratic_binary(network: Network, tau, p: SuccessProbabil
     slope, so this is one linear solve (``iterations`` is 1); otherwise the
     fixed point is a root of an O(n) map in ``S``'s eigenbasis, found by
     :func:`brentq` (``iterations`` counts its map evaluations), and the
-    profile is one solve at the fixed point's slope.
+    profile is one solve at the fixed point's slope.  A batch of one of
+    ``_quadratic_equilibria``.
     """
     tau = np.asarray(tau, dtype=float)
-    g = network.matrix
     n = network.n
     if tau.shape != (n,):
         raise DomainError(f"tau must have shape ({n},)")
-    if np.any(tau < 0):
-        raise DomainError("success payments must be nonnegative")
-    if np.any(g < 0) or not np.array_equal(g, g.T):
-        raise DomainError("network matrix must be symmetric and nonnegative")
-    if not p.concave_on_nonneg():
-        raise DomainError("success probability must be concave on the working range")
     b = np.ones(n) if standalone is None else np.asarray(standalone, dtype=float)
+    return _only(_quadratic_equilibria(network.matrix[None], tau[None], p, b))
 
-    if not np.any(tau > 0):
-        probs = np.array([1.0 - float(p.value(0.0)), float(p.value(0.0))])
-        return EquilibriumResult(
-            actions=np.zeros(n), performance=0.0, probs=probs,
-            iterations=0, residual=0.0, spectral_margin=1.0,
-        )
+
+def _quadratic_equilibria(gs: np.ndarray, taus: np.ndarray, p: SuccessProbability, b: np.ndarray) -> list:
+    """``solve_equilibrium_quadratic_binary`` for every row: networks ``gs``
+    (k, n, n) under success payments ``taus`` (k, n), with one success
+    probability and standalone vector ``b``.  One stacked ``eigvalsh``
+    (``eigh`` under a nonlinear ``P``, whose fixed points are found row by
+    row) and one stacked solve serve every row; reductions that reach the
+    result keep the 1-D ``@`` rounding, so each row is bit for bit what it
+    would be alone.  Returns per row its equilibrium or the exception that
+    stops it."""
+    k, n = taus.shape
+    out = [None] * k
+    negative = np.any(taus < 0, axis=1)
+    asymmetric = np.any((gs < 0) | (gs != gs.swapaxes(1, 2)), axis=(1, 2))
+    concave = p.concave_on_nonneg()
+    idle = ~np.any(taus > 0, axis=1)
+    for r in range(k):
+        if negative[r]:
+            out[r] = DomainError("success payments must be nonnegative")
+        elif asymmetric[r]:
+            out[r] = DomainError("network matrix must be symmetric and nonnegative")
+        elif not concave:
+            out[r] = DomainError("success probability must be concave on the working range")
+        elif idle[r]:
+            success = float(p.value(0.0))
+            out[r] = EquilibriumResult(
+                actions=np.zeros(n), performance=0.0, probs=np.array([1.0 - success, success]),
+                iterations=0, residual=0.0, spectral_margin=1.0,
+            )
+    rows = np.flatnonzero(np.array([o is None for o in out], dtype=bool))
+    if not rows.size:
+        return out
+    g, tau = (gs, taus) if rows.size == k else (gs[rows], taus[rows])
 
     root_tau = np.sqrt(tau)
-    s = root_tau[:, None] * g * root_tau
+    s = root_tau[:, :, None] * g * root_tau[:, None, :]
+    # A row that fails before its solve keeps slope 0, a harmless identity system.
+    slopes = np.zeros(rows.size)
+    iterations = [1] * rows.size
     linear = isinstance(p, LinearCappedSuccess)
     if linear:
         # P' is constant below the cap, so the candidate map does not depend
         # on y: one solve at the slope is the equilibrium.
-        rho = float(np.linalg.eigvalsh(s)[-1])
-        if p.slope * rho >= 1.0:
-            raise EquilibriumError(
-                f"no equilibrium: slope * spectral radius = {p.slope * rho:.6g} >= 1"
-            )
-        slope, iterations = float(p.slope), 1
+        rho = np.linalg.eigvalsh(s)[:, -1]
+        for i, r in enumerate(rows):
+            if p.slope * rho[i] >= 1.0:
+                out[r] = EquilibriumError(f"no equilibrium: slope * spectral radius = {p.slope * rho[i]:.6g} >= 1")
+            else:
+                slopes[i] = p.slope
     else:
         modes, vecs = np.linalg.eigh(s)
-        rho = float(modes[-1])
-        loadings = vecs.T @ (root_tau * b)
-        y_fixed, iterations = _performance_fixed_point(loadings ** 2, modes, p)
-        slope = float(p.deriv(y_fixed))
-    a = _candidate_actions(g, tau, b, slope)
-    y_star = float(a @ b + 0.5 * a @ g @ a)
-    if linear and y_star > p.cap * (1.0 - 1e-12):
-        raise CapExceededError("equilibrium performance would reach the success-probability cap")
-    slope = float(p.deriv(y_star))
-    residual = float(np.max(np.abs(a - slope * tau * (b + g @ a))))
-    success = float(p.value(y_star))
-    margin = 1.0 - slope * rho
-    if margin <= 0.0:
-        raise EquilibriumError(f"equilibrium violates the spectral condition: margin {margin:.3g}")
-    return EquilibriumResult(
-        actions=a,
-        performance=y_star,
-        probs=np.array([1.0 - success, success]),
-        iterations=iterations,
-        residual=residual,
-        spectral_margin=margin,
-    )
+        rho = modes[:, -1]
+        loadings = (vecs.swapaxes(1, 2) @ (root_tau * b)[:, :, None])[:, :, 0]
+        for i, r in enumerate(rows):
+            try:
+                y_fixed, iterations[i] = _performance_fixed_point(loadings[i] ** 2, modes[i], p)
+            except EquilibriumError as exc:
+                out[r] = exc
+                continue
+            slopes[i] = p.deriv(y_fixed)
+    a, solved = _candidate_actions(g, tau, b, slopes)
+    y_star = _dot_last(a, b) + _dot_last(((0.5 * a)[:, None, :] @ g)[:, 0, :], a)
+    final = np.zeros(rows.size)  # P'(Y*) of each row that gets this far
+    for i, r in enumerate(rows):
+        if out[r] is not None:
+            continue
+        if not solved[i]:
+            out[r] = EquilibriumError("singular best-response system: Singular matrix")
+        elif linear and y_star[i] > p.cap * (1.0 - 1e-12):
+            out[r] = CapExceededError("equilibrium performance would reach the success-probability cap")
+        else:
+            final[i] = p.deriv(float(y_star[i]))
+    residual = np.max(np.abs(a - final[:, None] * tau * (b + (g @ a[:, :, None])[:, :, 0])), axis=1)
+    margin = 1.0 - final * rho
+    for i, r in enumerate(rows):
+        if out[r] is not None:
+            continue
+        if margin[i] <= 0.0:
+            out[r] = EquilibriumError(f"equilibrium violates the spectral condition: margin {margin[i]:.3g}")
+            continue
+        success = float(p.value(float(y_star[i])))
+        out[r] = EquilibriumResult(
+            actions=a[i],
+            performance=float(y_star[i]),
+            probs=np.array([1.0 - success, success]),
+            iterations=iterations[i],
+            residual=float(residual[i]),
+            spectral_margin=float(margin[i]),
+        )
+    return out
 
 
 # ---------------------------------------------------------------------------

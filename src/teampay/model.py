@@ -94,6 +94,15 @@ def _dot_last(x, y):
     return (x[..., None, :] @ y[..., :, None])[..., 0, 0]
 
 
+def _only(results):
+    """The one entry of a batch solver's per-row list for a batch of one:
+    the result, or the exception that stopped it, raised."""
+    (out,) = results
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 # ---------------------------------------------------------------------------
 # network
 # ---------------------------------------------------------------------------
@@ -185,6 +194,8 @@ class QuadraticNetworkProduction(ProductionFunction):
         n = self.network.n
         standalone = np.ones(n) if self.standalone is None else self.standalone
         object.__setattr__(self, "standalone", _vector(standalone, "standalone"))
+        if self.standalone.size != n:
+            raise ModelError(f"standalone must have one entry per agent ({n}), got {self.standalone.size}")
         # Two copies of standalone as columns, for the linear term of value.
         object.__setattr__(self, "_linear", np.stack([self.standalone, self.standalone], axis=1))
 

@@ -17,7 +17,7 @@ from functools import partial
 import numpy as np
 
 from .contract_opt import (OptimalContractResult, OptimizationError, _balanced_share, _performance_ceiling,
-                           _quadratic_closed_form)
+                           _quadratic_closed_forms)
 from .equilibrium import EquilibriumError
 from .model import CapExceededError, ModelError, Network, SuccessProbability
 
@@ -176,9 +176,23 @@ def network_along(network: Network, parameter: str):
     return network.with_scale if kind == "beta" else partial(network.with_edge, *edge)
 
 
+# Network-matrix entries per chunk of grid points that ``sweep`` solves
+# together: 113 points at n = 3, one point from n = 32.  Never more than
+# ``contract_opt._CHUNK`` networks.
+_CHUNK_ENTRIES = 1024
+
+
 def sweep(network: Network, p: SuccessProbability, parameter: str, grid) -> SweepCurve:
-    """Re-optimize the contract at each grid value of the parameter by
-    ``_quadratic_closed_form``, which skips the unreported balance certificate."""
+    """Re-optimize the contract at each grid value of the parameter.
+
+    The grid is solved in chunks of ``_CHUNK_ENTRIES // n**2`` points (at
+    least one) by ``_quadratic_closed_forms``: one batched ranking of the
+    chunk's active sets and one stacked solve of its equilibria, with the
+    optimal share searched point by point.  Memory therefore grows with the
+    chunk, not with the grid.  Every row is bit for bit the
+    ``optimize_quadratic_binary`` optimum at its point, without the balance
+    certificate that the curve does not report, and a point that fails gets
+    NaN cells and its own error message without affecting the others."""
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 1 or grid.size == 0 or np.any(np.diff(grid) <= 0.0):
         raise StaticsError("grid must be a nonempty strictly increasing vector")
@@ -191,21 +205,24 @@ def sweep(network: Network, p: SuccessProbability, parameter: str, grid) -> Swee
     perf = np.full(m, np.nan)
     active_sets = []
     errors = []
-    for row, value in enumerate(grid):
-        try:
-            opt = _quadratic_closed_form(network_at(value), p)
-        except (OptimizationError, EquilibriumError, CapExceededError, ModelError) as exc:
-            errors.append(str(exc))
-            active_sets.append(())
-            continue
-        errors.append(None)
-        tau = opt.contract.payments[:, 1]
-        payments[row] = tau
-        principal[row] = opt.principal_payoff
-        perf[row] = opt.equilibrium.performance
-        success = opt.equilibrium.probs[1]
-        agent[row] = success * tau - 0.5 * opt.equilibrium.actions**2
-        active_sets.append(opt.active_set)
+    chunk = max(1, _CHUNK_ENTRIES // n**2)
+    for start in range(0, m, chunk):
+        optima = _quadratic_closed_forms([network_at(value) for value in grid[start:start + chunk]], p)
+        for row, opt in enumerate(optima, start):
+            if isinstance(opt, (OptimizationError, EquilibriumError, CapExceededError, ModelError)):
+                errors.append(str(opt))
+                active_sets.append(())
+                continue
+            if isinstance(opt, Exception):
+                raise opt
+            errors.append(None)
+            tau = opt.contract.payments[:, 1]
+            payments[row] = tau
+            principal[row] = opt.principal_payoff
+            perf[row] = opt.equilibrium.performance
+            success = opt.equilibrium.probs[1]
+            agent[row] = success * tau - 0.5 * opt.equilibrium.actions**2
+            active_sets.append(opt.active_set)
 
     return SweepCurve(
         parameter=parameter,

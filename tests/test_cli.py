@@ -127,6 +127,21 @@ def test_unknown_flag_exits_one(files, capsys):
         assert f"unrecognized arguments: {flag} 1" in err["message"], (command, flag)
 
 
+def test_standalone_of_the_wrong_length_is_a_validation_error(tmp_path, capsys):
+    bad = {**FIGURE, "n": 2, "production": {"type": "quadratic_network", "weights": [[0, 1], [1, 0]],
+                                            "standalone": [1, 1, 1]}}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    contract = tmp_path / "contract.json"
+    contract.write_text(json.dumps({"payments": [[0, 0.3], [0, 0.3]]}))
+    for argv in (["validate"], ["equilibrium", "--contract", str(contract)], ["optimize", "--method", "quadratic"]):
+        assert run([argv[0], str(path), *argv[1:]]) == 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert json.loads(captured.err) == {"error": {
+            "type": "validation", "message": "standalone must have one entry per agent (2), got 3"}}
+
+
 def test_equilibrium_zero_contract(files, capsys):
     _, problem, _, contract = files
     assert run(["equilibrium", str(problem), "--contract", str(contract)]) == 0

@@ -434,25 +434,37 @@ def test_linear_success_cap_reaching_contract_raises_cap_error(tau, slope):
 
 
 def test_linear_success_sweep_solves_each_equilibrium_once(monkeypatch):
-    counts = {"solves": 0, "equilibria": 0}
+    # One linear system per grid point, all of them in one stacked solve.
+    calls, systems = [0], [0]
     solve = equilibrium._candidate_actions
-    solve_eq = contract_opt.solve_equilibrium_quadratic_binary
 
-    def counted_solve(*args, **kwargs):
-        counts["solves"] += 1
-        return solve(*args, **kwargs)
-
-    def counted_eq(*args, **kwargs):
-        counts["equilibria"] += 1
-        return solve_eq(*args, **kwargs)
+    def counted_solve(gs, taus, *args):
+        calls[0] += 1
+        systems[0] += len(taus)
+        return solve(gs, taus, *args)
 
     monkeypatch.setattr(equilibrium, "_candidate_actions", counted_solve)
-    monkeypatch.setattr(contract_opt, "solve_equilibrium_quadratic_binary", counted_eq)
     net = tp.Network([[0.0, 1.0, 0.8], [1.0, 0.0, 0.0], [0.8, 0.0, 0.0]])
     curve = tp.sweep(net, KAPPA_HALF, "G23", np.linspace(0.0, 1.0, 5))
     assert all(err is None for err in curve.errors)
-    assert counts["equilibria"] == 5
-    assert counts["solves"] == counts["equilibria"]
+    assert systems[0] == 5
+    assert calls[0] == 1
+
+
+def test_stacked_solve_marks_singular_rows_and_keeps_the_others():
+    # The middle row's system [I - T G] is singular at slope 1: a stacked
+    # solve would raise for every row.
+    g = np.array([[0.0, 1.0], [1.0, 0.0]])
+    gs = np.stack([g, g, 0.5 * g])
+    taus = np.array([[0.3, 0.2], [1.0, 1.0], [0.4, 0.1]])
+    b = np.array([1.0, 1.5])
+    slopes = np.array([0.5, 1.0, 0.8])
+    actions, solved = equilibrium._candidate_actions(gs, taus, b, slopes)
+    assert solved.tolist() == [True, False, True]
+    assert np.isnan(actions[1]).all()
+    for row in (0, 2):
+        alone, ok = equilibrium._candidate_actions(gs[row:row + 1], taus[row:row + 1], b, slopes[row:row + 1])
+        assert ok.all() and actions[row].tobytes() == alone[0].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -273,10 +274,54 @@ def test_beta_sweep_total_share_increasing():
 
 
 def test_sweep_records_per_point_failures():
-    # beta large enough that the slope-spectral condition fails at s -> 1.
-    curve = tp.sweep(clique(2), tp.LinearCappedSuccess(0.9), "beta", np.array([0.5, 1.0]))
-    assert curve.errors[0] is None
-    assert curve.payments.shape == (2, 2)
+    # A negative link weight fails its own point in the equilibrium solve; the
+    # points solved in the same chunk are the single-point optima bit for bit.
+    grid = np.array([-0.5, 0.3, 0.6])
+    curve = tp.sweep(figure_network(), KAPPA_HALF, "G23", grid)
+    message = "network matrix must be symmetric and nonnegative"
+    assert curve.errors == (message, None, None)
+    with pytest.raises(tp.ModelError, match=message):
+        tp.optimize_quadratic_binary(figure_network(-0.5), KAPPA_HALF)
+    assert curve.active_sets[0] == ()
+    for cells in (curve.payments[0], curve.agent_payoffs[0], curve.principal_payoffs[:1], curve.performance[:1]):
+        assert np.isnan(cells).all()
+    for row in (1, 2):
+        opt = tp.optimize_quadratic_binary(figure_network(grid[row]), KAPPA_HALF)
+        eq = opt.equilibrium
+        tau = opt.contract.payments[:, 1]
+        assert _bits(curve.payments[row]) == _bits(tau)
+        assert _bits(curve.principal_payoffs[row]) == _bits(opt.principal_payoff)
+        assert _bits(curve.performance[row]) == _bits(eq.performance)
+        assert _bits(curve.agent_payoffs[row]) == _bits(eq.probs[1] * tau - 0.5 * eq.actions**2)
+        assert curve.active_sets[row] == opt.active_set
+
+
+def test_figure_sweep_ranks_and_solves_its_points_in_one_batch(monkeypatch):
+    sizes, stacks = [], []
+    balanced = contract_opt._balanced_candidates
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(contract_opt, "_balanced_candidates",
+                        lambda gs, agents: sizes.append(agents.shape[1]) or balanced(gs, agents))
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: stacks.append(a.shape) or eigvalsh(a))
+    curve = tp.sweep(figure_network(), KAPPA_HALF, "G23", cli._parse_grid("0:1:0.02"))
+    assert curve.grid.size == 51 and not any(curve.errors)
+    # One call per subset size class (pairs and the triple), one stacked eigvalsh.
+    assert sorted(sizes) == [2, 3]
+    assert stacks == [(51, 3, 3)]
+
+
+def test_long_sweep_memory_is_bounded_by_its_chunk():
+    # 1000 points solved at once peak at about 2.6 MB above what the curve
+    # keeps; chunks of 113 points at about 0.4 MB.
+    grid = np.linspace(0.0, 1.0, 1000)
+    tracemalloc.start()
+    try:
+        curve = tp.sweep(figure_network(), KAPPA_HALF, "G23", grid)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert not any(curve.errors)
+    assert peak - kept <= 2**20
 
 
 def test_sweep_csv_format():
