@@ -41,7 +41,7 @@ print("agent-2 payment falls on grid intervals starting at:", curve.grid[drop])
 # share's own response.
 mid = network.with_edge(1, 2, 0.3)
 opt = tp.optimize_quadratic_binary(mid, p)
-ds = tp.dshare_dlink(mid, p, opt)
-print("at G23=0.3, d tau_2 / d G23 =", ds.tensor[1, 1, 2], "(negative: own link still hurts)")
+ds = tp.dshare_dlink(mid, p, opt)  # ds[i, j, k] = d tau_i / d G_jk
+print("at G23=0.3, d tau_2 / d G23 =", ds[1, 1, 2], "(negative: own link still hurts)")
 print("performance-link derivatives proportional to payment products:")
 print(tp.dperformance_dlink(p, opt))

@@ -33,13 +33,8 @@ from .model import (
     SoftmaxOutcomeModel,
     SqrtUtility,
     contract_from_dict,
-    contract_to_dict,
-    equity_from_dict,
-    outcome_probs,
     problem_from_dict,
     problem_to_dict,
-    production_eval,
-    utility_eval,
     validate_problem,
 )
 from .equilibrium import (
@@ -52,7 +47,6 @@ from .diagnostics import (
     BalanceReport,
     DiagnosticsError,
     RatioCheck,
-    check_cross_agent_ratios,
     check_cross_outcome_ratios,
     compute_balance_report,
     marginal_performance,
@@ -71,7 +65,6 @@ from .contract_opt import (
     total_share_root,
 )
 from .statics import (
-    ShareDerivatives,
     StaticsError,
     SweepCurve,
     dperformance_dlink,
@@ -79,7 +72,7 @@ from .statics import (
     sweep,
     sweep_to_csv,
 )
-from .equity import EquityResult, induced_contract, optimize_equity, solve_equity_equilibrium
+from .equity import EquityResult, induced_contract, optimize_equity
 from .oracle import OracleError, best_response_iterate, brute_force_optimal_contract, finite_diff
 
 __version__ = "0.1.0"

@@ -46,7 +46,7 @@ from .model import (
     validate_contract,
     validate_problem,
 )
-from .oracle import OracleError, best_response_iterate, brute_force_optimal_contract, contract_grid_size, principal_payoff
+from .oracle import OracleError, best_response_iterate, brute_force_optimal_contract, contract_grid_size
 from .statics import StaticsError, dperformance_dlink, dshare_dlink, network_along, sweep, sweep_to_csv
 
 __all__ = ["run", "main"]
@@ -248,13 +248,11 @@ def _cmd_active_set(args) -> int:
 
 def _statics_point(network, p) -> dict:
     opt = _quadratic_closed_form(network, p)
-    shares = dshare_dlink(network, p, opt)
-    perf = dperformance_dlink(p, opt)
     return {
         "active_set": list(opt.active_set),
         "payments": opt.contract.payments[:, 1].tolist(),
-        "dshare_dlink": shares.tensor.tolist(),
-        "dperformance_dlink": perf.tolist(),
+        "dshare_dlink": dshare_dlink(network, p, opt).tolist(),
+        "dperformance_dlink": dperformance_dlink(p, opt).tolist(),
     }
 
 

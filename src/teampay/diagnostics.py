@@ -3,8 +3,9 @@
 Computes the curvature / productivity / spillover / payment-sensitivity
 objects, agent centralities, the analytic performance-derivative matrix
 dY/dtau, fitted per-outcome balance constants with residuals, and the
-cross-agent / cross-outcome ratio identities that hold at optimal
-contracts.
+cross-outcome ratio identity that holds at optimal contracts.  The
+cross-agent law is the balance condition itself, which
+``BalanceReport.balance_residuals`` certifies.
 
 Every first-order object comes from one Jacobian ``J`` of the agents'
 first-order conditions on the active agents (assembled by the general
@@ -21,12 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equilibrium import _first_order
-from .model import (
-    Contract,
-    EquilibriumResult,
-    Problem,
-    outcome_probs,
-)
+from .model import Contract, EquilibriumResult, Problem
 
 __all__ = [
     "DiagnosticsError",
@@ -34,7 +30,6 @@ __all__ = [
     "RatioCheck",
     "compute_balance_report",
     "marginal_performance",
-    "check_cross_agent_ratios",
     "check_cross_outcome_ratios",
     "ACTIVITY_TOL",
 ]
@@ -85,19 +80,17 @@ class BalanceReport:
 
 @dataclass(frozen=True)
 class RatioCheck:
-    """Identity gaps for the optimal-contract ratio laws.
+    """Identity gaps for the cross-outcome ratio law.
 
-    ``gaps`` holds ``(index..., gap)`` tuples; ``max_gap`` is 0 when no pair
-    applies (vacuous pass).  ``ranking_ok`` reports the componentwise payment
-    ordering for identical strictly-concave-utility pairs;
+    ``gaps`` holds ``(agent, outcome, outcome, gap)`` tuples; ``max_gap`` is
+    0 when no agent is paid at two outcomes (vacuous pass).
     ``slopes_positive`` reports whether every paid outcome has a positive
     probability slope at the equilibrium performance.
     """
 
     gaps: tuple
     max_gap: float
-    ranking_ok: bool | None = None
-    slopes_positive: bool | None = None
+    slopes_positive: bool
 
 
 def _marginal_utilities(problem: Problem, payments: np.ndarray) -> np.ndarray:
@@ -278,49 +271,13 @@ def marginal_performance(problem: Problem, contract: Contract, eq: EquilibriumRe
     return _FirstOrderObjects(problem, contract, eq).performance_gradient()
 
 
-def check_cross_agent_ratios(report: BalanceReport, contract: Contract, problem: Problem) -> RatioCheck:
-    """Marginal-utility ratio law across co-paid agents, plus the payment
-    ranking for identical strictly concave utility pairs."""
-    payments = contract.payments
-    act = list(report.active_agents)
-    products = {i: report.alpha[k] * report.centrality[k] for k, i in enumerate(act)}
-    marginals = _marginal_utilities(problem, payments)
-
-    gaps = []
-    for s in range(payments.shape[1]):
-        paid = [i for i in act if payments[i, s] > 0.0]
-        for a_pos in range(len(paid)):
-            for b_pos in range(a_pos + 1, len(paid)):
-                i, j = paid[a_pos], paid[b_pos]
-                lhs = marginals[i, s] / marginals[j, s]
-                rhs = products[j] / products[i]
-                gaps.append((i, j, s, abs(lhs - rhs)))
-
-    ranking_ok = None
-    comparable_pairs = []
-    for a_pos in range(len(act)):
-        for b_pos in range(a_pos + 1, len(act)):
-            i, j = act[a_pos], act[b_pos]
-            ui, uj = problem.utilities[i], problem.utilities[j]
-            if ui != uj or type(ui).__name__ == "LinearUtility":
-                continue
-            le = bool(np.all(payments[i] <= payments[j] + 1e-12))
-            ge = bool(np.all(payments[i] >= payments[j] - 1e-12))
-            comparable_pairs.append(le or ge)
-    if comparable_pairs:
-        ranking_ok = all(comparable_pairs)
-
-    max_gap = max((g[-1] for g in gaps), default=0.0)
-    return RatioCheck(gaps=tuple(gaps), max_gap=float(max_gap), ranking_ok=ranking_ok)
-
-
 def check_cross_outcome_ratios(
     report: BalanceReport, contract: Contract, eq: EquilibriumResult, problem: Problem
 ) -> RatioCheck:
     """Per-agent marginal-utility ratios across paid outcome pairs, and the
     positive-slope requirement at every paid outcome."""
     payments = contract.payments
-    probs, dprobs, _ = outcome_probs(problem.outcomes, eq.performance)
+    probs, dprobs, _ = problem.outcomes.probs_derivs(eq.performance)
     marginals = _marginal_utilities(problem, payments)
 
     slopes_positive = True

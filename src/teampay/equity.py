@@ -18,13 +18,11 @@ import numpy as np
 from . import contract_opt
 from .contract_opt import _best_ascent, _Parametrization, optimize_general
 from .diagnostics import ACTIVITY_TOL, _FirstOrderObjects
-from .equilibrium import solve_equilibrium_general
 from .model import Contract, EquilibriumResult, EquityContract, ModelError, Problem
 
 __all__ = [
     "EquityResult",
     "induced_contract",
-    "solve_equity_equilibrium",
     "optimize_equity",
 ]
 
@@ -34,13 +32,6 @@ def induced_contract(problem: Problem, sigma: EquityContract) -> Contract:
     if sigma.n != problem.n:
         raise ModelError("share vector length does not match the problem")
     return Contract(np.outer(sigma.shares, problem.outcomes.revenues))
-
-
-def solve_equity_equilibrium(problem: Problem, sigma: EquityContract, init=None, *,
-                             tol: float = 1e-9) -> EquilibriumResult:
-    """Effort equilibrium under an equity contract: the general solver on
-    the induced payments, from ``init`` to tolerance ``tol``."""
-    return solve_equilibrium_general(problem, induced_contract(problem, sigma), init=init, tol=tol)
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ Agents choose nonnegative efforts; a production function aggregates efforts
 into a scalar team performance; performance drives a finite outcome
 distribution; the principal pays each agent a nonnegative amount per outcome.
 
-Everything here is an immutable value type plus pure evaluation helpers, so
+Everything here is an immutable value type with pure evaluation methods, so
 instances are safe to share across threads.  Construction is permissive:
 structural problems (asymmetric networks, bad parameters) are reported by
 ``validate_problem`` rather than raised at build time.
@@ -43,14 +43,9 @@ __all__ = [
     "EquilibriumResult",
     "ValidationReport",
     "validate_problem",
-    "production_eval",
-    "outcome_probs",
-    "utility_eval",
     "problem_from_dict",
     "problem_to_dict",
     "contract_from_dict",
-    "contract_to_dict",
-    "equity_from_dict",
 ]
 
 
@@ -838,32 +833,6 @@ class EquilibriumResult:
 
 
 # ---------------------------------------------------------------------------
-# spec operations
-# ---------------------------------------------------------------------------
-
-
-def production_eval(production: ProductionFunction, a) -> tuple[float, np.ndarray, np.ndarray]:
-    """Value, gradient, and Hessian of the production function at ``a``."""
-    a = np.asarray(a, dtype=float)
-    if np.any(a < 0):
-        raise DomainError("actions must be nonnegative")
-    return float(production.value(a)), production.gradient(a), production.hessian(a)
-
-
-def outcome_probs(model, y) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-outcome probabilities and their first two performance derivatives."""
-    return model.probs_derivs(y)
-
-
-def utility_eval(u: Utility, t) -> tuple[float, float]:
-    """Utility value and marginal; the marginal is +inf at 0 for Inada variants."""
-    t = float(t)
-    if t < 0:
-        raise DomainError("payments must be nonnegative")
-    return float(u.value(t)), float(u.marginal(t))
-
-
-# ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
 
@@ -1169,12 +1138,3 @@ def problem_to_dict(problem: Problem) -> dict:
 def contract_from_dict(d: dict) -> Contract:
     _take(d, "contract", ["payments"])
     return Contract(np.asarray(d["payments"], dtype=float))
-
-
-def contract_to_dict(contract: Contract) -> dict:
-    return {"payments": [[float(x) for x in row] for row in contract.payments]}
-
-
-def equity_from_dict(d: dict) -> EquityContract:
-    _take(d, "equity", ["shares"])
-    return EquityContract(np.asarray(d["shares"], dtype=float))

@@ -367,28 +367,19 @@ def brute_force_optimal_contract(problem: Problem, grid_resolution: float, bound
     return Contract(best_payments), float(best_payoff)
 
 
-def finite_diff(functional, point, step: float = 1e-6, *, richardson: bool = False):
+def finite_diff(functional, point, step: float = 1e-6):
     """Central-difference derivative of ``functional`` at ``point``.
 
     Scalar points give a scalar derivative; vector points give the gradient.
-    With ``richardson`` the h and h/2 estimates are extrapolated.
     """
-
-    def central(h):
-        p = np.asarray(point, dtype=float)
-        if p.ndim == 0:
-            return (functional(float(p) + h) - functional(float(p) - h)) / (2.0 * h)
-        out = np.empty(p.size)
-        for k in range(p.size):
-            up = p.copy()
-            dn = p.copy()
-            up[k] += h
-            dn[k] -= h
-            out[k] = (functional(up) - functional(dn)) / (2.0 * h)
-        return out
-
-    d1 = central(step)
-    if not richardson:
-        return d1
-    d2 = central(step / 2.0)
-    return (4.0 * np.asarray(d2) - np.asarray(d1)) / 3.0
+    p = np.asarray(point, dtype=float)
+    if p.ndim == 0:
+        return (functional(float(p) + step) - functional(float(p) - step)) / (2.0 * step)
+    out = np.empty(p.size)
+    for k in range(p.size):
+        up = p.copy()
+        dn = p.copy()
+        up[k] += step
+        dn[k] -= step
+        out[k] = (functional(up) - functional(dn)) / (2.0 * step)
+    return out

@@ -24,7 +24,6 @@ from .model import CapExceededError, ModelError, Network, SuccessProbability
 __all__ = [
     "StaticsError",
     "SweepCurve",
-    "ShareDerivatives",
     "dshare_dlink",
     "dperformance_dlink",
     "sweep",
@@ -36,17 +35,6 @@ __all__ = [
 
 class StaticsError(RuntimeError):
     pass
-
-
-@dataclass(frozen=True)
-class ShareDerivatives:
-    """``tensor[i, j, k]`` is the derivative of agent i's optimal payment in
-    the (j, k) link weight, the optimal total share's own response included;
-    entries involving inactive agents are zero and the j == k diagonal is
-    structurally zero."""
-
-    tensor: np.ndarray
-    active: tuple
 
 
 def _share_response(p: SuccessProbability, y: float, rate: float) -> float:
@@ -72,10 +60,15 @@ def _share_response(p: SuccessProbability, y: float, rate: float) -> float:
     return s_rate - s_y * pi_yr / pi_yy
 
 
-def dshare_dlink(network: Network, p: SuccessProbability, opt: OptimalContractResult) -> ShareDerivatives:
-    """Derivative of each active agent's optimal payment in each active link
-    weight.  Payments are ``tau = s * rate * t`` on the active set, with
-    ``t = Ginv @ 1``, ``rate = 1 / sum(t)`` and ``s`` the optimal total share;
+def dshare_dlink(network: Network, p: SuccessProbability, opt: OptimalContractResult) -> np.ndarray:
+    """Derivative of each agent's optimal payment in each link weight, as an
+    ``(n, n, n)`` array: ``[i, j, k]`` is the derivative of agent i's payment
+    in the (j, k) link weight, the optimal total share's own response
+    included.  Entries involving inactive agents are zero, and the j == k
+    diagonal is zero by construction.
+
+    Payments are ``tau = s * rate * t`` on the active set, with ``t = Ginv @
+    1``, ``rate = 1 / sum(t)`` and ``s`` the optimal total share;
     differentiating the inverse gives ``d rate / d G_jk = 2 t_j t_k rate^2``,
     and ``s`` follows the rate as ``_share_response`` says."""
     agents = np.asarray(opt.active_set, dtype=int)
@@ -110,7 +103,7 @@ def dshare_dlink(network: Network, p: SuccessProbability, opt: OptimalContractRe
     n = network.n
     tensor = np.zeros((n, n, n))
     tensor[np.ix_(agents, agents, agents)] = np.where(link[None, :, :], block, 0.0)
-    return ShareDerivatives(tensor=tensor, active=tuple(int(i) for i in agents))
+    return tensor
 
 
 def dperformance_dlink(p: SuccessProbability, opt: OptimalContractResult) -> np.ndarray:

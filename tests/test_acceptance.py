@@ -119,7 +119,7 @@ def test_criterion_03_balance_at_optimizer_outputs(optimizer_outputs):
         resid = rep.max_relative_residual()
         worst_resid = max(worst_resid, resid)
         assert resid < 1e-5, (name, resid)
-        probs, dprobs, _ = tp.outcome_probs(problem.outcomes, result.equilibrium.performance)
+        probs, dprobs, _ = problem.outcomes.probs_derivs(result.equilibrium.performance)
         ratios = [
             rep.lambda_by_outcome[s] * dprobs[s] / probs[s]
             for s in range(problem.n_outcomes)
@@ -257,7 +257,7 @@ def test_criterion_09_comparative_statics(optimizer_outputs):
         dn = tp.optimize_quadratic_binary(net.with_edge(j, k, net.weights[j, k] - h), KAPPA_HALF)
         assert up.active_set == opt.active_set == dn.active_set
         fd = (up.contract.payments[:, 1] - dn.contract.payments[:, 1]) / (2 * h)
-        rel = np.max(np.abs(ds.tensor[:, j, k] - fd)) / max(np.max(np.abs(fd)), 1e-12)
+        rel = np.max(np.abs(ds[:, j, k] - fd)) / max(np.max(np.abs(fd)), 1e-12)
         worst = max(worst, rel)
         assert rel < 1e-3
 
@@ -283,12 +283,12 @@ def test_criterion_10_outcome_structure(optimizer_outputs):
         s for i in range(2) for s in range(3) if opt_lin.contract.payments[i, s] > 0
     }
     assert len(paid_outcomes) == 1  # one common outcome across agents
-    probs, dprobs, _ = tp.outcome_probs(problem_lin.outcomes, opt_lin.equilibrium.performance)
+    probs, dprobs, _ = problem_lin.outcomes.probs_derivs(opt_lin.equilibrium.performance)
     ratios = probs / dprobs
     assert len(np.unique(np.round(ratios, 9))) == 3  # distinct outcome ratios
 
     problem_sq, opt_sq = optimizer_outputs["softmax_sqrt"]
-    _, dprobs_sq, _ = tp.outcome_probs(problem_sq.outcomes, opt_sq.equilibrium.performance)
+    _, dprobs_sq, _ = problem_sq.outcomes.probs_derivs(opt_sq.equilibrium.performance)
     for i in range(2):
         for s in range(3):
             if dprobs_sq[s] > 0:

@@ -715,7 +715,7 @@ def test_inada_activity_pattern():
     problem = softmax_instance([0.0, 2.0, 2.5], [1.5, 0.0, -1.0], [0.0, 2.0, 3.0],
                                clique(2), tp.SqrtUtility())
     result = tp.optimize_general(problem)
-    _, dprobs, _ = tp.outcome_probs(problem.outcomes, result.equilibrium.performance)
+    _, dprobs, _ = problem.outcomes.probs_derivs(result.equilibrium.performance)
     for i in range(2):
         for s in range(3):
             if dprobs[s] > 0:

@@ -237,15 +237,6 @@ def test_inactive_agent_rows_use_extended_centrality():
 # ---------------------------------------------------------------------------
 
 
-def test_cross_agent_ratios_vanish_at_symmetric_optimum():
-    net = clique(2)
-    opt = tp.optimize_quadratic_binary(net, KAPPA_HALF)
-    problem = quadratic_problem(net)
-    report = tp.compute_balance_report(problem, opt.contract, opt.equilibrium)
-    check = tp.check_cross_agent_ratios(report, opt.contract, problem)
-    assert check.max_gap < 1e-8
-
-
 def test_cross_outcome_vacuous_for_binary():
     net = clique(2)
     opt = tp.optimize_quadratic_binary(net, KAPPA_HALF)
@@ -264,7 +255,7 @@ def test_lambda_proportional_to_prob_over_slope():
     problem = softmax_instance(out_theta, out_shift, out_rev, clique(2), tp.SqrtUtility())
     opt = tp.optimize_general(problem)
     report = tp.compute_balance_report(problem, opt.contract, opt.equilibrium)
-    probs, dprobs, _ = tp.outcome_probs(problem.outcomes, opt.equilibrium.performance)
+    probs, dprobs, _ = problem.outcomes.probs_derivs(opt.equilibrium.performance)
     ratios = [
         report.lambda_by_outcome[s] * dprobs[s] / probs[s]
         for s in range(3)
@@ -298,7 +289,7 @@ def _three_solve_assembly(problem, contract, a):
     Sherman-Morrison on the rank-one probability-curvature term."""
     n = problem.n
     payments = contract.payments
-    _, dprobs, d2probs = tp.outcome_probs(problem.outcomes, float(problem.production.value(a)))
+    _, dprobs, d2probs = problem.outcomes.probs_derivs(float(problem.production.value(a)))
     u_levels = np.array([problem.utilities[i].value(payments[i]) for i in range(n)])
     u_marg = np.array([problem.utilities[i].marginal(payments[i]) for i in range(n)])
     grad = problem.production.gradient(a)

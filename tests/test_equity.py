@@ -16,26 +16,20 @@ def test_binary_equity_contract_equals_success_payments():
     contract = tp.induced_contract(problem, sigma)
     assert np.allclose(contract.payments[:, 0], 0.0)
     assert np.allclose(contract.payments[:, 1], [0.2, 0.3])
-    eq_equity = tp.solve_equity_equilibrium(problem, sigma, tol=1e-11)
-    eq_direct = tp.solve_equilibrium_general(problem, contract, tol=1e-11)
-    assert np.max(np.abs(eq_equity.actions - eq_direct.actions)) < 1e-12
 
 
 def test_zero_shares_zero_actions():
     problem = quadratic_problem(clique(3, 0.5))
-    eq = tp.solve_equity_equilibrium(problem, tp.EquityContract(np.zeros(3)))
+    eq = tp.solve_equilibrium_general(problem, tp.induced_contract(problem, tp.EquityContract(np.zeros(3))))
     assert np.all(eq.actions == 0.0)
 
 
 def test_three_outcome_equity_matches_expanded_contract():
     problem = softmax_instance([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [0.0, 1.0, 2.0],
                                network=clique(2), utility=tp.LinearUtility())
-    sigma = tp.EquityContract([0.2, 0.1])
-    eq_equity = tp.solve_equity_equilibrium(problem, sigma, tol=1e-11)
-    expanded = tp.Contract(np.outer([0.2, 0.1], problem.outcomes.revenues))
-    eq_direct = tp.solve_equilibrium_general(problem, expanded, tol=1e-11)
-    assert np.max(np.abs(eq_equity.actions - eq_direct.actions)) < 1e-12
-    assert eq_equity.performance == eq_direct.performance
+    contract = tp.induced_contract(problem, tp.EquityContract([0.2, 0.1]))
+    expanded = np.outer([0.2, 0.1], problem.outcomes.revenues)
+    assert np.array_equal(contract.payments, expanded)
 
 
 @pytest.fixture(scope="module")

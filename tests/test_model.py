@@ -81,26 +81,24 @@ def test_network_matrix_is_computed_once_and_read_only():
 def test_quadratic_production_known_point():
     prod = tp.QuadraticNetworkProduction(clique(2))
     a = np.array([1 / 7, 1 / 7])
-    y, grad, hess = tp.production_eval(prod, a)
-    assert y == pytest.approx(15 / 49, abs=1e-15)
-    assert grad == pytest.approx([8 / 7, 8 / 7], abs=1e-15)
-    assert np.allclose(hess, [[0, 1], [1, 0]])
+    assert prod.value(a) == pytest.approx(15 / 49, abs=1e-15)
+    assert prod.gradient(a) == pytest.approx([8 / 7, 8 / 7], abs=1e-15)
+    assert np.allclose(prod.hessian(a), [[0, 1], [1, 0]])
 
 
 def test_quadratic_production_at_zero_returns_standalone():
     prod = tp.QuadraticNetworkProduction(clique(3), np.array([1.0, 2.0, 0.5]))
-    y, grad, _ = tp.production_eval(prod, np.zeros(3))
-    assert y == 0.0
-    assert grad == pytest.approx([1.0, 2.0, 0.5])
+    assert prod.value(np.zeros(3)) == 0.0
+    assert prod.gradient(np.zeros(3)) == pytest.approx([1.0, 2.0, 0.5])
 
 
 def test_cobb_douglas_known_point_and_fd_hessian():
     prod = tp.CobbDouglasProduction([1.0, 2.0])
-    y, grad, hess = tp.production_eval(prod, np.array([1.0, 1.0]))
-    assert y == pytest.approx(1.0)
-    assert grad == pytest.approx([1.0, 2.0])
+    a = np.array([1.0, 1.0])
+    assert prod.value(a) == pytest.approx(1.0)
+    assert prod.gradient(a) == pytest.approx([1.0, 2.0])
     fd = fd_hessian(prod, [1.0, 1.0])
-    assert np.max(np.abs(hess - fd)) < 1e-6
+    assert np.max(np.abs(prod.hessian(a) - fd)) < 1e-6
 
 
 def test_cobb_douglas_gradient_rejects_zero_action():
@@ -249,7 +247,7 @@ def test_batched_partials_keep_the_domain_guard(prod):
 
 def test_linear_capped_probs_below_kink():
     model = tp.BinaryOutcomeModel(tp.LinearCappedSuccess(0.5))
-    p, dp, d2p = tp.outcome_probs(model, 0.4)
+    p, dp, d2p = model.probs_derivs(0.4)
     assert p == pytest.approx([0.8, 0.2])
     assert dp == pytest.approx([-0.5, 0.5])
     assert d2p == pytest.approx([0.0, 0.0])
@@ -258,19 +256,19 @@ def test_linear_capped_probs_below_kink():
 def test_linear_capped_raises_at_cap():
     model = tp.BinaryOutcomeModel(tp.LinearCappedSuccess(0.5))
     with pytest.raises(tp.CapExceededError):
-        tp.outcome_probs(model, 2.0)
+        model.probs_derivs(2.0)
 
 
 def test_softmax_flat_theta_has_zero_slopes():
     model = tp.SoftmaxOutcomeModel([0.0, 0.0, 0.0], [0.3, -0.2, 1.0], [0.0, 1.0, 2.0])
-    _, dp, _ = tp.outcome_probs(model, 0.7)
+    _, dp, _ = model.probs_derivs(0.7)
     assert np.max(np.abs(dp)) == 0.0
 
 
 def test_softmax_derivatives_match_fd():
     model = tp.SoftmaxOutcomeModel([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [0.0, 1.0, 2.0])
     y = 1.0
-    p, dp, d2p = tp.outcome_probs(model, y)
+    p, dp, d2p = model.probs_derivs(y)
     h = 1e-5
     p_up = model.probs(y + h)
     p_dn = model.probs(y - h)
@@ -287,7 +285,7 @@ def test_softmax_derivatives_match_fd():
 def test_probabilities_sum_to_one_and_slopes_to_zero(model):
     rng = np.random.default_rng(5)
     for y in rng.uniform(0.0, 2.0, size=100):
-        p, dp, _ = tp.outcome_probs(model, float(y))
+        p, dp, _ = model.probs_derivs(float(y))
         assert abs(p.sum() - 1.0) < 1e-12
         assert abs(dp.sum()) < 1e-12
         assert np.all(p > 0.0)
@@ -328,20 +326,14 @@ def test_batched_probs_derivs_raise_when_any_point_is_past_the_cap():
 # ---------------------------------------------------------------------------
 
 
-def test_utility_eval_examples():
-    assert tp.utility_eval(tp.LinearUtility(), 0.4) == (0.4, 1.0)
-    assert tp.utility_eval(tp.SqrtUtility(), 0.25) == (0.5, 1.0)
-    value, marginal = tp.utility_eval(tp.SqrtUtility(), 0.0)
-    assert value == 0.0 and marginal == np.inf
-    value, marginal = tp.utility_eval(tp.PowerUtility(0.6), 0.25)
-    assert value == pytest.approx(0.25 ** 0.6, rel=1e-15)
-    assert marginal == pytest.approx(0.6 * 0.25 ** -0.4, rel=1e-15)
-    assert tp.utility_eval(tp.PowerUtility(0.6), 0.0) == (0.0, np.inf)
-
-
-def test_utility_eval_rejects_negative():
-    with pytest.raises(tp.DomainError):
-        tp.utility_eval(tp.LinearUtility(), -0.1)
+def test_utility_value_and_marginal_examples():
+    lin, sq, pw = tp.LinearUtility(), tp.SqrtUtility(), tp.PowerUtility(0.6)
+    assert lin.value(0.4) == 0.4 and lin.marginal(0.4) == 1.0
+    assert sq.value(0.25) == 0.5 and sq.marginal(0.25) == 1.0
+    assert sq.value(0.0) == 0.0 and sq.marginal(0.0) == np.inf
+    assert pw.value(0.25) == pytest.approx(0.25 ** 0.6, rel=1e-15)
+    assert pw.marginal(0.25) == pytest.approx(0.6 * 0.25 ** -0.4, rel=1e-15)
+    assert pw.value(0.0) == 0.0 and pw.marginal(0.0) == np.inf
 
 
 def test_power_cost_curvature_at_zero():

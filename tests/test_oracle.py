@@ -184,9 +184,9 @@ def test_finite_diff_square():
     assert d == pytest.approx(6.0, abs=1e-9)
 
 
-def test_finite_diff_gradient_and_richardson():
+def test_finite_diff_gradient():
     f = lambda v: float(v[0] ** 2 + 3.0 * v[0] * v[1])
-    g = tp.finite_diff(f, np.array([1.0, 2.0]), 1e-5, richardson=True)
+    g = tp.finite_diff(f, np.array([1.0, 2.0]), 1e-5)
     assert g == pytest.approx([8.0, 3.0], abs=1e-9)
 
 

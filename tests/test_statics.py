@@ -43,7 +43,7 @@ def test_share_derivative_matches_reoptimization_fd():
         dn = tp.optimize_quadratic_binary(net.with_edge(j, k, net.weights[j, k] - h), KAPPA_HALF)
         assert up.active_set == opt.active_set == dn.active_set
         fd = (up.contract.payments[:, 1] - dn.contract.payments[:, 1]) / (2 * h)
-        rel = np.max(np.abs(ds.tensor[:, j, k] - fd)) / max(np.max(np.abs(fd)), 1e-12)
+        rel = np.max(np.abs(ds[:, j, k] - fd)) / max(np.max(np.abs(fd)), 1e-12)
         assert rel < 1e-3
 
 
@@ -51,8 +51,8 @@ def test_share_derivative_symmetric_on_symmetric_clique():
     net = clique(2)
     opt = tp.optimize_quadratic_binary(net, KAPPA_HALF)
     ds = tp.dshare_dlink(net, KAPPA_HALF, opt)
-    assert ds.tensor[0, 0, 1] == pytest.approx(ds.tensor[1, 0, 1], abs=1e-12)
-    assert ds.tensor[:, 0, 1] == pytest.approx(ds.tensor[:, 1, 0])
+    assert ds[0, 0, 1] == pytest.approx(ds[1, 0, 1], abs=1e-12)
+    assert ds[:, 0, 1] == pytest.approx(ds[:, 1, 0])
 
 
 def _share_response_loops(p, y, rate):
@@ -116,7 +116,7 @@ def test_share_derivative_arrays_match_the_elementwise_loops(p):
             continue
         ds = tp.dshare_dlink(net, p, opt)
         expected = _dshare_dlink_loops(net, p, opt)
-        assert np.array_equal(ds.tensor, expected)
+        assert np.array_equal(ds, expected)
 
 
 H = 1e-3  # link step of the re-optimization references
@@ -145,7 +145,7 @@ def _at_ceiling(p, opt):
 def test_share_derivative_matches_reoptimization_off_the_share_cubic(weights, p, link):
     net = tp.Network(np.array(weights, dtype=float))
     opt = tp.optimize_quadratic_binary(net, p)
-    ds = tp.dshare_dlink(net, p, opt).tensor[:, link[0], link[1]]
+    ds = tp.dshare_dlink(net, p, opt)[:, link[0], link[1]]
     fd, opts = _reoptimized_fd(net, p, *link, H)
     assert all(o.active_set == opt.active_set for o in opts)
     assert np.max(np.abs(ds - fd)) <= 1e-4 * np.max(np.abs(fd))
@@ -165,7 +165,7 @@ def test_share_derivative_matches_reoptimization_on_random_networks(n, seed, p):
     net = random_symmetric_network(np.random.default_rng(seed), n)
     opt = tp.optimize_quadratic_binary(net, p)
     assume(len(opt.active_set) >= 2)
-    ds = tp.dshare_dlink(net, p, opt).tensor
+    ds = tp.dshare_dlink(net, p, opt)
     tau = opt.contract.payments[:, 1]
     for j, k in itertools.combinations(opt.active_set, 2):
         fd_h, opts_h = _reoptimized_fd(net, p, j, k, H)
@@ -188,7 +188,7 @@ def test_own_link_derivative_initially_negative_in_figure_setup():
     net = figure_network(0.3)
     opt = tp.optimize_quadratic_binary(net, KAPPA_HALF)
     ds = tp.dshare_dlink(net, KAPPA_HALF, opt)
-    assert ds.tensor[1, 1, 2] < 0.0  # agent 2's own new link first lowers its pay
+    assert ds[1, 1, 2] < 0.0  # agent 2's own new link first lowers its pay
 
 
 # ---------------------------------------------------------------------------
