@@ -13,7 +13,7 @@ network = tp.Network([[0.0, 1.0], [1.0, 0.0]])
 binary = tp.quadratic_binary_problem(network, tp.LinearCappedSuccess(0.5))
 result = tp.optimize_equity(binary)
 print("binary outcomes")
-print("  shares             ", result.contract.shares)
+print("  shares             ", result.shares)
 print("  equity payoff      ", result.principal_payoff)
 print("  unrestricted payoff", result.unrestricted_payoff)
 
@@ -28,7 +28,7 @@ problem = tp.Problem(
 )
 result3 = tp.optimize_equity(problem)
 print("three outcomes")
-print("  shares             ", result3.contract.shares)
+print("  shares             ", result3.shares)
 print("  equity payoff      ", result3.principal_payoff)
 print("  unrestricted payoff", result3.unrestricted_payoff)
 print("  balance values     ", result3.balance_values, "(equal across paid agents)")

@@ -16,7 +16,6 @@ from .model import (
     Contract,
     DomainError,
     EquilibriumResult,
-    EquityContract,
     LinearCappedSuccess,
     LinearUtility,
     Log1pUtility,
@@ -34,7 +33,6 @@ from .model import (
     SqrtUtility,
     contract_from_dict,
     problem_from_dict,
-    problem_to_dict,
     validate_problem,
 )
 from .equilibrium import (

@@ -47,21 +47,19 @@ from .model import (
     validate_problem,
 )
 from .oracle import OracleError, best_response_iterate, brute_force_optimal_contract, contract_grid_size
-from .statics import StaticsError, dperformance_dlink, dshare_dlink, network_along, sweep, sweep_to_csv
+from .statics import _POINT_ERRORS, StaticsError, dperformance_dlink, dshare_dlink, network_along, sweep, sweep_to_csv
 
 __all__ = ["run", "main"]
 
 
 class _CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """Bad input or flags: exit code 1, error type ``input``."""
 
 
 class _Parser(argparse.ArgumentParser):
     # Map argparse usage errors onto exit code 1 with JSON on stderr.
     def error(self, message):
-        raise _CliError(message, 1)
+        raise _CliError(message)
 
 
 def format_float(x: float) -> str:
@@ -107,53 +105,47 @@ def _load_json(path: str) -> dict:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
     except FileNotFoundError as exc:
-        raise _CliError(f"file not found: {path}", 1) from exc
+        raise _CliError(f"file not found: {path}") from exc
+    except OSError as exc:
+        raise _CliError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _CliError(f"malformed JSON in {path}: {exc}", 1) from exc
+        raise _CliError(f"malformed JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise _CliError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def _load_problem(path: str) -> Problem:
-    try:
-        return problem_from_dict(_load_json(path))
-    except SchemaError as exc:
-        raise _CliError(str(exc), 1) from exc
+    return problem_from_dict(_load_json(path))
 
 
 def _load_contract(path: str, problem: Problem):
-    try:
-        contract = contract_from_dict(_load_json(path))
-    except SchemaError as exc:
-        raise _CliError(str(exc), 1) from exc
+    contract = contract_from_dict(_load_json(path))
     report = validate_contract(problem, contract)
     if not report.ok:
-        raise _CliError("; ".join(report.violations), 1)
+        raise _CliError("; ".join(report.violations))
     return contract
 
 
 def _require_valid(problem: Problem):
     report = validate_problem(problem)
     if not report.ok:
-        raise _CliError("invalid problem: " + "; ".join(report.violations), 1)
+        raise _CliError("invalid problem: " + "; ".join(report.violations))
 
 
 def _quadratic_binary_parts(problem: Problem):
     if not _is_quadratic_binary(problem):
-        raise _CliError(
-            "this command needs the quadratic-network binary environment "
-            "(linear utilities, unit quadratic costs)", 1,
-        )
+        raise _CliError("this command needs the quadratic-network binary environment "
+                        "(linear utilities, unit quadratic costs)")
     prod = problem.production
     if not np.all(prod.standalone == 1.0):
-        raise _CliError("closed-form path needs unit standalone coefficients; use --method general", 1)
+        raise _CliError("closed-form path needs unit standalone coefficients; use --method general")
     return prod.network, problem.outcomes.success
 
 
 def _separable_production(problem: Problem, cls, method: str, kind: str):
     if not isinstance(problem.production, cls) or not _is_binary_linear_unit(problem):
-        raise _CliError(
-            f"{method} method needs {kind} production, binary outcomes, linear utilities "
-            "and unit quadratic costs", 1,
-        )
+        raise _CliError(f"{method} method needs {kind} production, binary outcomes, linear utilities "
+                        "and unit quadratic costs")
     return problem.production
 
 
@@ -162,7 +154,7 @@ def _network_along(network, param: str):
     try:
         return network_along(network, param)
     except StaticsError as exc:
-        raise _CliError(str(exc), 1) from exc
+        raise _CliError(str(exc)) from exc
 
 
 # Most points a --grid may hold (each point is one optimization), and most
@@ -174,13 +166,13 @@ def _parse_grid(spec: str) -> np.ndarray:
     try:
         lo, hi, step = (float(x) for x in spec.split(":"))
     except ValueError as exc:
-        raise _CliError(f"cannot parse grid {spec!r}; expected lo:hi:step", 1) from exc
+        raise _CliError(f"cannot parse grid {spec!r}; expected lo:hi:step") from exc
     if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)) or step <= 0 or hi < lo:
-        raise _CliError(f"bad grid bounds {spec!r}: lo <= hi and step > 0 must be finite", 1)
+        raise _CliError(f"bad grid bounds {spec!r}: lo <= hi and step > 0 must be finite")
     # The slack keeps a grid whose last step lands on hi up to rounding (0:1:0.02).
     span = (hi - lo) / step + 1e-9
     if not span < _MAX_GRID_POINTS:
-        raise _CliError(f"grid {spec!r} has more than {_MAX_GRID_POINTS} points", 1)
+        raise _CliError(f"grid {spec!r} has more than {_MAX_GRID_POINTS} points")
     return lo + step * np.arange(int(np.floor(span)) + 1)
 
 
@@ -237,6 +229,8 @@ def _cmd_optimize(args) -> int:
 
 
 def _cmd_active_set(args) -> int:
+    if args.cap is not None and args.cap < 0:
+        raise _CliError(f"--cap must be non-negative, got {args.cap}")
     problem = _load_problem(args.problem)
     _require_valid(problem)
     network, _ = _quadratic_binary_parts(problem)
@@ -265,7 +259,7 @@ def _cmd_statics(args) -> int:
         print(dump_json(_statics_point(network, p)))
         return 0
     if network_at is None:
-        raise _CliError("--grid needs --param to know which parameter varies", 1)
+        raise _CliError("--grid needs --param to know which parameter varies")
     rows = []
     for value in _parse_grid(args.grid):
         net = network_at(float(value))
@@ -273,7 +267,7 @@ def _cmd_statics(args) -> int:
             point = _statics_point(net, p)
             point[args.param] = float(value)
             rows.append(point)
-        except (OptimizationError, EquilibriumError, StaticsError) as exc:
+        except _POINT_ERRORS as exc:
             rows.append({args.param: float(value), "error": str(exc)})
     print(dump_json({"parameter": args.param, "points": rows}))
     return 0
@@ -287,8 +281,11 @@ def _cmd_sweep(args) -> int:
     curve = sweep(network, p, args.param, _parse_grid(args.grid))
     text = sweep_to_csv(curve)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _CliError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
     else:
         sys.stdout.write(text)
     for value, err in zip(curve.grid, curve.errors):
@@ -301,21 +298,21 @@ def _cmd_equity(args) -> int:
     problem = _load_problem(args.problem)
     _require_valid(problem)
     result = optimize_equity(problem, compare_unrestricted=not args.no_compare)
-    print(dump_json(result.to_dict()))
+    print(dump_json(result))
     return 0
 
 
 def _cmd_verify(args) -> int:
     if not (math.isfinite(args.step) and args.step > 0):
-        raise _CliError(f"--step must be finite and positive, got {args.step!r}", 1)
+        raise _CliError(f"--step must be finite and positive, got {args.step!r}")
     if not (math.isfinite(args.bound) and args.bound >= 0):
-        raise _CliError(f"--bound must be finite and non-negative, got {args.bound!r}", 1)
+        raise _CliError(f"--bound must be finite and non-negative, got {args.bound!r}")
     problem = _load_problem(args.problem)
     _require_valid(problem)
     contracts = contract_grid_size(problem, args.step, (0.0, args.bound))
     if not contracts <= _MAX_GRID_POINTS:
         raise _CliError(f"--step {args.step!r} and --bound {args.bound!r} give a grid of {contracts:.4g} contracts, "
-                        f"more than {_MAX_GRID_POINTS}", 1)
+                        f"more than {_MAX_GRID_POINTS}")
 
     if _is_quadratic_binary(problem) and np.all(problem.production.standalone == 1.0):
         network, p = _quadratic_binary_parts(problem)
@@ -415,19 +412,19 @@ def run(argv=None) -> int:
         args = _build_parser().parse_args(argv)
     except _CliError as exc:
         print(_error_json("usage", str(exc)), file=sys.stderr)
-        return exc.code
+        return 1
     try:
         return args.fn(args)
-    except _CliError as exc:
+    except (_CliError, SchemaError) as exc:
         print(_error_json("input", str(exc)), file=sys.stderr)
-        return exc.code
+        return 1
     except (CapExceededError, EquilibriumError, OptimizationError, DiagnosticsError,
             StaticsError, ActiveSetError, OracleError, np.linalg.LinAlgError) as exc:
         # A cap overrun is a ModelError, but like a failed spectral condition it
         # means no interior equilibrium: a solver failure, not bad input.
         print(_error_json("solver", str(exc)), file=sys.stderr)
         return 2
-    except (SchemaError, ModelError) as exc:
+    except ModelError as exc:
         print(_error_json("validation", str(exc)), file=sys.stderr)
         return 1
 

@@ -11,14 +11,14 @@ nonnegative with a sum of at most 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import contract_opt
 from .contract_opt import _best_ascent, _Parametrization, optimize_general
 from .diagnostics import ACTIVITY_TOL, _FirstOrderObjects
-from .model import Contract, EquilibriumResult, EquityContract, ModelError, Problem
+from .model import Contract, EquilibriumResult, ModelError, Problem
 
 __all__ = [
     "EquityResult",
@@ -27,27 +27,22 @@ __all__ = [
 ]
 
 
-def induced_contract(problem: Problem, sigma: EquityContract) -> Contract:
-    """Per-outcome payments implied by the shares: ``tau[i, s] = sigma_i v_s``."""
-    if sigma.n != problem.n:
-        raise ModelError("share vector length does not match the problem")
-    return Contract(np.outer(sigma.shares, problem.outcomes.revenues))
+def induced_contract(problem: Problem, shares) -> Contract:
+    """Payments implied by a share vector of shape ``(n,)``: ``tau[i, s] = shares_i v_s``."""
+    if np.shape(shares) != (problem.n,):
+        raise ModelError(f"shares must have shape ({problem.n},), got {np.shape(shares)}")
+    return Contract(np.outer(shares, problem.outcomes.revenues))
 
 
 @dataclass(frozen=True)
 class EquityResult:
-    contract: EquityContract
+    shares: np.ndarray
     equilibrium: EquilibriumResult
     principal_payoff: float
     balance_values: np.ndarray | None
     balance_residual: float | None
     kkt_residual: float
     unrestricted_payoff: float | None = None
-
-    def to_dict(self) -> dict:
-        # The JSON names the contract by its shares.
-        return {"shares": self.contract.shares,
-                **{f.name: getattr(self, f.name) for f in fields(self) if f.name != "contract"}}
 
 
 def _project_shares(sigma: np.ndarray) -> np.ndarray:
@@ -70,7 +65,7 @@ def _shares(problem: Problem) -> _Parametrization:
     """Equity shares as the projected ascent's variable."""
     v = problem.outcomes.revenues
     return _Parametrization(
-        contract=lambda sigma: induced_contract(problem, EquityContract(sigma)),
+        contract=lambda sigma: induced_contract(problem, sigma),
         # Chain rule through tau[i, s] = sigma_i v_s; zero-revenue outcomes
         # have structurally pinned payments and drop out.
         pull_back=lambda grad: grad @ v,
@@ -81,7 +76,7 @@ def _shares(problem: Problem) -> _Parametrization:
 def _balance_values(problem: Problem, sigma: np.ndarray, eq: EquilibriumResult) -> np.ndarray | None:
     """Per-agent balance values, or None where the l factor vanishes and the
     centralities are unbounded."""
-    contract = induced_contract(problem, EquityContract(sigma))
+    contract = induced_contract(problem, sigma)
     obj = _FirstOrderObjects(problem, contract, eq)
     if obj.l_vanishes:
         return None
@@ -130,7 +125,7 @@ def optimize_equity(problem: Problem, *, compare_unrestricted: bool = True) -> E
         unrestricted = optimize_general(problem).principal_payoff
 
     return EquityResult(
-        contract=EquityContract(sigma),
+        shares=sigma,
         equilibrium=eq,
         principal_payoff=payoff,
         balance_values=vals,

@@ -12,6 +12,7 @@ structural problems (asymmetric networks, bad parameters) are reported by
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -39,12 +40,10 @@ __all__ = [
     "PowerCost",
     "Problem",
     "Contract",
-    "EquityContract",
     "EquilibriumResult",
     "ValidationReport",
     "validate_problem",
     "problem_from_dict",
-    "problem_to_dict",
     "contract_from_dict",
 ]
 
@@ -797,20 +796,6 @@ def _matrix_like(x) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class EquityContract:
-    """Fixed output shares: agent i is paid ``shares[i] * revenue`` per outcome."""
-
-    shares: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "shares", _vector(self.shares, "shares"))
-
-    @property
-    def n(self) -> int:
-        return self.shares.size
-
-
-@dataclass(frozen=True)
 class EquilibriumResult:
     """Effort-game equilibrium under a fixed contract.
 
@@ -967,8 +952,25 @@ def _take(d: dict, where: str, required: Sequence[str], optional: Sequence[str] 
     return d
 
 
+def _kind(d: dict, where: str):
+    if not isinstance(d, dict):
+        raise SchemaError(f"{where}: expected an object")
+    return d.get("type")
+
+
+@contextmanager
+def _malformed_values(where: str):
+    """A value of the wrong type or form (``"n": "x"``) is a SchemaError."""
+    try:
+        yield
+    except ModelError:
+        raise
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"{where}: malformed value: {exc}") from exc
+
+
 def _success_from_dict(d: dict, where: str) -> SuccessProbability:
-    kind = d.get("type")
+    kind = _kind(d, where)
     if kind == "linear_capped":
         _take(d, where, ["type", "slope"])
         return LinearCappedSuccess(slope=float(d["slope"]))
@@ -981,18 +983,8 @@ def _success_from_dict(d: dict, where: str) -> SuccessProbability:
     raise SchemaError(f"{where}: unknown success probability type {kind!r}")
 
 
-def _success_to_dict(p: SuccessProbability) -> dict:
-    if isinstance(p, LinearCappedSuccess):
-        return {"type": "linear_capped", "slope": p.slope}
-    if isinstance(p, LogisticSuccess):
-        return {"type": "logistic", "scale": p.scale, "shift": p.shift}
-    if isinstance(p, PowerSuccess):
-        return {"type": "power", "exponent": p.exponent}
-    raise SchemaError(f"cannot serialize success probability {type(p).__name__}")
-
-
 def _production_from_dict(d: dict, where: str) -> ProductionFunction:
-    kind = d.get("type")
+    kind = _kind(d, where)
     if kind == "quadratic_network":
         _take(d, where, ["type", "weights"], ["scale", "standalone"])
         net = Network(np.asarray(d["weights"], dtype=float), float(d.get("scale", 1.0)))
@@ -1014,29 +1006,8 @@ def _production_from_dict(d: dict, where: str) -> ProductionFunction:
     raise SchemaError(f"{where}: unknown production type {kind!r}")
 
 
-def _production_to_dict(p: ProductionFunction) -> dict:
-    if isinstance(p, QuadraticNetworkProduction):
-        return {
-            "type": "quadratic_network",
-            "weights": p.network.weights.tolist(),
-            "scale": p.network.scale,
-            "standalone": p.standalone.tolist(),
-        }
-    if isinstance(p, CobbDouglasProduction):
-        return {"type": "cobb_douglas", "shares": p.shares.tolist()}
-    if isinstance(p, CESProduction):
-        return {"type": "ces", "shares": p.shares.tolist(), "rho": p.rho, "returns": p.returns}
-    if isinstance(p, PolynomialProduction):
-        return {
-            "type": "polynomial",
-            "n": p.n_agents,
-            "terms": [{"coefficient": c, "powers": pw.tolist()} for c, pw in p.terms],
-        }
-    raise SchemaError(f"cannot serialize production {type(p).__name__}")
-
-
 def _outcomes_from_dict(d: dict, where: str):
-    kind = d.get("type")
+    kind = _kind(d, where)
     if kind == "binary_success":
         _take(d, where, ["type", "success"])
         return BinaryOutcomeModel(_success_from_dict(d["success"], where + ".success"))
@@ -1048,21 +1019,8 @@ def _outcomes_from_dict(d: dict, where: str):
     raise SchemaError(f"{where}: unknown outcome model type {kind!r}")
 
 
-def _outcomes_to_dict(m) -> dict:
-    if isinstance(m, BinaryOutcomeModel):
-        return {"type": "binary_success", "success": _success_to_dict(m.success)}
-    if isinstance(m, SoftmaxOutcomeModel):
-        return {
-            "type": "softmax",
-            "theta": m.theta.tolist(),
-            "shift": m.shift.tolist(),
-            "revenues": m.revenues.tolist(),
-        }
-    raise SchemaError(f"cannot serialize outcome model {type(m).__name__}")
-
-
 def _utility_from_dict(d: dict, where: str) -> Utility:
-    kind = d.get("type")
+    kind = _kind(d, where)
     if kind == "linear":
         _take(d, where, ["type"])
         return LinearUtility()
@@ -1078,27 +1036,11 @@ def _utility_from_dict(d: dict, where: str) -> Utility:
     raise SchemaError(f"{where}: unknown utility type {kind!r}")
 
 
-def _utility_to_dict(u: Utility) -> dict:
-    if isinstance(u, LinearUtility):
-        return {"type": "linear"}
-    if isinstance(u, SqrtUtility):
-        return {"type": "sqrt"}
-    if isinstance(u, PowerUtility):
-        return {"type": "power", "eta": u.eta}
-    if isinstance(u, Log1pUtility):
-        return {"type": "log1p"}
-    raise SchemaError(f"cannot serialize utility {type(u).__name__}")
-
-
 def _cost_from_dict(d: dict, where: str) -> PowerCost:
     _take(d, where, ["type"], ["scale", "exponent"])
     if d.get("type") != "power":
         raise SchemaError(f"{where}: unknown cost type {d.get('type')!r}")
     return PowerCost(scale=float(d.get("scale", 1.0)), exponent=float(d.get("exponent", 2.0)))
-
-
-def _cost_to_dict(c: PowerCost) -> dict:
-    return {"type": "power", "scale": c.scale, "exponent": c.exponent}
 
 
 def _per_agent(entries, n: int, where: str, parse) -> tuple:
@@ -1117,24 +1059,16 @@ def _per_agent(entries, n: int, where: str, parse) -> tuple:
 def problem_from_dict(d: dict) -> Problem:
     """Strict parser for the problem schema; rejects unknown fields."""
     _take(d, "problem", ["n", "production", "outcomes", "utilities", "costs"])
-    n = int(d["n"])
-    production = _production_from_dict(d["production"], "production")
-    outcomes = _outcomes_from_dict(d["outcomes"], "outcomes")
-    utilities = _per_agent(d["utilities"], n, "utilities", _utility_from_dict)
-    costs = _per_agent(d["costs"], n, "costs", _cost_from_dict)
-    return Problem(n=n, production=production, outcomes=outcomes, utilities=utilities, costs=costs)
-
-
-def problem_to_dict(problem: Problem) -> dict:
-    return {
-        "n": problem.n,
-        "production": _production_to_dict(problem.production),
-        "outcomes": _outcomes_to_dict(problem.outcomes),
-        "utilities": [_utility_to_dict(u) for u in problem.utilities],
-        "costs": [_cost_to_dict(c) for c in problem.costs],
-    }
+    with _malformed_values("problem"):
+        n = int(d["n"])
+        production = _production_from_dict(d["production"], "production")
+        outcomes = _outcomes_from_dict(d["outcomes"], "outcomes")
+        utilities = _per_agent(d["utilities"], n, "utilities", _utility_from_dict)
+        costs = _per_agent(d["costs"], n, "costs", _cost_from_dict)
+        return Problem(n=n, production=production, outcomes=outcomes, utilities=utilities, costs=costs)
 
 
 def contract_from_dict(d: dict) -> Contract:
     _take(d, "contract", ["payments"])
-    return Contract(np.asarray(d["payments"], dtype=float))
+    with _malformed_values("contract"):
+        return Contract(np.asarray(d["payments"], dtype=float))

@@ -19,7 +19,7 @@ import numpy as np
 from .contract_opt import (OptimalContractResult, OptimizationError, _balanced_share, _performance_ceiling,
                            _quadratic_closed_forms)
 from .equilibrium import EquilibriumError
-from .model import CapExceededError, ModelError, Network, SuccessProbability
+from .model import ModelError, Network, SuccessProbability
 
 __all__ = [
     "StaticsError",
@@ -35,6 +35,11 @@ __all__ = [
 
 class StaticsError(RuntimeError):
     pass
+
+
+# A grid point's own failures, which a grid records for that point and goes
+# on: the optimization, its equilibrium, the derivatives, or an invalid network.
+_POINT_ERRORS = (OptimizationError, EquilibriumError, StaticsError, ModelError)
 
 
 def _share_response(p: SuccessProbability, y: float, rate: float) -> float:
@@ -202,7 +207,7 @@ def sweep(network: Network, p: SuccessProbability, parameter: str, grid) -> Swee
     for start in range(0, m, chunk):
         optima = _quadratic_closed_forms([network_at(value) for value in grid[start:start + chunk]], p)
         for row, opt in enumerate(optima, start):
-            if isinstance(opt, (OptimizationError, EquilibriumError, CapExceededError, ModelError)):
+            if isinstance(opt, _POINT_ERRORS):
                 errors.append(str(opt))
                 active_sets.append(())
                 continue

@@ -11,7 +11,7 @@ import teampay as tp
 from teampay import cli
 from teampay.cli import dump_json, run
 
-from helpers import KAPPA_HALF, random_production
+from helpers import KAPPA_HALF
 
 
 TRIANGLE_PENDANT = {
@@ -99,6 +99,38 @@ def test_malformed_json_exits_one(files, capsys):
     assert run(["validate", str(path)]) == 1
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "input"
+
+
+@pytest.mark.parametrize("problem, contract, kind, message", [
+    ({**FIGURE, "n": "x"}, None, "input", "problem: malformed value: invalid literal for int()"),
+    ({**FIGURE, "utilities": 5}, None, "input", "problem: malformed value: object of type 'int' has no len()"),
+    ({**FIGURE, "production": 5}, None, "input", "production: expected an object"),
+    (FIGURE, {"payments": "abc"}, "input", "contract: malformed value: could not convert string to float: 'abc'"),
+    ("a directory", None, "input", "cannot read"),
+    (b'{"n": "\xff"}', None, "input", "is not UTF-8 text"),
+    # A ModelError raised while building the model stays a validation error.
+    (FIGURE, {"payments": [0.1, 0.2, 0.3]}, "validation", "payments must be a 2-d array"),
+], ids=["n-not-int", "utilities-int", "production-int", "payments-string", "directory", "not-utf8",
+        "payments-1d"])
+def test_malformed_input_file_is_one_json_error(tmp_path, capsys, problem, contract, kind, message):
+    path = tmp_path / "problem.json"
+    if problem == "a directory":
+        path.mkdir()
+    elif isinstance(problem, bytes):
+        path.write_bytes(problem)
+    else:
+        path.write_text(json.dumps(problem))
+    argv = ["validate", str(path)]
+    if contract is not None:
+        contract_path = tmp_path / "contract.json"
+        contract_path.write_text(json.dumps(contract))
+        argv = ["equilibrium", str(path), "--contract", str(contract_path)]
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == kind
+    assert message in err["message"]
 
 
 # Tuning values that are module constants, not flags, on the subcommands
@@ -281,6 +313,27 @@ def test_active_set_budget_stop_exits_two(files, capsys):
     assert "budget of 2 branch-and-bound nodes" in err["message"]
 
 
+@pytest.mark.parametrize("which", ["0/1", "weighted"])
+def test_negative_cap_is_an_input_error(files, capsys, which):
+    _, problem, figure, _ = files
+    assert run(["active-set", str(problem if which == "0/1" else figure), "--cap", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    err = json.loads(captured.err)["error"]
+    assert err == {"type": "input", "message": "--cap must be non-negative, got -1"}
+
+
+def test_sweep_out_to_a_missing_directory_is_an_input_error(files, capsys):
+    tmp, _, figure, _ = files
+    out = tmp / "missing" / "x.csv"
+    assert run(["sweep", str(figure), "--param", "G23", "--grid", "0:1:0.5", "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "input"
+    assert err["message"].startswith(f"cannot write {out}")
+
+
 def test_sweep_csv_and_round_trip(files, capsys):
     _, _, figure, _ = files
     assert run(["sweep", str(figure), "--param", "G23", "--grid", "0:1:0.25"]) == 0
@@ -429,17 +482,31 @@ def test_negative_zero_survives_the_json_round_trip():
 def test_problem_and_contract_round_trip_bit_exactly():
     rng = np.random.default_rng(20240611)
     n = 3
-    problem = tp.Problem(
-        n=n, production=random_production("polynomial", n, rng),
-        outcomes=tp.SoftmaxOutcomeModel(np.sort(rng.uniform(0.0, 2.5, size=3)), rng.uniform(-0.5, 0.5, size=3),
-                                        rng.uniform(0.0, 2.0, size=3)),
-        utilities=(tp.SqrtUtility(), tp.LinearUtility(), tp.SqrtUtility()),
-        costs=tuple(tp.PowerCost(float(rng.uniform(0.5, 2.0)), float(rng.uniform(1.5, 3.0))) for _ in range(n)),
-    )
+    terms = [(float(rng.uniform(0.2, 1.0)), [int(k) for k in rng.integers(0, 3, size=n)]) for _ in range(3)]
+    theta, shift, revenues = (np.sort(rng.uniform(0.0, 2.5, size=3)), rng.uniform(-0.5, 0.5, size=3),
+                              rng.uniform(0.0, 2.0, size=3))
+    costs = [(float(rng.uniform(0.5, 2.0)), float(rng.uniform(1.5, 3.0))) for _ in range(n)]
+    source = {
+        "n": n,
+        "production": {"type": "polynomial", "n": n,
+                       "terms": [{"coefficient": c, "powers": powers} for c, powers in terms]},
+        "outcomes": {"type": "softmax", "theta": theta.tolist(), "shift": shift.tolist(),
+                     "revenues": revenues.tolist()},
+        "utilities": [{"type": "sqrt"}, {"type": "linear"}, {"type": "sqrt"}],
+        "costs": [{"type": "power", "scale": scale, "exponent": exponent} for scale, exponent in costs],
+    }
+    problem = tp.problem_from_dict(json.loads(dump_json(source)))
+
+    def bits(*xs):
+        return [np.asarray(x, dtype=float).tobytes() for x in xs]
+
+    assert bits(*(x for term in problem.production.terms for x in term)) == bits(*(x for term in terms for x in term))
+    out = problem.outcomes
+    assert bits(out.theta, out.shift, out.revenues) == bits(theta, shift, revenues)
+    assert bits(*((c.scale, c.exponent) for c in problem.costs)) == bits(*costs)
+    assert [type(u) for u in problem.utilities] == [tp.SqrtUtility, tp.LinearUtility, tp.SqrtUtility]
     payments = rng.uniform(0.0, 1.0, size=(n, 3))
     payments[0, 0] = -0.0
-    text = dump_json(tp.problem_to_dict(problem))
-    assert dump_json(tp.problem_to_dict(tp.problem_from_dict(json.loads(text)))) == text
     back = tp.contract_from_dict(json.loads(dump_json(tp.Contract(payments))))
     assert back.payments.tobytes() == payments.tobytes()
 
@@ -526,6 +593,23 @@ def test_statics_grid(files, capsys):
     assert out["parameter"] == "G23"
     assert len(out["points"]) == 3
     assert out["points"][0]["G23"] == 0.2
+
+
+def test_statics_grid_records_the_failures_that_sweep_records(files, capsys):
+    # A negative G12 makes the figure network invalid at -1 and -0.5.
+    _, _, figure, _ = files
+    assert run(["sweep", str(figure), "--param", "G12", "--grid=-1:1:0.5"]) == 0
+    warnings = capsys.readouterr().err.strip().split("\n")
+    message = "network matrix must be symmetric and nonnegative"
+    assert warnings == [f"warning: G12={v}: {message}" for v in ("-1", "-0.5")]
+    assert run(["statics", str(figure), "--param", "G12", "--grid=-1:1:0.5"]) == 0
+    captured = capsys.readouterr()
+    assert not captured.err
+    points = json.loads(captured.out)["points"]
+    assert points[:2] == [{"G12": -1.0, "error": message}, {"G12": -0.5, "error": message}]
+    assert run(["statics", str(figure), "--param", "G12", "--grid", "0:1:0.5"]) == 0
+    valid = json.loads(capsys.readouterr().out)["points"]
+    assert [dump_json(point) for point in points[2:]] == [dump_json(point) for point in valid]
 
 
 @pytest.mark.parametrize("command, param, message", [

@@ -12,24 +12,29 @@ THREE_OUTCOME = dict(theta=[0.0, 2.0, 2.5], shift=[1.5, 0.0, -1.0], revenues=[0.
 
 def test_binary_equity_contract_equals_success_payments():
     problem = quadratic_problem(clique(2))
-    sigma = tp.EquityContract([0.2, 0.3])
-    contract = tp.induced_contract(problem, sigma)
+    contract = tp.induced_contract(problem, [0.2, 0.3])
     assert np.allclose(contract.payments[:, 0], 0.0)
     assert np.allclose(contract.payments[:, 1], [0.2, 0.3])
 
 
 def test_zero_shares_zero_actions():
     problem = quadratic_problem(clique(3, 0.5))
-    eq = tp.solve_equilibrium_general(problem, tp.induced_contract(problem, tp.EquityContract(np.zeros(3))))
+    eq = tp.solve_equilibrium_general(problem, tp.induced_contract(problem, np.zeros(3)))
     assert np.all(eq.actions == 0.0)
 
 
 def test_three_outcome_equity_matches_expanded_contract():
     problem = softmax_instance([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], [0.0, 1.0, 2.0],
                                network=clique(2), utility=tp.LinearUtility())
-    contract = tp.induced_contract(problem, tp.EquityContract([0.2, 0.1]))
+    contract = tp.induced_contract(problem, [0.2, 0.1])
     expanded = np.outer([0.2, 0.1], problem.outcomes.revenues)
     assert np.array_equal(contract.payments, expanded)
+
+
+@pytest.mark.parametrize("shares", [[0.2, 0.3, 0.1], [[0.2, 0.3]], 0.2])
+def test_induced_contract_needs_one_share_per_agent(shares):
+    with pytest.raises(tp.ModelError, match=r"shares must have shape \(2,\)"):
+        tp.induced_contract(quadratic_problem(clique(2)), shares)
 
 
 @pytest.fixture(scope="module")
@@ -45,7 +50,7 @@ def test_binary_equity_attains_unrestricted_payoff(binary_equity_result):
 
 def test_symmetric_equity_shares_and_balance(binary_equity_result):
     res = binary_equity_result
-    assert res.contract.shares[0] == pytest.approx(res.contract.shares[1], abs=1e-6)
+    assert res.shares[0] == pytest.approx(res.shares[1], abs=1e-6)
     assert res.balance_residual < 1e-6
     assert res.kkt_residual < 1e-8
 

@@ -1,13 +1,16 @@
 """The benchmark's workloads, run as tests: every CLI call of one pass of
 ``closed_form``, ``general_path`` and ``oracle_verify``, and the quadratic
 ``optimize`` calls of ``large_network``, must pass their output checks
-against the recorded references.  Reads
+against the recorded references, and the set-up probe must parse and
+validate the problem files in a fresh process.  Reads
 ``perfbench/`` and writes only into the test's temporary directory."""
 
 import contextlib
 import importlib.util
 import io
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -15,7 +18,8 @@ import pytest
 
 from teampay.cli import run
 
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH = ROOT / "perfbench"
 
 
 def _workloads(monkeypatch):
@@ -68,3 +72,24 @@ def test_large_network_optimize_calls_pass_their_reference_checks(tmp_path, monk
     methods = {label: json.loads(_run_checked(call))["method"] for label, call in optimize.items()}
     # The unweighted G(40, 0.5) graph takes the clique search, not the fallback.
     assert methods == dict.fromkeys(optimize, "quadratic_closed_form")
+
+
+def _setup_probe(paths) -> subprocess.CompletedProcess:
+    """``perfbench/setup_probe.py`` in a fresh process, as the benchmark's
+    ``setup_s`` runs it."""
+    return subprocess.run([sys.executable, str(PERFBENCH / "setup_probe.py"), *map(str, paths)],
+                          capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+
+
+def test_setup_probe_parses_and_validates_the_problem_files(tmp_path, monkeypatch):
+    workloads = _workloads(monkeypatch)
+    problems, _ = workloads.build("closed_form", 1, tmp_path, None)
+    assert problems
+    probe = _setup_probe(problems)
+    assert (probe.returncode, probe.stdout) == (0, f"{len(problems)}\n"), probe.stderr
+    asymmetric = tmp_path / "asymmetric.json"
+    asymmetric.write_text(json.dumps(workloads._quadratic([[0, 1, 0.8], [0, 0, 0], [0.8, 0, 0]])))
+    probe = _setup_probe([asymmetric])
+    assert probe.returncode == 1 and not probe.stdout
+    assert probe.stderr.startswith(f"invalid problem {asymmetric}: ")

@@ -343,7 +343,13 @@ def test_sweep_and_statics_grid_build_no_balance_report(monkeypatch, tmp_path, c
     curve = tp.sweep(figure_network(), KAPPA_HALF, "G23", cli._parse_grid("0:1:0.02"))
     assert curve.grid.size == 51 and not any(curve.errors)
     path = tmp_path / "figure.json"
-    path.write_text(json.dumps(tp.problem_to_dict(contract_opt.quadratic_binary_problem(figure_network(), KAPPA_HALF))))
+    path.write_text(json.dumps({
+        "n": 3,
+        "production": {"type": "quadratic_network", "weights": figure_network().weights.tolist()},
+        "outcomes": {"type": "binary_success", "success": {"type": "linear_capped", "slope": KAPPA_HALF.slope}},
+        "utilities": {"type": "linear"},
+        "costs": {"type": "power"},
+    }))
     assert cli.run(["statics", str(path), "--param", "G23", "--grid", "0.2:0.6:0.2"]) == 0
     assert len(json.loads(capsys.readouterr().out)["points"]) == 3
     assert balance_reports == []
