@@ -44,8 +44,6 @@ from .equilibrium import (
 from .diagnostics import (
     BalanceReport,
     DiagnosticsError,
-    RatioCheck,
-    check_cross_outcome_ratios,
     compute_balance_report,
     marginal_performance,
 )
@@ -71,6 +69,6 @@ from .statics import (
     sweep_to_csv,
 )
 from .equity import EquityResult, induced_contract, optimize_equity
-from .oracle import OracleError, best_response_iterate, brute_force_optimal_contract, finite_diff
+from .oracle import OracleError, best_response_iterate, brute_force_optimal_contract
 
 __version__ = "0.1.0"

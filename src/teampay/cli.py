@@ -10,6 +10,7 @@ input error, 2 solver failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -101,9 +102,13 @@ def dump_json(obj) -> str:
 
 
 def _load_json(path: str) -> dict:
+    def non_finite(literal):
+        raise _CliError(f"non-finite number {literal} in {path}")
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            # The hook sees only the literals NaN, Infinity and -Infinity.
+            return json.load(fh, parse_constant=non_finite)
     except FileNotFoundError as exc:
         raise _CliError(f"file not found: {path}") from exc
     except OSError as exc:
@@ -278,16 +283,14 @@ def _cmd_sweep(args) -> int:
     _require_valid(problem)
     network, p = _quadratic_binary_parts(problem)
     _network_along(network, args.param)
-    curve = sweep(network, p, args.param, _parse_grid(args.grid))
-    text = sweep_to_csv(curve)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise _CliError(f"cannot write {args.out}: {exc.strerror or exc}") from exc
-    else:
-        sys.stdout.write(text)
+    grid = _parse_grid(args.grid)
+    # --out is opened before the sweep, so an unwritable path solves no grid point.
+    try:
+        with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+            curve = sweep(network, p, args.param, grid)
+            fh.write(sweep_to_csv(curve))
+    except OSError as exc:
+        raise _CliError(f"cannot write {args.out or 'stdout'}: {exc.strerror or exc}") from exc
     for value, err in zip(curve.grid, curve.errors):
         if err:
             print(f"warning: {args.param}={value:g}: {err}", file=sys.stderr)

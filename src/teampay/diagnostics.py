@@ -2,10 +2,10 @@
 
 Computes the curvature / productivity / spillover / payment-sensitivity
 objects, agent centralities, the analytic performance-derivative matrix
-dY/dtau, fitted per-outcome balance constants with residuals, and the
-cross-outcome ratio identity that holds at optimal contracts.  The
+dY/dtau, and fitted per-outcome balance constants with residuals.  The
 cross-agent law is the balance condition itself, which
-``BalanceReport.balance_residuals`` certifies.
+``BalanceReport.balance_residuals`` certifies; the per-outcome constants
+``BalanceReport.lambda_by_outcome`` carry the cross-outcome law.
 
 Every first-order object comes from one Jacobian ``J`` of the agents'
 first-order conditions on the active agents (assembled by the general
@@ -27,10 +27,8 @@ from .model import Contract, EquilibriumResult, Problem
 __all__ = [
     "DiagnosticsError",
     "BalanceReport",
-    "RatioCheck",
     "compute_balance_report",
     "marginal_performance",
-    "check_cross_outcome_ratios",
     "ACTIVITY_TOL",
 ]
 
@@ -78,25 +76,6 @@ class BalanceReport:
         return float(np.max(vals)) if vals.size else 0.0
 
 
-@dataclass(frozen=True)
-class RatioCheck:
-    """Identity gaps for the cross-outcome ratio law.
-
-    ``gaps`` holds ``(agent, outcome, outcome, gap)`` tuples; ``max_gap`` is
-    0 when no agent is paid at two outcomes (vacuous pass).
-    ``slopes_positive`` reports whether every paid outcome has a positive
-    probability slope at the equilibrium performance.
-    """
-
-    gaps: tuple
-    max_gap: float
-    slopes_positive: bool
-
-
-def _marginal_utilities(problem: Problem, payments: np.ndarray) -> np.ndarray:
-    return np.array([problem.utilities[i].marginal(payments[i]) for i in range(problem.n)])
-
-
 class _FirstOrderObjects:
     """The balance objects and the dY/dtau matrix, from the agents'
     first-order Jacobian ``J`` on the active agents and one solve of
@@ -114,7 +93,7 @@ class _FirstOrderObjects:
         self.inactive = inact = np.flatnonzero(a <= ACTIVITY_TOL)
 
         u_levels = np.array([problem.utilities[i].value(payments[i]) for i in range(n)])
-        self.u_marginals = _marginal_utilities(problem, payments)
+        self.u_marginals = np.array([problem.utilities[i].marginal(payments[i]) for i in range(n)])
         system = _first_order(problem, u_levels, a, act)
         self.probs, self.dprobs = system.probs, system.dprobs
         grad, curv = system.grad, system.curv
@@ -269,30 +248,3 @@ def compute_balance_report(problem: Problem, contract: Contract, eq: Equilibrium
 def marginal_performance(problem: Problem, contract: Contract, eq: EquilibriumResult) -> np.ndarray:
     """Analytic dY/dtau_i(s) matrix, shape (n, n_outcomes)."""
     return _FirstOrderObjects(problem, contract, eq).performance_gradient()
-
-
-def check_cross_outcome_ratios(
-    report: BalanceReport, contract: Contract, eq: EquilibriumResult, problem: Problem
-) -> RatioCheck:
-    """Per-agent marginal-utility ratios across paid outcome pairs, and the
-    positive-slope requirement at every paid outcome."""
-    payments = contract.payments
-    probs, dprobs, _ = problem.outcomes.probs_derivs(eq.performance)
-    marginals = _marginal_utilities(problem, payments)
-
-    slopes_positive = True
-    gaps = []
-    for i in report.active_agents:
-        paid = [s for s in range(payments.shape[1]) if payments[i, s] > 0.0]
-        for s in paid:
-            if dprobs[s] <= 0.0:
-                slopes_positive = False
-        for a_pos in range(len(paid)):
-            for b_pos in range(a_pos + 1, len(paid)):
-                s1, s2 = paid[a_pos], paid[b_pos]
-                lhs = marginals[i, s1] / marginals[i, s2]
-                rhs = (probs[s1] / dprobs[s1]) * (dprobs[s2] / probs[s2])
-                gaps.append((i, s1, s2, abs(lhs - rhs)))
-
-    max_gap = max((g[-1] for g in gaps), default=0.0)
-    return RatioCheck(gaps=tuple(gaps), max_gap=float(max_gap), slopes_positive=slopes_positive)

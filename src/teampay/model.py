@@ -12,8 +12,9 @@ structural problems (asymmetric networks, bad parameters) are reported by
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Sequence
 
 import numpy as np
@@ -849,6 +850,15 @@ def _validate_network(net: Network, report: ValidationReport, where: str):
         report.add(f"{where}: network scale must be nonnegative")
 
 
+def _numbers(part) -> list:
+    """Every number a model part holds in its fields, recursively, as arrays."""
+    if isinstance(part, tuple):
+        return [x for item in part for x in _numbers(item)]
+    if is_dataclass(part):
+        return [x for f in fields(part) for x in _numbers(getattr(part, f.name))]
+    return [] if part is None else [np.ravel(part)]
+
+
 def validate_problem(problem: Problem) -> ValidationReport:
     """Report every structural violation; empty report iff well-formed."""
     report = ValidationReport()
@@ -857,6 +867,11 @@ def validate_problem(problem: Problem) -> ValidationReport:
 
     if prod.n != n:
         report.add(f"production dimension {prod.n} does not match agent count {n}")
+    # Costs are checked agent by agent below; the one utility parameter, a
+    # power eta, must lie in (0, 1), which no NaN or infinity does.
+    for where, part in (("production", prod), ("outcomes", problem.outcomes)):
+        if not all(np.isfinite(x).all() for x in _numbers(part)):
+            report.add(f"{where}: parameters must be finite")
 
     if isinstance(prod, QuadraticNetworkProduction):
         _validate_network(prod.network, report, "production")
@@ -915,6 +930,8 @@ def validate_problem(problem: Problem) -> ValidationReport:
     if len(problem.costs) != n:
         report.add(f"costs: expected {n} entries, got {len(problem.costs)}")
     for i, c in enumerate(problem.costs):
+        if not (math.isfinite(c.scale) and math.isfinite(c.exponent)):
+            report.add(f"costs[{i}]: scale and exponent must be finite")
         if c.scale <= 0:
             report.add(f"costs[{i}]: scale must be strictly positive")
         if c.exponent < 2:
@@ -932,6 +949,8 @@ def validate_contract(problem: Problem, contract: Contract) -> ValidationReport:
         )
     if np.any(contract.payments < 0):
         report.add("contract: payments must be nonnegative")
+    if not np.isfinite(contract.payments).all():
+        report.add("contract: payments must be finite")
     return report
 
 
@@ -1046,13 +1065,10 @@ def _cost_from_dict(d: dict, where: str) -> PowerCost:
 def _per_agent(entries, n: int, where: str, parse) -> tuple:
     """One parsed entry per agent; a single object shared by every agent is
     parsed once, as entry 0."""
-    shared = isinstance(entries, dict)
-    if shared:
-        entries = [entries] * n
+    if isinstance(entries, dict):
+        return (parse(entries, f"{where}[0]"),) * n
     if len(entries) != n:
         raise SchemaError(f"{where}: expected {n} entries, got {len(entries)}")
-    if shared:
-        return tuple(parse(e, f"{where}[0]") for e in entries[:1]) * n
     return tuple(parse(e, f"{where}[{i}]") for i, e in enumerate(entries))
 
 
@@ -1062,6 +1078,9 @@ def problem_from_dict(d: dict) -> Problem:
     with _malformed_values("problem"):
         n = int(d["n"])
         production = _production_from_dict(d["production"], "production")
+        # Before any per-agent tuple is built: a shared entry would expand to n.
+        if n != production.n:
+            raise SchemaError(f"problem: production dimension {production.n} does not match agent count {n}")
         outcomes = _outcomes_from_dict(d["outcomes"], "outcomes")
         utilities = _per_agent(d["utilities"], n, "utilities", _utility_from_dict)
         costs = _per_agent(d["costs"], n, "costs", _cost_from_dict)

@@ -2,9 +2,8 @@
 
 Everything here is deliberately primitive: equilibria come from grid-argmax
 best responses (not first-order conditions), optima from exhaustive payoff
-grids, derivatives from finite differences.  The module shares no solver
-code with the analytic paths; it imports the domain types only, so a bug in
-the main solvers cannot leak in.
+grids.  The module shares no solver code with the analytic paths; it
+imports the domain types only, so a bug in the main solvers cannot leak in.
 
 The best-response iteration runs a batch of contracts at once: every array
 carries a leading contract axis, each row keeps its own tolerances, window,
@@ -32,7 +31,6 @@ __all__ = [
     "best_response_iterate",
     "brute_force_optimal_contract",
     "contract_grid_size",
-    "finite_diff",
 ]
 
 # Points of one windowed scan or zoom.
@@ -365,21 +363,3 @@ def brute_force_optimal_contract(problem: Problem, grid_resolution: float, bound
     if best_payments is None:
         raise OracleError("no grid point produced a solvable equilibrium")
     return Contract(best_payments), float(best_payoff)
-
-
-def finite_diff(functional, point, step: float = 1e-6):
-    """Central-difference derivative of ``functional`` at ``point``.
-
-    Scalar points give a scalar derivative; vector points give the gradient.
-    """
-    p = np.asarray(point, dtype=float)
-    if p.ndim == 0:
-        return (functional(float(p) + step) - functional(float(p) - step)) / (2.0 * step)
-    out = np.empty(p.size)
-    for k in range(p.size):
-        up = p.copy()
-        dn = p.copy()
-        up[k] += step
-        dn[k] -= step
-        out[k] = (functional(up) - functional(dn)) / (2.0 * step)
-    return out

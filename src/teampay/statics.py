@@ -28,7 +28,6 @@ __all__ = [
     "dperformance_dlink",
     "sweep",
     "sweep_to_csv",
-    "parse_parameter",
     "network_along",
 ]
 
@@ -153,25 +152,20 @@ class SweepCurve:
     errors: tuple
 
 
-def parse_parameter(parameter: str, n: int):
-    """Sweep parameter name: ``beta`` for the global complementarity scale,
-    or a 1-based link name like ``G23`` (``G2_13`` past nine agents)."""
+def network_along(network: Network, parameter: str):
+    """The network at each value of a sweep parameter, as a function of the
+    value: ``beta`` scales every link weight; a 1-based link name like
+    ``G23`` (``G2_13`` past nine agents) sets that weight."""
     if parameter == "beta":
-        return ("beta", None)
+        return network.with_scale
     m = re.fullmatch(r"G(\d+)_(\d+)", parameter) or re.fullmatch(r"G(\d)(\d)", parameter)
     if not m:
         raise StaticsError(f"cannot parse parameter {parameter!r}; expected 'beta' or 'Gij'")
     i, j = int(m.group(1)) - 1, int(m.group(2)) - 1
+    n = network.n
     if not (0 <= i < n and 0 <= j < n) or i == j:
         raise StaticsError(f"link {parameter!r} is out of range for {n} agents")
-    return ("edge", (i, j))
-
-
-def network_along(network: Network, parameter: str):
-    """The network at each value of a sweep parameter, as a function of the
-    value: ``beta`` scales every link weight, a link name sets that weight."""
-    kind, edge = parse_parameter(parameter, network.n)
-    return network.with_scale if kind == "beta" else partial(network.with_edge, *edge)
+    return partial(network.with_edge, i, j)
 
 
 # Network-matrix entries per chunk of grid points that ``sweep`` solves

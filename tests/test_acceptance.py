@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 status lines.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -288,7 +290,7 @@ def test_criterion_10_outcome_structure(optimizer_outputs):
     assert len(np.unique(np.round(ratios, 9))) == 3  # distinct outcome ratios
 
     problem_sq, opt_sq = optimizer_outputs["softmax_sqrt"]
-    _, dprobs_sq, _ = problem_sq.outcomes.probs_derivs(opt_sq.equilibrium.performance)
+    probs_sq, dprobs_sq, _ = problem_sq.outcomes.probs_derivs(opt_sq.equilibrium.performance)
     for i in range(2):
         for s in range(3):
             if dprobs_sq[s] > 0:
@@ -296,13 +298,24 @@ def test_criterion_10_outcome_structure(optimizer_outputs):
             else:
                 assert opt_sq.contract.payments[i, s] == 0
     rep = tp.compute_balance_report(problem_sq, opt_sq.contract, opt_sq.equilibrium)
-    check = tp.check_cross_outcome_ratios(rep, opt_sq.contract, opt_sq.equilibrium, problem_sq)
-    assert check.gaps  # at least one co-paid outcome pair
-    assert check.max_gap < 1e-4
-    assert check.slopes_positive
+    # Cross-outcome law: an active agent paid at outcomes s and t has
+    # u'(tau_s) / u'(tau_t) = (P_s / P'_s) / (P_t / P'_t).
+    payments = opt_sq.contract.payments
+    gaps, paid_slopes = [], []
+    for i in rep.active_agents:
+        paid = np.flatnonzero(payments[i] > 0.0)
+        marginals = problem_sq.utilities[i].marginal(payments[i])
+        paid_slopes.extend(dprobs_sq[paid])
+        for s, t in itertools.combinations(paid, 2):
+            ratio = (probs_sq[s] / dprobs_sq[s]) * (dprobs_sq[t] / probs_sq[t])
+            gaps.append(abs(marginals[s] / marginals[t] - ratio))
+    assert gaps  # at least one co-paid outcome pair
+    max_gap = max(gaps)
+    assert max_gap < 1e-4
+    assert all(slope > 0.0 for slope in paid_slopes)
     report(10, f"risk-neutral pay concentration {concentration:.6f}; "
                f"square-root utilities paid at every rising outcome, "
-               f"cross-outcome identity gap {check.max_gap:.2e}")
+               f"cross-outcome identity gap {max_gap:.2e}")
 
 
 def test_criterion_11_equity(optimizer_outputs):

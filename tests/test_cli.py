@@ -1,6 +1,9 @@
+import inspect
 import json
+import re
 import struct
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import teampay as tp
-from teampay import cli
+from teampay import cli, statics
 from teampay.cli import dump_json, run
 
 from helpers import KAPPA_HALF
@@ -131,6 +134,42 @@ def test_malformed_input_file_is_one_json_error(tmp_path, capsys, problem, contr
     err = json.loads(captured.err)["error"]
     assert err["type"] == kind
     assert message in err["message"]
+
+
+CLIQUE2 = {**FIGURE, "n": 2, "production": {"type": "quadratic_network", "weights": [[0, 1], [1, 0]]}}
+SOFTMAX2 = {**CLIQUE2, "outcomes": {"type": "softmax", "theta": [0, 2, 2.5], "shift": [1.5, 0, -1],
+                                    "revenues": [0, "@", 2]},
+            "utilities": {"type": "sqrt"}}
+
+
+# "@" marks the number under test, written into the file as a bare literal.
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e999"])
+@pytest.mark.parametrize("command, problem, contract", [
+    ("equilibrium", CLIQUE2, {"payments": [[0, "@"], [0, 0.2]]}),
+    ("equilibrium", {**CLIQUE2, "outcomes": {"type": "binary_success",
+                                             "success": {"type": "linear_capped", "slope": "@"}}}, None),
+    ("equilibrium", {**CLIQUE2, "costs": {"type": "power", "scale": "@"}}, None),
+    ("optimize", SOFTMAX2, None),
+], ids=["payment", "slope", "cost-scale", "revenue"])
+def test_non_finite_numbers_in_input_files_are_input_errors(tmp_path, capsys, monkeypatch, command, problem,
+                                                           contract, number):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved a problem with a non-finite number")
+
+    for solver in ("_solve_eq", "solve_equilibrium_general", "optimize_general", "optimize_quadratic_binary"):
+        monkeypatch.setattr(cli, solver, no_solve)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem).replace('"@"', number))
+    contract_path = tmp_path / "contract.json"
+    contract_path.write_text(json.dumps(contract or {"payments": [[0, 0.2], [0, 0.2]]}).replace('"@"', number))
+    argv = [command, str(path)] + (["--contract", str(contract_path)] if command == "equilibrium" else [])
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    err = json.loads(captured.err)["error"]
+    assert err["type"] == "input"
+    # JSON's non-finite literals fail the parse; 1e999 parses as inf and fails validation.
+    assert ("must be finite" if number == "1e999" else f"non-finite number {number} in") in err["message"]
 
 
 # Tuning values that are module constants, not flags, on the subcommands
@@ -323,8 +362,11 @@ def test_negative_cap_is_an_input_error(files, capsys, which):
     assert err == {"type": "input", "message": "--cap must be non-negative, got -1"}
 
 
-def test_sweep_out_to_a_missing_directory_is_an_input_error(files, capsys):
+def test_sweep_out_to_a_missing_directory_is_an_input_error(files, capsys, monkeypatch):
     tmp, _, figure, _ = files
+    solved = []
+    solve = statics._quadratic_closed_forms
+    monkeypatch.setattr(statics, "_quadratic_closed_forms", lambda *args: solved.append(args) or solve(*args))
     out = tmp / "missing" / "x.csv"
     assert run(["sweep", str(figure), "--param", "G23", "--grid", "0:1:0.5", "--out", str(out)]) == 1
     captured = capsys.readouterr()
@@ -332,6 +374,7 @@ def test_sweep_out_to_a_missing_directory_is_an_input_error(files, capsys):
     err = json.loads(captured.err)["error"]
     assert err["type"] == "input"
     assert err["message"].startswith(f"cannot write {out}")
+    assert not solved
 
 
 def test_sweep_csv_and_round_trip(files, capsys):
@@ -640,3 +683,24 @@ def test_knife_edge_share_cubic_takes_the_performance_search(tmp_path, capsys):
     assert run(["sweep", str(path), "--param", "G12", "--grid", "0.9:1.1:0.1"]) == 0
     captured = capsys.readouterr()
     assert "nan" not in captured.out and not captured.err
+
+
+def test_every_re_exported_function_has_a_user_outside_the_tests():
+    """A function that ``teampay`` re-exports is named, as a whole word, on
+    some line outside ``tests/`` other than its own ``def`` and ``__all__``
+    lines: elsewhere in the package, in the demos, docs or README, or in
+    the benchmark."""
+    root = Path(__file__).resolve().parents[1]
+    files = [path for path in (root / "src" / "teampay").glob("*.py") if path.name != "__init__.py"]
+    for folder in ("demos", "docs", "perfbench"):
+        files += [path for path in (root / folder).glob("*") if path.suffix in (".py", ".md")]
+    lines = [line for path in files + [root / "README.md"] for line in path.read_text().splitlines()]
+    unused = []
+    for name, obj in vars(tp).items():
+        if not inspect.isfunction(obj):
+            continue
+        word = re.compile(rf"\b{name}\b")
+        own = (f"def {name}(", f'"{name}",')
+        if not any(word.search(line) and not line.strip().startswith(own) for line in lines):
+            unused.append(name)
+    assert unused == []

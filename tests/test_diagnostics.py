@@ -237,17 +237,6 @@ def test_inactive_agent_rows_use_extended_centrality():
 # ---------------------------------------------------------------------------
 
 
-def test_cross_outcome_vacuous_for_binary():
-    net = clique(2)
-    opt = tp.optimize_quadratic_binary(net, KAPPA_HALF)
-    problem = quadratic_problem(net)
-    report = tp.compute_balance_report(problem, opt.contract, opt.equilibrium)
-    check = tp.check_cross_outcome_ratios(report, opt.contract, opt.equilibrium, problem)
-    assert check.gaps == ()
-    assert check.max_gap == 0.0
-    assert check.slopes_positive
-
-
 def test_lambda_proportional_to_prob_over_slope():
     out_theta = [0.0, 2.0, 2.5]
     out_shift = [1.5, 0.0, -1.0]

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -364,6 +365,24 @@ def test_parser_rejects_unknown_fields():
     d["production"]["bogus"] = 2
     with pytest.raises(SchemaError):
         problem_from_dict(d)
+
+
+def test_agent_count_is_checked_before_the_per_agent_entries_are_built():
+    d = {
+        "n": 10**6,
+        "production": {"type": "quadratic_network", "weights": [[0.0, 1.0], [1.0, 0.0]]},
+        "outcomes": {"type": "binary_success", "success": {"type": "linear_capped", "slope": 0.5}},
+        "utilities": {"type": "linear"},
+        "costs": {"type": "power"},
+    }
+    tracemalloc.start()
+    try:
+        with pytest.raises(SchemaError, match=re.escape("production dimension 2 does not match agent count 1000000")):
+            problem_from_dict(d)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_parser_broadcasts_single_utility_and_cost(monkeypatch):

@@ -392,8 +392,15 @@ def test_sweep_rows_are_the_certified_optima_bit_for_bit(n, seed, parameter, gri
 
 
 def test_parse_parameter_forms():
-    assert tp.statics.parse_parameter("beta", 3) == ("beta", None)
-    assert tp.statics.parse_parameter("G23", 3) == ("edge", (1, 2))
-    assert tp.statics.parse_parameter("G1_12", 12) == ("edge", (0, 11))
+    net3, net12 = clique(3), clique(12)
+    scaled = tp.statics.network_along(net3, "beta")(0.5)
+    assert scaled.scale == 0.5 and np.array_equal(scaled.weights, net3.weights)
+
+    def changed_links(net, parameter):
+        moved = tp.statics.network_along(net, parameter)(0.25).weights != net.weights
+        return np.argwhere(moved).tolist()
+
+    assert changed_links(net3, "G23") == [[1, 2], [2, 1]]
+    assert changed_links(net12, "G1_12") == [[0, 11], [11, 0]]
     with pytest.raises(tp.StaticsError):
-        tp.statics.parse_parameter("G44", 3)
+        tp.statics.network_along(net3, "G44")
