@@ -390,7 +390,10 @@ class PolynomialProduction(ProductionFunction):
 
     ``terms`` is a sequence of ``(coefficient, powers)`` with nonnegative
     integer powers; positive coefficients keep the function increasing on
-    the nonnegative orthant.
+    the nonnegative orthant.  The value and every derivative come from one
+    rule (:meth:`_derivative`): differentiating a term in ``a_i`` multiplies
+    it by its current power of ``a_i`` and lowers that power by 1, and a term
+    whose power of ``a_i`` is already 0 drops out.
     """
 
     n_agents: int
@@ -412,65 +415,36 @@ class PolynomialProduction(ProductionFunction):
         return self.n_agents
 
     def value(self, a):
-        a = np.asarray(a, dtype=float)
-        out = np.zeros(a.shape[:-1])
-        for coef, powers in self.terms:
-            out = out + coef * np.prod(np.power(a, powers), axis=-1)
-        return out if np.ndim(out) else float(out)
+        return self._derivative(a)
 
     def gradient(self, a):
         a = np.asarray(a, dtype=float)
         return np.array([self.partial(a, i) for i in range(self.n)])
 
     def hessian(self, a):
-        a = np.asarray(a, dtype=float)
-        n = self.n
-        h = np.zeros((n, n))
-        for coef, powers in self.terms:
-            for i in range(n):
-                if powers[i] == 0:
-                    continue
-                for j in range(n):
-                    if i == j:
-                        if powers[i] < 2:
-                            continue
-                        mono = powers.copy()
-                        mono[i] -= 2
-                        h[i, i] += coef * powers[i] * (powers[i] - 1) * self._mono(a, mono)
-                    else:
-                        if powers[j] == 0:
-                            continue
-                        mono = powers.copy()
-                        mono[i] -= 1
-                        mono[j] -= 1
-                        h[i, j] += coef * powers[i] * powers[j] * self._mono(a, mono)
-        return h
-
-    @staticmethod
-    def _mono(a, powers):
-        return np.prod(np.power(a, powers), axis=-1)
+        return np.array([[self._derivative(a, i, j) for j in range(self.n)] for i in range(self.n)])
 
     def partial(self, a, i):
-        return _polynomial_own(self.terms, a, i, 1)
+        return self._derivative(a, i)
 
     def partial2(self, a, i):
-        return _polynomial_own(self.terms, a, i, 2)
+        return self._derivative(a, i, i)
 
-
-def _polynomial_own(terms, a, i, order: int):
-    """Own derivative of order 1 or 2 at a point or a batch of points."""
-    a = np.asarray(a, dtype=float)
-    total = np.zeros(a.shape[:-1])
-    for coef, powers in terms:
-        if powers[i] < order:
-            continue
-        mono = powers.copy()
-        mono[i] -= order
-        scale = coef * powers[i]
-        if order == 2:
-            scale = scale * (powers[i] - 1)
-        total = total + scale * PolynomialProduction._mono(a, mono)
-    return total if np.ndim(total) else float(total)
+    def _derivative(self, a, *agents):
+        """``Y`` differentiated in each of ``agents`` in turn (none, one, or two;
+        ``(i, i)`` is ``partial2``), at a point (a float) or a batch ``(..., n)``."""
+        a = np.asarray(a, dtype=float)
+        total = np.zeros(a.shape[:-1])
+        for coef, powers in self.terms:
+            scale, powers = coef, powers.copy()
+            for i in agents:
+                if powers[i] == 0:
+                    break
+                scale = scale * powers[i]
+                powers[i] -= 1
+            else:
+                total = total + scale * np.prod(np.power(a, powers), axis=-1)
+        return total if np.ndim(total) else float(total)
 
 
 # ---------------------------------------------------------------------------
@@ -778,14 +752,6 @@ class Contract:
     def __post_init__(self):
         object.__setattr__(self, "payments", _matrix_like(self.payments))
 
-    @property
-    def n(self) -> int:
-        return self.payments.shape[0]
-
-    @property
-    def n_outcomes(self) -> int:
-        return self.payments.shape[1]
-
 
 def _matrix_like(x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
@@ -890,15 +856,16 @@ def validate_problem(problem: Problem) -> ValidationReport:
     elif isinstance(prod, PolynomialProduction):
         if not prod.terms:
             report.add("production: polynomial needs at least one term")
-        touched = np.zeros(n, dtype=bool)
-        for coef, powers in prod.terms:
-            if coef <= 0:
-                report.add("production: polynomial coefficients must be strictly positive")
-            if np.any(powers < 0):
-                report.add("production: polynomial powers must be nonnegative")
-            touched |= powers > 0
-        if prod.terms and not np.all(touched):
-            report.add("production: every agent must appear in some polynomial term")
+        else:
+            touched = np.zeros(prod.n, dtype=bool)
+            for coef, powers in prod.terms:
+                if coef <= 0:
+                    report.add("production: polynomial coefficients must be strictly positive")
+                if np.any(powers < 0) or np.any(powers != np.floor(powers)):
+                    report.add("production: polynomial powers must be nonnegative integers")
+                touched |= powers > 0
+            if not np.all(touched):
+                report.add("production: every agent must appear in some polynomial term")
     else:
         report.add(f"production: unknown production type {type(prod).__name__}")
 
@@ -1017,6 +984,9 @@ def _production_from_dict(d: dict, where: str) -> ProductionFunction:
         return CESProduction(np.asarray(d["shares"], dtype=float), float(d["rho"]), float(d.get("returns", 1.0)))
     if kind == "polynomial":
         _take(d, where, ["type", "n", "terms"])
+        if not d["terms"]:
+            # Nothing else in the file bounds n, which the per-agent entries expand to.
+            raise SchemaError(f"{where}: polynomial needs at least one term")
         terms = []
         for k, t in enumerate(d["terms"]):
             _take(t, f"{where}.terms[{k}]", ["coefficient", "powers"])

@@ -172,6 +172,40 @@ def test_non_finite_numbers_in_input_files_are_input_errors(tmp_path, capsys, mo
     assert ("must be finite" if number == "1e999" else f"non-finite number {number} in") in err["message"]
 
 
+# Y = a0^0.5 + a1: a fractional power, which the derivative rule does not cover.
+SQRT_PLUS_LINEAR = {**CLIQUE2, "production": {"type": "polynomial", "n": 2, "terms": [
+    {"coefficient": 1.0, "powers": [0.5, 0]}, {"coefficient": 1.0, "powers": [0, 1]}]},
+    "outcomes": {"type": "binary_success", "success": {"type": "power", "exponent": 2.0}}}
+
+
+@pytest.mark.parametrize("command", ["validate", "equilibrium"])
+@pytest.mark.parametrize("terms, message", [
+    (SQRT_PLUS_LINEAR["production"]["terms"], "production: polynomial powers must be nonnegative integers"),
+    ([], "production: polynomial needs at least one term"),
+], ids=["fractional-power", "no-terms"])
+def test_polynomial_input_errors_exit_one_before_any_solve(tmp_path, capsys, monkeypatch, command, terms, message):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved an invalid polynomial problem")
+
+    for solver in ("_solve_eq", "solve_equilibrium_general"):
+        monkeypatch.setattr(cli, solver, no_solve)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**SQRT_PLUS_LINEAR, "production": {**SQRT_PLUS_LINEAR["production"], "terms": terms}}))
+    contract_path = tmp_path / "contract.json"
+    contract_path.write_text(json.dumps({"payments": [[0, 0.4], [0, 0.4]]}))
+    argv = [command, str(path)] + (["--contract", str(contract_path)] if command == "equilibrium" else [])
+    assert run(argv) == 1
+    captured = capsys.readouterr()
+    if command == "validate" and terms:
+        # The file parses; the broken invariant is a report on stdout.
+        assert json.loads(captured.out) == {"ok": False, "violations": [message]}
+        assert not captured.err
+    else:
+        assert not captured.out
+        err = json.loads(captured.err)["error"]
+        assert err["type"] == "input" and message in err["message"]
+
+
 # Tuning values that are module constants, not flags, on the subcommands
 # that used to take them.
 RETIRED_FLAGS = [

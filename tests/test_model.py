@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 
 import teampay as tp
 from teampay import model
-from teampay.model import SchemaError, problem_from_dict
+from teampay.model import ModelError, SchemaError, problem_from_dict, validate_contract
 
 from helpers import PRODUCTION_FAMILIES, clique, quadratic_problem, random_production, random_symmetric_network
 
@@ -47,11 +48,94 @@ def test_validate_well_formed_quadratic():
     assert report.ok and report.violations == []
 
 
-def test_validate_flags_asymmetric_network():
-    w = np.array([[0.0, 1.0], [0.5, 0.0]])
-    problem = quadratic_problem(tp.Network(w))
-    report = tp.validate_problem(problem)
-    assert any("symmetric" in v for v in report.violations)
+@dataclass(frozen=True)
+class _UnknownProduction(model.ProductionFunction):
+    n: int = 2
+
+
+@dataclass(frozen=True)
+class _UnknownOutcomes:
+    n_outcomes: int = 2
+
+
+_BASE = quadratic_problem(clique(2))
+
+
+def _with(**changes) -> tp.Problem:
+    """The defect-free base problem with some fields replaced."""
+    return replace(_BASE, **changes)
+
+
+@pytest.mark.parametrize("problem, contract, message", [
+    pytest.param(_BASE, None, None, id="none"),
+    pytest.param(_with(production=tp.QuadraticNetworkProduction(tp.Network([[0.0, 1.0], [0.5, 0.0]]))), None,
+                 "production: network weights must be symmetric", id="network_asymmetric"),
+    pytest.param(_with(n=0, production=tp.QuadraticNetworkProduction(tp.Network(np.zeros((0, 0)))),
+                       utilities=(), costs=()), None,
+                 "production: network needs at least one agent", id="network_empty"),
+    pytest.param(_with(production=tp.QuadraticNetworkProduction(tp.Network([[1.0, 1.0], [1.0, 0.0]]))), None,
+                 "production: network diagonal must be zero", id="network_diagonal"),
+    pytest.param(_with(production=tp.QuadraticNetworkProduction(tp.Network([[0.0, -1.0], [-1.0, 0.0]]))), None,
+                 "production: network weights must be nonnegative", id="network_negative_weight"),
+    pytest.param(_with(production=tp.QuadraticNetworkProduction(clique(2).with_scale(-1.0))), None,
+                 "production: network scale must be nonnegative", id="network_negative_scale"),
+    pytest.param(_with(production=tp.QuadraticNetworkProduction(clique(2), [1.0, 0.0])), None,
+                 "production: standalone coefficients must be strictly positive", id="standalone"),
+    pytest.param(_with(n=3, utilities=(tp.LinearUtility(),) * 3, costs=(tp.PowerCost(),) * 3), None,
+                 "production dimension 2 does not match agent count 3", id="production_dimension"),
+    pytest.param(_with(n=3, production=tp.PolynomialProduction(2, ((1.0, (1, 1)),)),
+                       utilities=(tp.LinearUtility(),) * 3, costs=(tp.PowerCost(),) * 3), None,
+                 "production dimension 2 does not match agent count 3", id="polynomial_dimension"),
+    pytest.param(_with(production=_UnknownProduction()), None,
+                 "production: unknown production type _UnknownProduction", id="production_unknown"),
+    pytest.param(_with(production=tp.CobbDouglasProduction([1.0, 0.0])), None,
+                 "production: cobb_douglas shares must be strictly positive", id="cobb_douglas_shares"),
+    pytest.param(_with(production=tp.CESProduction([1.0, 0.0], rho=0.5)), None,
+                 "production: ces shares must be strictly positive", id="ces_shares"),
+    pytest.param(_with(production=tp.CESProduction([1.0, 1.0], rho=0.5, returns=0.0)), None,
+                 "production: ces returns must be strictly positive", id="ces_returns"),
+    pytest.param(_with(production=tp.PolynomialProduction(2, ())), None,
+                 "production: polynomial needs at least one term", id="polynomial_no_terms"),
+    pytest.param(_with(production=tp.PolynomialProduction(2, ((0.0, (1, 1)),))), None,
+                 "production: polynomial coefficients must be strictly positive", id="polynomial_coefficient"),
+    pytest.param(_with(production=tp.PolynomialProduction(2, ((1.0, (-1, 1)), (1.0, (1, 0))))), None,
+                 "production: polynomial powers must be nonnegative integers", id="polynomial_negative_power"),
+    pytest.param(_with(production=tp.PolynomialProduction(2, ((1.0, (0.5, 0)), (1.0, (0, 1))))), None,
+                 "production: polynomial powers must be nonnegative integers", id="polynomial_fractional_power"),
+    pytest.param(_with(production=tp.PolynomialProduction(2, ((1.0, (1, 0)),))), None,
+                 "production: every agent must appear in some polynomial term", id="polynomial_untouched_agent"),
+    pytest.param(_with(outcomes=tp.BinaryOutcomeModel(tp.LinearCappedSuccess(0.0))), None,
+                 "outcomes: linear_capped slope must be strictly positive", id="linear_capped_slope"),
+    pytest.param(_with(outcomes=tp.BinaryOutcomeModel(tp.LogisticSuccess(0.0))), None,
+                 "outcomes: logistic scale must be strictly positive", id="logistic_scale"),
+    pytest.param(_with(outcomes=tp.BinaryOutcomeModel(tp.PowerSuccess(0.0))), None,
+                 "outcomes: power exponent must be strictly positive", id="power_exponent"),
+    pytest.param(_with(outcomes=tp.SoftmaxOutcomeModel([1.0], [0.0], [1.0])), None,
+                 "outcomes: softmax model needs at least 2 outcomes", id="softmax_outcomes"),
+    pytest.param(_with(outcomes=tp.SoftmaxOutcomeModel([0.0, 1.0], [0.0], [0.0, 1.0])), None,
+                 "outcomes: theta, shift, revenues must have equal length", id="softmax_lengths"),
+    pytest.param(_with(outcomes=tp.SoftmaxOutcomeModel([0.0, 1.0], [0.0, 0.0], [-1.0, 1.0])), None,
+                 "outcomes: revenues must be nonnegative", id="softmax_revenues"),
+    pytest.param(_with(outcomes=_UnknownOutcomes()), None,
+                 "outcomes: unknown outcome model _UnknownOutcomes", id="outcomes_unknown"),
+    pytest.param(_with(utilities=(tp.LinearUtility(),)), None,
+                 "utilities: expected 2 entries, got 1", id="utilities_count"),
+    pytest.param(_with(utilities=(tp.LinearUtility(), tp.PowerUtility(1.0))), None,
+                 "utilities[1]: power eta must lie in (0, 1)", id="utility_eta"),
+    pytest.param(_with(costs=(tp.PowerCost(),) * 3), None,
+                 "costs: expected 2 entries, got 3", id="costs_count"),
+    pytest.param(_with(costs=(tp.PowerCost(), tp.PowerCost(scale=0.0))), None,
+                 "costs[1]: scale must be strictly positive", id="cost_scale"),
+    pytest.param(_with(costs=(tp.PowerCost(exponent=1.5), tp.PowerCost())), None,
+                 "costs[0]: exponent must be at least 2", id="cost_exponent"),
+    pytest.param(_BASE, tp.Contract([[0.0, 0.5]]), "contract: payments shape (1, 2) does not match (2, 2)",
+                 id="contract_shape"),
+    pytest.param(_BASE, tp.Contract([[0.0, 0.5], [0.0, -0.5]]), "contract: payments must be nonnegative",
+                 id="contract_sign"),
+])
+def test_validation_reports_each_defect_with_its_message(problem, contract, message):
+    report = tp.validate_problem(problem) if contract is None else validate_contract(problem, contract)
+    assert report.violations == ([] if message is None else [message])
 
 
 def test_validate_flags_ces_rho_zero():
@@ -157,6 +241,25 @@ def test_partials_match_gradient():
         for i in range(3):
             assert prod.partial(a, i) == pytest.approx(grad[i], rel=1e-12)
             assert prod.partial2(a, i) == pytest.approx(hess[i, i], rel=1e-10, abs=1e-12)
+
+
+def test_polynomial_derivatives_are_exact_at_a_boundary_point():
+    # Y = 2 a0^2 a1 + 3 a1^3 + a0 a1 a2 at a0 = 0, where the terms in a0 drop
+    # out of the value but not of the derivatives; every figure is a dyadic
+    # rational, so the rule must give it exactly.
+    prod = tp.PolynomialProduction(3, ((2.0, (2, 1, 0)), (3.0, (0, 3, 0)), (1.0, (1, 1, 1))))
+    a = np.array([0.0, 1.5, 2.0])
+    hess = np.array([[6.0, 2.0, 1.5], [2.0, 27.0, 0.0], [1.5, 0.0, 0.0]])
+    assert prod.value(a) == 10.125 and isinstance(prod.value(a), float)
+    assert np.array_equal(prod.gradient(a), [3.0, 20.25, 0.0])
+    assert np.array_equal(prod.hessian(a), hess)
+    assert [prod.partial2(a, i) for i in range(3)] == list(np.diag(hess))
+    batch = np.broadcast_to(a, (2, 3, 3))
+    assert np.array_equal(prod.value(batch), np.full((2, 3), 10.125))
+    assert np.array_equal(np.moveaxis(prod.gradient(batch), 0, -1), np.broadcast_to(prod.gradient(a), (2, 3, 3)))
+    for i in range(3):
+        assert np.array_equal(prod.partial(batch, i), np.full((2, 3), prod.partial(a, i)))
+        assert np.array_equal(prod.partial2(batch, i), np.full((2, 3), hess[i, i]))
 
 
 @settings(max_examples=80, deadline=None)
@@ -367,22 +470,66 @@ def test_parser_rejects_unknown_fields():
         problem_from_dict(d)
 
 
-def test_agent_count_is_checked_before_the_per_agent_entries_are_built():
+@pytest.mark.parametrize("production, message", [
+    pytest.param({"type": "quadratic_network", "weights": [[0.0, 1.0], [1.0, 0.0]]},
+                 "production dimension 2 does not match agent count 1000000", id="quadratic"),
+    # No term bounds n, so only the parser's own check stops the expansion.
+    pytest.param({"type": "polynomial", "n": 10**6, "terms": []},
+                 "production: polynomial needs at least one term", id="polynomial_no_terms"),
+])
+def test_agent_count_is_checked_before_the_per_agent_entries_are_built(production, message):
     d = {
         "n": 10**6,
-        "production": {"type": "quadratic_network", "weights": [[0.0, 1.0], [1.0, 0.0]]},
+        "production": production,
         "outcomes": {"type": "binary_success", "success": {"type": "linear_capped", "slope": 0.5}},
         "utilities": {"type": "linear"},
         "costs": {"type": "power"},
     }
     tracemalloc.start()
     try:
-        with pytest.raises(SchemaError, match=re.escape("production dimension 2 does not match agent count 1000000")):
+        with pytest.raises(SchemaError, match=re.escape(message)):
             problem_from_dict(d)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000
+
+
+_PARSER_BASE = {
+    "n": 2,
+    "production": {"type": "polynomial", "n": 2, "terms": [{"coefficient": 1.0, "powers": [1, 1]}]},
+    "outcomes": {"type": "binary_success", "success": {"type": "power", "exponent": 2.0}},
+    "utilities": [{"type": "power", "eta": 0.5}, {"type": "log1p"}],
+    "costs": [{"type": "power"}, {"type": "power", "scale": 2.0}],
+}
+_MYSTERY = {"type": "mystery"}
+
+
+@pytest.mark.parametrize("field, entry, error, message", [
+    pytest.param(None, None, None, None, id="none"),
+    pytest.param("production", _MYSTERY, SchemaError, "production: unknown production type 'mystery'",
+                 id="production_type"),
+    pytest.param("outcomes", _MYSTERY, SchemaError, "outcomes: unknown outcome model type 'mystery'",
+                 id="outcomes_type"),
+    pytest.param("outcomes", {"type": "binary_success", "success": _MYSTERY}, SchemaError,
+                 "outcomes.success: unknown success probability type 'mystery'", id="success_type"),
+    pytest.param("utilities", [{"type": "linear"}, _MYSTERY], SchemaError,
+                 "utilities[1]: unknown utility type 'mystery'", id="utility_type"),
+    pytest.param("costs", _MYSTERY, SchemaError, "costs[0]: unknown cost type 'mystery'", id="cost_type"),
+    pytest.param("costs", [{"type": "power"}], SchemaError, "costs: expected 2 entries, got 1", id="costs_count"),
+    pytest.param("production", {"type": "polynomial", "n": 2, "terms": [{"coefficient": 1.0, "powers": [1]}]},
+                 ModelError, "polynomial term power length must equal agent count", id="polynomial_power_length"),
+    pytest.param("production", {"type": "polynomial", "n": 2, "terms": []}, SchemaError,
+                 "production: polynomial needs at least one term", id="polynomial_no_terms"),
+])
+def test_parser_reports_each_defect_with_its_message(field, entry, error, message):
+    if error is None:
+        problem = problem_from_dict(_PARSER_BASE)
+        assert problem.utilities == (tp.PowerUtility(0.5), tp.Log1pUtility())
+        assert tp.validate_problem(problem).ok
+        return
+    with pytest.raises(error, match=re.escape(message)):
+        problem_from_dict({**_PARSER_BASE, field: entry})
 
 
 def test_parser_broadcasts_single_utility_and_cost(monkeypatch):
